@@ -8,18 +8,21 @@ from __future__ import annotations
 
 import math
 import re
+import statistics
 
 from spans import Tracer, summarize
 
 NAME_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9_.-]{0,63}")
 
 # Every workload reports every end-to-end metric (tracing off).  What an
-# "operation" and an "item" are depends on the workload; see README.md.  The
-# p90 latency goes to the info line only: on a shared two-vCPU host its
-# run-to-run spread is wider than the largest bound a metric may have.
+# "operation" and an "item" are depends on the workload; see README.md.
+# Operation times are in "ref", multiples of the reference loop timed just
+# before each operation (``run.reference``), because the shared host's speed
+# drifts by more than the largest bound a metric may have.  The raw
+# milliseconds and the p90 go to the info line.
 END_TO_END = {
-    "op_ms_p50": "ms",
-    "items_per_s": "1/s",
+    "op_cost_p50": "ref",
+    "items_per_kref": "1/kref",
     "setup_s": "s",
     "peak_rss_mb": "MB",
 }
@@ -78,6 +81,25 @@ def percentile(values, q: float) -> float:
         raise ValueError("percentile of an empty sample")
     ordered = sorted(values)
     return ordered[max(0, math.ceil(q * len(ordered)) - 1)]
+
+
+REF_WINDOW = 5
+
+
+def costs(elapsed, refs, window: int = REF_WINDOW) -> list[float]:
+    """Each operation's time in reference loops.
+
+    ``elapsed[i]`` is divided by the median of the reference timings in a
+    ``window`` centred on operation ``i``, so one reference loop that was
+    preempted does not skew its operation.
+    """
+    if len(elapsed) != len(refs):
+        raise ValueError("one reference timing per operation")
+    half = window // 2
+    return [
+        t / statistics.median(refs[max(0, i - half): i + half + 1])
+        for i, t in enumerate(elapsed)
+    ]
 
 
 def beyond(count: int, q: float) -> int:

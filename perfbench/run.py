@@ -5,7 +5,9 @@ Run from the repository root; the package is imported from ``src/``::
     python3 perfbench/run.py --workload protocol-n10 --seed 1 --seconds 20 --trace 0
 
 With ``--trace 0`` the last line carries the end-to-end metrics, measured
-with tracing off.  With ``--trace 1`` the run measures half its time
+with tracing off.  Their times are in units of a fixed reference loop that
+runs, untimed by the operation, just before every operation; see
+``reference``.  With ``--trace 1`` the run measures half its time
 untraced and half with every target in ``spans.TARGETS`` wrapped, and the
 last line carries the per-layer metrics.  The line before it is an ``info``
 object: machine, seed, transport, sample counts and failure notes.
@@ -26,6 +28,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE.parent / "src"))
 
@@ -35,10 +39,11 @@ TIMEOUT_S = 60.0
 
 @dataclass
 class Phase:
-    """Outcome of one measured stretch of the closed loop."""
+    """Outcome of one measured stretch of the closed loop, in operation order."""
 
-    latencies: list[float] = field(default_factory=list)  # primary ops, seconds
-    other: list[float] = field(default_factory=list)  # non-primary ops, seconds
+    elapsed: list[float] = field(default_factory=list)  # seconds per operation
+    refs: list[float] = field(default_factory=list)  # reference loop before it, seconds
+    primary: list[bool] = field(default_factory=list)
     items: int = 0
     attempted: int = 0
     failed: int = 0
@@ -46,9 +51,40 @@ class Phase:
     next_index: int = 0
     errors: Counter = field(default_factory=Counter)
 
+    @property
+    def latencies(self) -> list[float]:
+        return [t for t, p in zip(self.elapsed, self.primary) if p]
+
+    @property
+    def other(self) -> list[float]:
+        return [t for t, p in zip(self.elapsed, self.primary) if not p]
+
+
+REF_ARRAY = np.arange(4096, dtype=np.float64)
+
+
+def reference() -> float:
+    """Seconds taken by a fixed mix of interpreter and numpy work (about 2 ms).
+
+    On a shared host (two vCPUs of an Intel Xeon) the speed of the same code
+    drifts by up to 1.8x in stretches of tens of seconds, and the process's
+    own CPU time drifts with it, so no timer inside the process can tell it
+    apart from the program's cost.  Timing this loop next to every operation
+    gives the host's speed at that moment.
+    """
+    start = time.perf_counter()
+    acc = 0
+    for k in range(12000):
+        acc ^= (k * 2654435761) & 0xFFFFFFFF
+    a = REF_ARRAY
+    for _ in range(20):
+        a = np.sqrt(a + 1.0)
+    return time.perf_counter() - start
+
 
 def run_once(workload, i: int, phase: Phase, tracer=None) -> None:
     """Time operation ``i``, check its output, and book it into ``phase``."""
+    phase.refs.append(reference())
     start = time.perf_counter()
     try:
         result = workload.run(i)
@@ -59,7 +95,8 @@ def run_once(workload, i: int, phase: Phase, tracer=None) -> None:
         elapsed = time.perf_counter() - start
         phase.errors[type(exc).__name__] += 1
         ok = False
-    (phase.latencies if workload.primary(i) else phase.other).append(elapsed)
+    phase.elapsed.append(elapsed)
+    phase.primary.append(workload.primary(i))
     phase.attempted += 1
     phase.failed += not ok
     phase.items += workload.items_per_op if ok else 0
@@ -71,7 +108,7 @@ def measure(workload, seconds: float, first: int, tracer=None) -> Phase:
     phase = Phase()
     i = first
     start = time.perf_counter()
-    while time.perf_counter() - start < seconds or not phase.latencies:
+    while time.perf_counter() - start < seconds or not any(phase.primary):
         run_once(workload, i, phase, tracer)
         i += 1
     phase.wall = time.perf_counter() - start
@@ -129,7 +166,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        from metrics import END_TO_END, PER_LAYER, beyond, layer_metrics, percentile
+        from metrics import END_TO_END, PER_LAYER, beyond, costs, layer_metrics, percentile
         from spans import Tracer
         from workloads import WORKLOADS
     except ImportError as exc:
@@ -171,6 +208,8 @@ def main(argv=None) -> int:
     attempted = sum(p.attempted for p in phases)
     failed = sum(p.failed for p in phases)
     ops = main_phase.attempted
+    cost = costs(main_phase.elapsed, main_phase.refs)
+    primary_cost = [c for c, p in zip(cost, main_phase.primary) if p]
     info = {
         "workload": args.workload,
         "seed": args.seed,
@@ -179,13 +218,20 @@ def main(argv=None) -> int:
         "machine": machine_info(),
         "ops": ops,
         "primary_ops": len(main_phase.latencies),
+        "ref_ms_p50": 1e3 * statistics.median(main_phase.refs),
+        "op_ms_p50": 1e3 * statistics.median(main_phase.latencies),
         "op_ms_p90": 1e3 * percentile(main_phase.latencies, 0.9),
+        "op_cost_p90": percentile(primary_cost, 0.9),
         "beyond_p90": beyond(len(main_phase.latencies), 0.9),
+        "items_per_s": main_phase.items / main_phase.wall,
         "notes": dict(workload.notes),
         "exceptions": dict(sum((p.errors for p in phases), Counter())),
     }
     if main_phase.other:
         info["other_ms_p50"] = 1e3 * statistics.median(main_phase.other)
+        info["other_cost_p50"] = statistics.median(
+            c for c, p in zip(cost, main_phase.primary) if not p
+        )
     if args.trace:
         metrics = layer_metrics(tracer, ops, workload.notes)
         metrics["trace.overhead_ms"] = 1e3 * (
@@ -195,8 +241,8 @@ def main(argv=None) -> int:
         units = PER_LAYER
     else:
         metrics = {
-            "op_ms_p50": 1e3 * statistics.median(main_phase.latencies),
-            "items_per_s": main_phase.items / main_phase.wall,
+            "op_cost_p50": statistics.median(primary_cost),
+            "items_per_kref": 1e3 * main_phase.items / sum(cost),
             "setup_s": statistics.median(setup),
             "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
         }

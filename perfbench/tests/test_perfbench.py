@@ -21,7 +21,7 @@ sys.path.insert(0, str(BENCH))
 import iqpverify  # noqa: E402
 import run  # noqa: E402
 from iqpverify import protocol  # noqa: E402
-from metrics import END_TO_END, NAME_RE, PER_LAYER, beyond, percentile  # noqa: E402
+from metrics import END_TO_END, NAME_RE, PER_LAYER, beyond, costs, percentile  # noqa: E402
 from spans import Target, Tracer, covered, summarize  # noqa: E402
 from workloads import WORKLOADS, wire_leaks  # noqa: E402
 
@@ -41,6 +41,20 @@ def test_ten_samples_beyond_the_tail():
     assert beyond(99, 0.9) == 9
     assert beyond(55, 0.75) == 13
     assert beyond(1, 0.9) == 0
+
+
+def test_cost_divides_by_the_median_of_nearby_reference_timings():
+    refs = [1.0, 1.0, 100.0, 1.0, 1.0, 2.0, 2.0, 2.0]
+    got = costs([10.0] * 8, refs, window=5)
+    assert got[0] == 10.0
+    assert got[2] == 10.0  # one preempted reference loop is outvoted
+    assert got[7] == 5.0
+    with pytest.raises(ValueError):
+        costs([1.0], [])
+
+
+def test_reference_loop_takes_measurable_time():
+    assert 0.0 < run.reference() < 1.0
 
 
 def test_covered_merges_overlapping_children_and_clips_to_parent():

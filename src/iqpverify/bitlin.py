@@ -3,6 +3,10 @@
 Vectors are stored as Python ints (bit i of the int is coordinate i), so a
 dot product is one AND plus one popcount.  String form puts coordinate 0
 leftmost, matching the qubit-1-leftmost convention used in program files.
+
+A batch of T n-bit strings (samples, Monte-Carlo points) is one uint64 array
+of shape T x ceil(n/64) in the same bit order: coordinate i sits at bit
+i % 64 of word i // 64.
 """
 
 from __future__ import annotations
@@ -25,6 +29,12 @@ __all__ = [
     "span_weights",
     "add_column",
     "walsh_hadamard",
+    "words_per_row",
+    "pack_rows",
+    "unpack_rows",
+    "table_rows",
+    "row_parities",
+    "random_rows",
 ]
 
 # Spans larger than 2**SPAN_CAP elements are refused outright: enumerating
@@ -250,6 +260,23 @@ def nullspace_basis(matrix: BitMatrix) -> list[BitVector]:
     return basis
 
 
+def _span_basis(
+    basis: Sequence[BitVector], length: int | None
+) -> tuple[list[BitVector], int]:
+    """The basis as a list plus its vector length, after the span checks."""
+    vecs = list(basis)
+    if len(vecs) > SPAN_CAP:
+        raise CapacityError(f"span dimension {len(vecs)} exceeds cap {SPAN_CAP}")
+    if vecs:
+        length = len(vecs[0])
+        for v in vecs:
+            if len(v) != length:
+                raise DimensionError("span basis vectors differ in length")
+    elif length is None:
+        raise DimensionError("empty basis needs an explicit length")
+    return vecs, length
+
+
 def enumerate_span(
     basis: Sequence[BitVector], *, length: int | None = None
 ) -> Iterator[BitVector]:
@@ -258,17 +285,8 @@ def enumerate_span(
     Walks a Gray code over the 2**d combinations so each step is one xor.
     ``length`` is only needed when ``basis`` is empty.
     """
-    vecs = list(basis)
+    vecs, length = _span_basis(basis, length)
     d = len(vecs)
-    if d > SPAN_CAP:
-        raise CapacityError(f"span dimension {d} exceeds cap {SPAN_CAP}")
-    if vecs:
-        length = len(vecs[0])
-        for v in vecs:
-            if len(v) != length:
-                raise DimensionError("span basis vectors differ in length")
-    elif length is None:
-        raise DimensionError("empty basis needs an explicit length")
     current = 0
     yield BitVector(length, 0)
     for k in range(1, 1 << d):
@@ -287,28 +305,14 @@ def span_weights(basis: Sequence[BitVector], *, length: int | None = None) -> np
     as word-packed numpy columns in chunks of 2**16 and popcounted in bulk, so
     dimensions near the cap stay in the seconds range.
     """
-    vecs = list(basis)
+    vecs, length = _span_basis(basis, length)
     d = len(vecs)
-    if d > SPAN_CAP:
-        raise CapacityError(f"span dimension {d} exceeds cap {SPAN_CAP}")
-    if vecs:
-        length = len(vecs[0])
-        for v in vecs:
-            if len(v) != length:
-                raise DimensionError("span basis vectors differ in length")
-    elif length is None:
-        raise DimensionError("empty basis needs an explicit length")
-    nwords = max(1, (length + 63) // 64)
-
-    def words_of(bits: int) -> list[int]:
-        return [(bits >> (64 * w)) & 0xFFFFFFFFFFFFFFFF for w in range(nwords)]
-
+    nwords = max(1, words_per_row(length))
     base_d = min(d, _CHUNK)
     table = np.zeros((1 << base_d, nwords), dtype=np.uint64)
     size = 1
     for v in vecs[:base_d]:
-        w = np.array(words_of(v.bits), dtype=np.uint64)
-        table[size : 2 * size] = table[:size] ^ w
+        table[size : 2 * size] = table[:size] ^ _words(v.bits, nwords)
         size *= 2
 
     out = np.empty(1 << d, dtype=np.int64)
@@ -317,7 +321,7 @@ def span_weights(basis: Sequence[BitVector], *, length: int | None = None) -> np
     for k in range(1 << len(rest)):
         if k:
             offset_bits ^= rest[(k & -k).bit_length() - 1].bits
-        chunk = table ^ np.array(words_of(offset_bits), dtype=np.uint64)
+        chunk = table ^ _words(offset_bits, nwords)
         out[k << base_d : (k + 1) << base_d] = np.bitwise_count(chunk).sum(
             axis=1, dtype=np.int64
         )
@@ -357,3 +361,56 @@ def walsh_hadamard(values: np.ndarray) -> np.ndarray:
         a = np.concatenate((top[:, None, :], bottom[:, None, :]), axis=1).reshape(size)
         h *= 2
     return a
+
+
+def words_per_row(n: int) -> int:
+    """Words in one packed row of n bits."""
+    return (n + 63) // 64
+
+
+def _words(bits: int, nwords: int) -> np.ndarray:
+    """The low 64*nwords bits of an int as packed row words."""
+    return np.frombuffer(bits.to_bytes(8 * nwords, "little"), dtype="<u8")
+
+
+def pack_rows(rows: Sequence[str], n: int) -> np.ndarray:
+    """Pack '0'/'1' strings of length n (leftmost is coordinate 0) into a batch."""
+    if any(len(r) != n for r in rows):
+        raise DimensionError(f"every row must have {n} characters")
+    text = "".join(rows).encode("ascii", "replace")  # non-ASCII becomes '?'
+    bits = np.frombuffer(text, dtype=np.uint8).reshape(len(rows), n) - ord("0")
+    if np.any(bits > 1):
+        raise ValidationError("rows hold characters other than '0' and '1'")
+    padded = np.zeros((len(rows), 64 * words_per_row(n)), dtype=np.uint8)
+    padded[:, :n] = bits
+    return np.packbits(padded, axis=1, bitorder="little").view("<u8")
+
+
+def unpack_rows(words: np.ndarray, n: int) -> list[str]:
+    """Inverse of :func:`pack_rows`: one '0'/'1' string per row of the batch."""
+    octets = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
+    return table_rows(np.unpackbits(octets, axis=1, count=n, bitorder="little"))
+
+
+def table_rows(table: np.ndarray) -> list[str]:
+    """Rows of a T x n table of 0/1 entries as '0'/'1' strings, in one pass."""
+    count, n = table.shape
+    text = (np.asarray(table, dtype=np.uint8) + ord("0")).tobytes().decode("ascii")
+    return [text[i * n : (i + 1) * n] for i in range(count)]
+
+
+def row_parities(words: np.ndarray, v: BitVector) -> np.ndarray:
+    """GF(2) inner product of ``v`` with every row of the batch, as 0/1."""
+    nwords = words_per_row(len(v))
+    if words.ndim != 2 or words.shape[1] != nwords:
+        raise DimensionError(f"batch of shape {words.shape} is not {len(v)} bits wide")
+    return np.bitwise_count(words & _words(v.bits, nwords)).sum(axis=1) & 1
+
+
+def random_rows(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` uniform n-bit rows, drawn one word column at a time, low words first."""
+    columns = [
+        rng.integers(0, 1 << min(64, n - 64 * k), size=count, dtype=np.uint64)
+        for k in range(words_per_row(n))
+    ]
+    return np.stack(columns, axis=1)

@@ -15,6 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from . import experiments
+from .bitlin import unpack_rows
 from .errors import IqpError
 from .evaluators import Backend, evaluate, sample_outputs
 from .keygen import ConstructionSpec, build_challenge, random_scramble_ops, scramble
@@ -155,7 +156,7 @@ def _cmd_sample(args) -> int:
     program = _load_program(args.program)
     rng = np.random.default_rng(_seed_or_random(args.seed))
     draws = sample_outputs(program, args.count, rng)
-    _write_text(args.out, "".join(x.to01() + "\n" for x in draws))
+    _write_text(args.out, "".join(row + "\n" for row in unpack_rows(draws, program.n)))
     return 0
 
 

@@ -20,7 +20,15 @@ from enum import Enum
 
 import numpy as np
 
-from .bitlin import BitVector, BitMatrix, SPAN_CAP, column_space_basis, span_weights, walsh_hadamard
+from .bitlin import (
+    BitVector,
+    BitMatrix,
+    column_space_basis,
+    random_rows,
+    row_parities,
+    span_weights,
+    walsh_hadamard,
+)
 from .chform import CHForm
 from .errors import AngleError, CapacityError, DimensionError, ValidationError
 from .model import IqpProgram, partition
@@ -190,23 +198,10 @@ def correlation_diagonal(
     if rng is None:
         raise ValidationError("monte-carlo mode needs an explicit rng")
     omega = np.zeros(samples, dtype=np.float64)
-    n = program.n
-    if n <= 63:
-        xs = rng.integers(0, 1 << n, size=samples, dtype=np.uint64)
-        for row, angle in mains:
-            par = np.bitwise_count(xs & np.uint64(row.bits)) & 1
-            omega += 2.0 * angle.radians * (1.0 - 2.0 * par.astype(np.float64))
-    else:
-        words = [rng.integers(0, 1 << 32, size=samples, dtype=np.uint64) for _ in range((n + 31) // 32)]
-        xs_int = [
-            sum(int(w[i]) << (32 * k) for k, w in enumerate(words)) & ((1 << n) - 1)
-            for i in range(samples)
-        ]
-        for row, angle in mains:
-            signs = np.array(
-                [1.0 - 2.0 * ((x & row.bits).bit_count() & 1) for x in xs_int]
-            )
-            omega += 2.0 * angle.radians * signs
+    xs = random_rows(program.n, samples, rng)
+    for row, angle in mains:
+        par = row_parities(xs, row)
+        omega += 2.0 * angle.radians * (1.0 - 2.0 * par.astype(np.float64))
     value = float(np.cos(omega).mean())
     return CorrelationResult(
         value,
@@ -235,8 +230,6 @@ def correlation_subspace(program: IqpProgram, s: BitVector) -> CorrelationResult
     sub = BitMatrix([row for row, _ in mains], cols=program.n)
     basis = column_space_basis(sub)
     d = len(basis)
-    if d > SPAN_CAP:
-        raise CapacityError(f"column-space dimension {d} exceeds cap {SPAN_CAP}")
     weights = span_weights(basis, length=q)
     hist = np.bincount(weights, minlength=q + 1)
     two_theta = 2.0 * theta.radians
@@ -288,8 +281,8 @@ def correlation_clifford(program: IqpProgram, s: BitVector) -> CorrelationResult
 
 def sample_outputs(
     program: IqpProgram, count: int, rng: np.random.Generator
-) -> list[BitVector]:
-    """Draw output strings from the exact distribution (cumulative table)."""
+) -> np.ndarray:
+    """Draw a packed batch of output strings from the exact distribution (cumulative table)."""
     if count < 1:
         raise ValidationError(f"sample count must be positive, got {count}")
     table = output_distribution(program)
@@ -297,7 +290,7 @@ def sample_outputs(
     draws = rng.random(count)
     indices = np.searchsorted(cumulative, draws, side="right")
     np.clip(indices, 0, (1 << program.n) - 1, out=indices)
-    return [BitVector(program.n, int(i)) for i in indices]
+    return indices.astype(np.uint64).reshape(count, 1)
 
 
 def evaluate(

@@ -2,30 +2,26 @@
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
+from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .bitlin import BitVector
 from .errors import ParseError, ValidationError
 from .evaluators import all_correlations, correlation_clifford, output_distribution
-from .keygen import random_2local, random_program
+from .keygen import _random_nonzero_bits, random_2local, random_program
 
 __all__ = [
     "ExperimentReport",
     "parse_report",
-    "parallel_map",
     "exp_fig1a",
     "exp_fig1b",
     "exp_anticoncentration",
     "exp_parseval",
 ]
-
-THREADS_ENV = "IQP_VERIFY_THREADS"
 
 Cell = int | float | str
 
@@ -116,31 +112,11 @@ def parse_report(text: str) -> ExperimentReport:
     return ExperimentReport(experiment, params, columns, tuple(rows), wall_clock)
 
 
-def parallel_map(fn: Callable, items: Sequence) -> list:
-    """Ordered map over items, threaded when IQP_VERIFY_THREADS allows."""
-    raw = os.environ.get(THREADS_ENV, "").strip()
-    if raw:
-        try:
-            threads = int(raw)
-        except ValueError:
-            raise ValidationError(f"{THREADS_ENV}={raw!r} is not an integer")
-    else:
-        threads = min(8, os.cpu_count() or 1)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
-def _random_nonzero_secret(n: int, rng: np.random.Generator) -> BitVector:
-    return BitVector(n, int(rng.integers(1, 1 << n, dtype=np.uint64)))
-
-
 def _quantized_one(seed: int, stream, n: int):
     """One draw from the pi/8 ensemble: g level, or None for exact zero."""
     rng = np.random.default_rng([seed, *np.atleast_1d(stream).tolist()])
     program = random_program(n, n, "pi8", rng)
-    secret = _random_nonzero_secret(n, rng)
+    secret = BitVector(n, _random_nonzero_bits(n, rng))
     result = correlation_clifford(program, secret)
     return result.g
 
@@ -155,12 +131,8 @@ def exp_fig1b(count: int, n: int, seed: int = 0) -> ExperimentReport:
     if count < 1 or n < 1:
         raise ValidationError("count and n must be positive")
     start = time.perf_counter()
-    levels = parallel_map(lambda i: _quantized_one(seed, i, n), range(count))
-    zero = sum(1 for g in levels if g is None)
-    histogram: dict[int, int] = {}
-    for g in levels:
-        if g is not None:
-            histogram[g] = histogram.get(g, 0) + 1
+    histogram = Counter(_quantized_one(seed, i, n) for i in range(count))
+    zero = histogram.pop(None, 0)
     rows: list[tuple[Cell, ...]] = []
     if zero:
         rows.append((-1, 0.0, zero))
@@ -184,14 +156,8 @@ def exp_fig1a(
     start = time.perf_counter()
     rows: list[tuple[Cell, ...]] = []
     for n in n_values:
-        levels = parallel_map(
-            lambda i, n=n: _quantized_one(seed, (n, i), n), range(count)
-        )
-        zero = sum(1 for g in levels if g is None)
-        histogram: dict[int, int] = {}
-        for g in levels:
-            if g is not None:
-                histogram[g] = histogram.get(g, 0) + 1
+        histogram = Counter(_quantized_one(seed, (n, i), n) for i in range(count))
+        zero = histogram.pop(None, 0)
         if zero:
             rows.append((n, -1, 0.0, zero / count))
         for g in sorted(histogram):
@@ -238,10 +204,10 @@ def exp_anticoncentration(
     start = time.perf_counter()
     rows: list[tuple[Cell, ...]] = []
     for n in n_values:
-        batches = parallel_map(
-            lambda i, n=n: _anticoncentration_one(seed, n, i, secrets_per_circuit),
-            range(circuits),
-        )
+        batches = [
+            _anticoncentration_one(seed, n, i, secrets_per_circuit)
+            for i in range(circuits)
+        ]
         values = np.array([v for batch in batches for v in batch])
         mean_sq = float(values.mean())
         stderr = float(values.std(ddof=1) / np.sqrt(values.size))
@@ -279,7 +245,7 @@ def exp_parseval(n: int, instances: int, seed: int = 0) -> ExperimentReport:
         rhs = float(np.mean(all_correlations(program) ** 2))
         return (i, lhs, rhs, abs(lhs - rhs))
 
-    rows = parallel_map(one, range(instances))
+    rows = [one(i) for i in range(instances)]
     return ExperimentReport(
         experiment="parseval",
         params={"n": n, "instances": instances, "seed": seed},

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bitlin import BitMatrix, BitVector, add_column, nullspace_basis
+from .bitlin import BitMatrix, BitVector, add_column, nullspace_basis, random_rows
 from .errors import CapacityError, ConstructionError, DimensionError, ValidationError
 from .evaluators import CorrelationResult, correlation_clifford
 from .model import Angle, IqpProgram, PI_OVER_8, SecretKey
@@ -94,10 +94,7 @@ def _random_nonzero_bits(n: int, rng: np.random.Generator) -> int:
     if n <= 63:
         return int(rng.integers(1, 1 << n, dtype=np.uint64))
     while True:
-        bits = 0
-        for k in range(0, n, 32):
-            width = min(32, n - k)
-            bits |= int(rng.integers(0, 1 << width)) << k
+        bits = int.from_bytes(random_rows(n, 1, rng).astype("<u8").tobytes(), "little")
         if bits:
             return bits
 
@@ -223,7 +220,6 @@ def add_redundant_rows(
         bits = 0
         while bits == 0:
             coeffs = rng.integers(0, 2, size=len(basis))
-            bits = 0
             for c, b in zip(coeffs, basis):
                 if c:
                     bits ^= b.bits

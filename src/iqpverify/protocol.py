@@ -17,6 +17,7 @@ Message shapes::
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import math
@@ -26,11 +27,19 @@ import threading
 import uuid
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
 
 import numpy as np
 
-from .bitlin import BitMatrix, BitVector, dot
+from .bitlin import (
+    BitMatrix,
+    BitVector,
+    pack_rows,
+    random_rows,
+    row_parities,
+    table_rows,
+    unpack_rows,
+    words_per_row,
+)
 from .errors import ProtocolError, ValidationError
 from .evaluators import STATEVECTOR_CAP, sample_outputs
 from .model import Angle, IqpProgram, SecretKey
@@ -232,9 +241,6 @@ class SamplesMsg:
                     "bad-bits", f"sample length {len(b)} != n={challenge.n}"
                 )
 
-    def to_vectors(self, n: int) -> list[BitVector]:
-        return [BitVector.from_string(b) for b in self.bits]
-
 
 def _encode_error(exc: ProtocolError) -> bytes:
     return _encode({"type": "error", "code": exc.code, "detail": exc.detail})
@@ -303,26 +309,27 @@ def acceptance_threshold(key: SecretKey, delta: float, samples: int) -> float:
     return eps
 
 
-def judge(
-    key: SecretKey, samples: Sequence[BitVector], epsilon: float
-) -> VerdictReport:
+def judge(key: SecretKey, samples: np.ndarray, epsilon: float) -> VerdictReport:
     """Compare empirical parity correlations against the key's expectations.
 
-    For each secret s the observed value is the sample mean of (-1)^(s.x);
-    the batch is accepted only if every secret's deviation from its expected
-    value is at most ``epsilon``.
+    ``samples`` is a packed batch of key.n-bit rows (see
+    :func:`iqpverify.bitlin.pack_rows`).  For each secret s the observed value
+    is the sample mean of (-1)^(s.x); the batch is accepted only if every
+    secret's deviation from its expected value is at most ``epsilon``.
     """
-    if not samples:
+    if len(samples) == 0:
         raise ValidationError("cannot judge an empty batch")
     if epsilon <= 0.0:
         raise ValidationError("epsilon must be positive")
-    for x in samples:
-        if len(x) != key.n:
-            raise ValidationError(f"sample length {len(x)} != key n={key.n}")
+    n = key.n
+    if samples.dtype != np.uint64 or samples.shape[1:] != (words_per_row(n),):
+        raise ValidationError(f"batch of shape {samples.shape} does not hold {n}-bit rows")
+    if n % 64 and np.any(samples[:, -1] >> np.uint64(n % 64)):
+        raise ValidationError(f"sample bits set above key n={n}")
     total = len(samples)
     verdicts = []
     for s, expected in zip(key.secrets, key.expected):
-        agree = sum(1 for x in samples if not dot(s, x))
+        agree = total - int(row_parities(samples, s).sum())
         observed = (2 * agree - total) / total
         deviation = abs(observed - expected)
         verdicts.append(
@@ -352,7 +359,7 @@ def prover_honest(
         )
     program = challenge.to_program()
     draws = sample_outputs(program, challenge.samples_requested, rng)
-    return SamplesMsg(challenge.session, tuple(x.to01() for x in draws))
+    return SamplesMsg(challenge.session, tuple(unpack_rows(draws, challenge.n)))
 
 
 def prover_uniform(
@@ -360,8 +367,7 @@ def prover_uniform(
 ) -> SamplesMsg:
     """Ignore the program and return uniform random bit strings."""
     table = rng.integers(0, 2, size=(challenge.samples_requested, challenge.n))
-    bits = tuple("".join("1" if b else "0" for b in row) for row in table)
-    return SamplesMsg(challenge.session, bits)
+    return SamplesMsg(challenge.session, tuple(table_rows(table)))
 
 
 def prover_leak(
@@ -389,29 +395,14 @@ def prover_leak(
     if s.is_zero():
         raise ProtocolError("unsupported", "leaked secret has empty support")
     p_orth = (1.0 + leaked.expected[0]) / 2.0
-    n = challenge.n
     t = challenge.samples_requested
-    flip = 1 << s.support()[0]
+    flip = s.support()[0]
     want_orth = rng.random(size=t) < p_orth
-    if n <= 63:
-        draws = rng.integers(0, 1 << n, size=t, dtype=np.uint64)
-        masked = np.bitwise_and(draws, np.uint64(s.bits))
-        parity = np.bitwise_count(masked).astype(np.int64) & 1
-        fix = parity == want_orth.astype(np.int64)
-        draws = np.where(fix, np.bitwise_xor(draws, np.uint64(flip)), draws)
-        values = [int(v) for v in draws]
-    else:
-        values = []
-        for orth in want_orth:
-            x = 0
-            for k in range(0, n, 32):
-                width = min(32, n - k)
-                x |= int(rng.integers(0, 1 << width)) << k
-            if ((x & s.bits).bit_count() & 1) == (1 if orth else 0):
-                x ^= flip
-            values.append(x)
-    bits = tuple(BitVector(n, v).to01() for v in values)
-    return SamplesMsg(challenge.session, bits)
+    draws = random_rows(challenge.n, t, rng)
+    # Parity 1 where orthogonal was drawn, or 0 where not: flip one support bit.
+    fix = row_parities(draws, s) == want_orth
+    draws[fix, flip // 64] ^= np.uint64(1 << (flip % 64))
+    return SamplesMsg(challenge.session, tuple(unpack_rows(draws, challenge.n)))
 
 
 # ---------------------------------------------------------------------------
@@ -423,8 +414,9 @@ _PROVER_BUILTINS = {"honest", "uniform", "leak"}
 class ProverServer:
     """Threaded TCP prover.  One challenge per connection, stateless.
 
-    Each connection gets its own rng stream derived from (seed, index), so a
-    fixed seed gives reproducible batches regardless of arrival order.  After
+    Each challenge gets its own rng stream derived from (seed, sha256 of its
+    session), so a fixed seed gives every session the same batch regardless
+    of arrival order.  After
     replying, the handler waits briefly for an optional verdict line (sent
     only by verifiers running with verdict reveal switched on) and records it.
     """
@@ -447,14 +439,13 @@ class ProverServer:
         self._seed = seed
         self._timeout = timeout
         self._cap = cap
-        self._counter = 0
         self._lock = threading.Lock()
         self.verdicts: list[dict] = []
         outer = self
 
         class Handler(socketserver.BaseRequestHandler):
             def handle(self):
-                outer._handle(self.request)
+                outer._handle(self.request, "%s:%s" % self.client_address[:2])
 
         self._tcp = socketserver.ThreadingTCPServer(
             address, Handler, bind_and_activate=True
@@ -467,48 +458,42 @@ class ProverServer:
         host, port = self._tcp.server_address[:2]
         return host, port
 
-    def _next_stream(self) -> int:
-        with self._lock:
-            idx = self._counter
-            self._counter += 1
-        return idx
-
-    def _run_prover(self, challenge: ChallengeMsg, idx: int) -> SamplesMsg:
-        rng = np.random.default_rng([self._seed, idx])
+    def _run_prover(self, challenge: ChallengeMsg) -> SamplesMsg:
+        digest = hashlib.sha256(challenge.session.encode("utf-8", "surrogatepass")).digest()
+        rng = np.random.default_rng([self._seed, int.from_bytes(digest, "little")])
         if self._prover_name == "honest":
             return prover_honest(challenge, rng, cap=self._cap)
         if self._prover_name == "uniform":
             return prover_uniform(challenge, rng)
         return prover_leak(challenge, self._leaked_key, rng)
 
-    def _handle(self, sock: socket.socket) -> None:
+    def _handle(self, sock: socket.socket, peer: str) -> None:
         sock.settimeout(self._timeout)
-        idx = self._next_stream()
         try:
             try:
                 payload = _decode_line(_recv_line(sock))
                 challenge = ChallengeMsg.from_payload(payload)
-                reply = self._run_prover(challenge, idx)
+                reply = self._run_prover(challenge)
             except ProtocolError as exc:
-                log.info("connection %d: %s (%s)", idx, exc.code, exc.detail)
+                log.info("connection %s: %s (%s)", peer, exc.code, exc.detail)
                 sock.sendall(_encode_error(exc))
                 return
             except Exception as exc:  # noqa: BLE001 - report, never crash the server
-                log.exception("connection %d: internal failure", idx)
+                log.exception("connection %s: internal failure", peer)
                 sock.sendall(_encode_error(ProtocolError("internal", str(exc))))
                 return
             sock.sendall(reply.encode())
             log.info(
-                "connection %d: served %d samples (n=%d)",
-                idx,
+                "connection %s: served %d samples (n=%d)",
+                peer,
                 len(reply.bits),
                 challenge.n,
             )
-            self._await_verdict(sock, idx)
+            self._await_verdict(sock, peer)
         except OSError:
-            log.info("connection %d: transport dropped", idx)
+            log.info("connection %s: transport dropped", peer)
 
-    def _await_verdict(self, sock: socket.socket, idx: int) -> None:
+    def _await_verdict(self, sock: socket.socket, peer: str) -> None:
         try:
             line = _recv_line(sock)
         except (ProtocolError, OSError):
@@ -521,8 +506,8 @@ class ProverServer:
             with self._lock:
                 self.verdicts.append(payload)
             log.info(
-                "connection %d: verifier revealed verdict accept=%s",
-                idx,
+                "connection %s: verifier revealed verdict accept=%s",
+                peer,
                 payload.get("accept"),
             )
 
@@ -596,7 +581,7 @@ def run_verification(
     with socket.create_connection(address, timeout=timeout) as sock:
         sock.settimeout(timeout)
         reply = _exchange(sock, challenge)
-        report = judge(key, reply.to_vectors(program.n), epsilon)
+        report = judge(key, pack_rows(reply.bits, program.n), epsilon)
         if reveal_verdict:
             sock.sendall(_encode(report.to_payload(challenge.session)))
     return report

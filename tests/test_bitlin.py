@@ -14,8 +14,13 @@ from iqpverify.bitlin import (
     dot,
     enumerate_span,
     nullspace_basis,
+    pack_rows,
+    random_rows,
     rank,
+    row_parities,
     span_weights,
+    table_rows,
+    unpack_rows,
     walsh_hadamard,
 )
 from iqpverify.errors import CapacityError, DimensionError, ValidationError
@@ -251,3 +256,68 @@ class TestWalshHadamard:
         )
         back = walsh_hadamard(walsh_hadamard(values)) / size
         assert np.allclose(back, values, atol=1e-9)
+
+
+BOUNDARY_WIDTHS = [1, 63, 64, 65, 128, 200]
+
+
+def random_strings(n, count, seed):
+    rng = np.random.default_rng([seed, n])
+    return table_rows(rng.integers(0, 2, size=(count, n)))
+
+
+class TestPackedBatch:
+    def test_bit_order_matches_bitvector(self):
+        words = pack_rows(["100", "011"], 3)
+        assert words.shape == (2, 1) and words.dtype == np.uint64
+        assert words[:, 0].tolist() == [
+            BitVector.from_string("100").bits,
+            BitVector.from_string("011").bits,
+        ]
+
+    @pytest.mark.parametrize("n", BOUNDARY_WIDTHS)
+    def test_round_trip(self, n):
+        rows = random_strings(n, 40, 1)
+        words = pack_rows(rows, n)
+        assert words.shape == (40, (n + 63) // 64)
+        assert unpack_rows(words, n) == rows
+        for row, text in zip(words, rows):
+            assert int.from_bytes(row.tobytes(), "little") == BitVector.from_string(text).bits
+
+    @pytest.mark.parametrize("n", BOUNDARY_WIDTHS)
+    def test_parities_match_dot(self, n):
+        rows = random_strings(n, 60, 2)
+        words = pack_rows(rows, n)
+        for secret in random_strings(n, 5, 3) + ["1" * n]:
+            v = BitVector.from_string(secret)
+            expected = [dot(v, BitVector.from_string(x)) for x in rows]
+            assert row_parities(words, v).tolist() == expected
+
+    @pytest.mark.parametrize("n", BOUNDARY_WIDTHS)
+    def test_random_rows_stay_below_n(self, n):
+        words = random_rows(n, 500, np.random.default_rng(n))
+        assert words.shape == (500, (n + 63) // 64) and words.dtype == np.uint64
+        for row in words:
+            assert int.from_bytes(row.tobytes(), "little") >> n == 0
+        # every coordinate is drawn, the top one included
+        top = (words[:, -1] >> np.uint64((n - 1) % 64)) & np.uint64(1)
+        assert 0 < int(top.sum()) < 500
+
+    def test_random_rows_narrow_stream(self):
+        # below one word the batch is exactly one rng.integers call
+        a = random_rows(10, 30, np.random.default_rng(4))
+        b = np.random.default_rng(4).integers(0, 1 << 10, size=30, dtype=np.uint64)
+        assert a[:, 0].tolist() == b.tolist()
+
+    def test_pack_rejects_bad_rows(self):
+        with pytest.raises(ValidationError):
+            pack_rows(["0120"], 4)
+        with pytest.raises(ValidationError):
+            pack_rows(["01\u00e90"], 4)
+        with pytest.raises(DimensionError):
+            pack_rows(["0101", "010"], 4)
+
+    def test_parities_check_width(self):
+        words = pack_rows(["1" * 70], 70)
+        with pytest.raises(DimensionError):
+            row_parities(words, BitVector.from_string("11"))

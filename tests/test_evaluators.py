@@ -30,6 +30,7 @@ from iqpverify.evaluators import (
     output_distribution,
     sample_outputs,
 )
+from iqpverify.keygen import random_program
 from iqpverify.model import PI_OVER_8, Angle, IqpProgram
 
 from oracles import dense_correlation, dense_distribution
@@ -221,16 +222,24 @@ class TestMonteCarlo:
         assert abs(est.value - exact) <= est.error_bound
 
     def test_mc_wide_program_path(self):
-        # n above the packed-word width exercises the big-int sampling path
-        n = 70
-        rows = [BitVector.from_support(n, [i, i + 1]) for i in range(0, 20, 2)]
-        program = IqpProgram(BitMatrix(rows, cols=n), (PI_OVER_8,) * len(rows))
-        s = BitVector.from_support(n, [0])
-        r = correlation_diagonal(
-            program, s, samples=400, rng=np.random.default_rng(3)
-        )
-        # single main row: every term is cos(pi/4) exactly
-        assert r.value == pytest.approx(SQRT_HALF, abs=1e-12)
+        # n of one full word and of two words: Monte-Carlo points span words
+        for n in (64, 70):
+            rows = [BitVector.from_support(n, [i, i + 1]) for i in range(0, 20, 2)]
+            program = IqpProgram(BitMatrix(rows, cols=n), (PI_OVER_8,) * len(rows))
+            s = BitVector.from_support(n, [0])
+            r = correlation_diagonal(
+                program, s, samples=400, rng=np.random.default_rng(3)
+            )
+            # single main row: every term is cos(pi/4) exactly
+            assert r.value == pytest.approx(SQRT_HALF, abs=1e-12)
+            # several main rows over the whole width: lands near the exact value
+            program = random_program(n, 10, "pi8", np.random.default_rng(0))
+            s = BitVector.from_support(n, [0, 5, 31, 62, 63, n - 1])
+            exact = correlation_clifford(program, s).value
+            est = correlation_diagonal(
+                program, s, samples=2952, rng=np.random.default_rng(4)
+            )
+            assert abs(est.value - exact) <= est.error_bound
 
 
 class TestGuards:
@@ -289,15 +298,14 @@ class TestSampling:
         program = program_of(["1100", "0110"])
         a = sample_outputs(program, 20, np.random.default_rng(1))
         b = sample_outputs(program, 20, np.random.default_rng(1))
-        assert a == b
-        assert len(a) == 20 and all(len(x) == 4 for x in a)
+        assert np.array_equal(a, b)
+        assert a.shape == (20, 1) and a.dtype == np.uint64
+        assert int(a.max()) < 1 << 4
 
     def test_empirical_frequencies(self):
         program = program_of(["11"], angle=Angle(1, 4))
         draws = sample_outputs(program, 4000, np.random.default_rng(5))
-        counts = np.zeros(4)
-        for x in draws:
-            counts[x.bits] += 1
+        counts = np.bincount(draws[:, 0].astype(np.int64), minlength=4)
         table = output_distribution(program)
         assert np.allclose(counts / 4000, table.probs, atol=0.05)
 

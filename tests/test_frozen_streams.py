@@ -1,0 +1,98 @@
+"""Frozen reply bytes and Monte-Carlo values for fixed seeds.
+
+The digests below were recorded before sample batches were packed into
+uint64 words.  For n <= 63 every random draw, and so every reply's wire
+bytes, the judged statistics and every Monte-Carlo value, must stay exactly
+as they were; challenge bytes must stay the same at any n.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from iqpverify.bitlin import BitVector, pack_rows
+from iqpverify.evaluators import correlation_diagonal
+from iqpverify.keygen import ConstructionSpec, build_challenge, random_program
+from iqpverify.model import SecretKey
+from iqpverify.protocol import (
+    ChallengeMsg,
+    SecretVerdict,
+    acceptance_threshold,
+    judge,
+    prover_honest,
+    prover_leak,
+    prover_uniform,
+)
+
+T = 2952
+
+
+def sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def round_n10():
+    program, key = build_challenge(ConstructionSpec(n=10, secrets=2, weight=2, seed=3))
+    return ChallengeMsg.from_program(program, T, session="frozen"), key
+
+
+def test_challenge_bytes(round_n10):
+    challenge, _ = round_n10
+    assert sha(challenge.encode()) == (
+        "3e85aeeb0e53213cbd8d9dd5d4beb6fd2bdcaccc8a6a9b85e4a2d50418656d8a"
+    )
+
+
+def test_wide_challenge_bytes():
+    program, _ = build_challenge(ConstructionSpec(n=200, secrets=4, weight=3, seed=5))
+    challenge = ChallengeMsg.from_program(program, T, session="frozen")
+    assert sha(challenge.encode()) == (
+        "f909a6f31fd269b44fd813f7f409ddd98d39ea676900e67c62ffaefbbaebb037"
+    )
+
+
+def test_honest_reply_bytes(round_n10):
+    challenge, _ = round_n10
+    reply = prover_honest(challenge, np.random.default_rng(11))
+    assert sha(reply.encode()) == (
+        "acde8043b01ffde1ae234ff959e1a8a278636cbf4bfa7925ee7c91784d076d62"
+    )
+
+
+def test_uniform_reply_bytes(round_n10):
+    challenge, _ = round_n10
+    reply = prover_uniform(challenge, np.random.default_rng(12))
+    assert sha(reply.encode()) == (
+        "6571519235fe4fff0dc095a991bd17a3b049fd6f22d6692de7642295df85b306"
+    )
+
+
+def test_leak_reply_bytes(round_n10):
+    challenge, key = round_n10
+    leaked = SecretKey((key.secrets[0],), (key.expected[0],))
+    reply = prover_leak(challenge, leaked, np.random.default_rng(13))
+    assert sha(reply.encode()) == (
+        "e68247d988225e1821673ba7ad4c35655ee67ec0d47cc1431c3a82e2098fdd96"
+    )
+
+
+def test_honest_verdict(round_n10):
+    challenge, key = round_n10
+    reply = prover_honest(challenge, np.random.default_rng(11))
+    epsilon = acceptance_threshold(key, 1e-6, T)
+    report = judge(key, pack_rows(reply.bits, challenge.n), epsilon)
+    assert report.per_secret == (
+        SecretVerdict(0.7071067811865476, 0.7066395663956639, 0.00046721479088362994, True),
+        SecretVerdict(0.7071067811865476, 0.6998644986449865, 0.007242282541561118, True),
+    )
+    assert report.accept and report.samples_used == T
+    assert report.epsilon == 0.10148559417936016
+
+
+def test_monte_carlo_value():
+    program = random_program(10, 14, "uniform-pi8", np.random.default_rng(5))
+    s = BitVector.from_string("1011001101")
+    result = correlation_diagonal(program, s, samples=T, rng=np.random.default_rng(14))
+    assert result.value == 0.023474412112561592

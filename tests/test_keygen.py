@@ -33,6 +33,13 @@ class TestRandomEnsembles:
         assert a.n == 6 and a.m == 9
         assert a.uniform_angle() == PI_OVER_8
 
+    def test_random_program_wide_rows(self):
+        for n in (64, 65, 200):
+            p = random_program(n, 30, "pi8", np.random.default_rng(n))
+            assert p.n == n
+            assert all(not row.is_zero() for row in p.chi.rows)
+            assert any(row[n - 1] for row in p.chi.rows)  # top coordinate drawn
+
     def test_uniform_pi8_policy(self):
         p = random_program(5, 40, "uniform-pi8", np.random.default_rng(0))
         assert all(a.multiple_of_pi8() is not None for a in p.angles)

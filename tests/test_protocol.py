@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iqpverify.bitlin import BitVector
+from iqpverify.bitlin import BitVector, pack_rows
 from iqpverify.errors import ProtocolError, ValidationError
 from iqpverify.keygen import ConstructionSpec, build_challenge
 from iqpverify.model import SecretKey
@@ -71,7 +71,8 @@ class TestCodec:
         msg = SamplesMsg("xyz", ("01", "11", "00"))
         back = SamplesMsg.from_payload(_decode_line(msg.encode()))
         assert back == msg
-        assert back.to_vectors(2) == [BitVector.from_string(b) for b in msg.bits]
+        # leftmost character is coordinate 0, the low bit of the packed word
+        assert pack_rows(back.bits, 2)[:, 0].tolist() == [0b10, 0b11, 0b00]
 
     @pytest.mark.parametrize(
         "overrides, code",
@@ -166,13 +167,13 @@ class TestJudging:
 
     def test_observed_statistic(self):
         # parities against 1100 of the four samples: 0, 0, 1, 1 -> mean 0
-        samples = [BitVector.from_string(b) for b in ("0000", "1100", "1000", "0111")]
+        samples = pack_rows(["0000", "1100", "1000", "0111"], 4)
         report = judge(self.key(expected=0.0), samples, epsilon=0.01)
         assert report.per_secret[0].observed == 0.0
         assert report.accept
 
     def test_rejects_outside_epsilon(self):
-        samples = [BitVector.from_string("0000")] * 10  # observed = +1
+        samples = pack_rows(["0000"] * 10, 4)  # observed = +1
         report = judge(self.key(expected=0.5), samples, epsilon=0.2)
         assert not report.accept
         assert report.per_secret[0].deviation == pytest.approx(0.5)
@@ -182,7 +183,7 @@ class TestJudging:
             (BitVector.from_string("1000"), BitVector.from_string("0100")),
             (1.0, -1.0),
         )
-        samples = [BitVector.from_string("0000")] * 4  # observed +1 for both
+        samples = pack_rows(["0000"] * 4, 4)  # observed +1 for both
         report = judge(key, samples, epsilon=0.1)
         assert report.per_secret[0].passed
         assert not report.per_secret[1].passed
@@ -190,11 +191,15 @@ class TestJudging:
 
     def test_validation(self):
         with pytest.raises(ValidationError):
-            judge(self.key(), [], epsilon=0.1)
+            judge(self.key(), pack_rows([], 4), epsilon=0.1)
+        with pytest.raises(ValidationError):  # two words per row, key needs one
+            judge(self.key(), pack_rows(["1" * 70], 70), epsilon=0.1)
+        with pytest.raises(ValidationError):  # bit 4 set, key n=4
+            judge(self.key(), pack_rows(["11001"], 5), epsilon=0.1)
         with pytest.raises(ValidationError):
-            judge(self.key(), [BitVector.from_string("11")], epsilon=0.1)
+            judge(self.key(), pack_rows(["1100"], 4).astype(np.int64), epsilon=0.1)
         with pytest.raises(ValidationError):
-            judge(self.key(), [BitVector.from_string("1100")], epsilon=0.0)
+            judge(self.key(), pack_rows(["1100"], 4), epsilon=0.0)
 
     def test_threshold_value(self):
         key = self.key(expected=0.7)
@@ -249,7 +254,7 @@ class TestProvers:
         challenge = ChallengeMsg.from_program(program, 4000)
         msg = prover_leak(challenge, key, np.random.default_rng(1))
         eps = acceptance_threshold(key, 0.05, 4000)
-        report = judge(key, msg.to_vectors(8), eps)
+        report = judge(key, pack_rows(msg.bits, 8), eps)
         assert report.accept
 
     def test_leak_rejects_multi_secret_key(self):
@@ -262,15 +267,16 @@ class TestProvers:
         assert err.value.code == "unsupported"
 
     def test_leak_wide_secret_path(self):
-        # exercises the pure-python branch for n above the packed-word width
-        n = 70
-        program = random_program(n, 4, "pi8", np.random.default_rng(3))
-        secret = BitVector.from_support(n, [0, 65])
-        key = SecretKey((secret,), (0.6,))
-        challenge = ChallengeMsg.from_program(program, 3000)
-        msg = prover_leak(challenge, key, np.random.default_rng(2))
-        obs = judge(key, msg.to_vectors(n), 0.05).per_secret[0].observed
-        assert obs == pytest.approx(0.6, abs=0.05)
+        # a full word, rows of two words, and a fix-up bit in the second word
+        for n, support in ((64, [0, 63]), (70, [0, 65]), (70, [66])):
+            program = random_program(n, 4, "pi8", np.random.default_rng(3))
+            secret = BitVector.from_support(n, support)
+            key = SecretKey((secret,), (0.6,))
+            challenge = ChallengeMsg.from_program(program, 3000)
+            msg = prover_leak(challenge, key, np.random.default_rng(2))
+            assert all(len(x) == n for x in msg.bits)
+            obs = judge(key, pack_rows(msg.bits, n), 0.05).per_secret[0].observed
+            assert obs == pytest.approx(0.6, abs=0.05)
 
 
 class TestLoopback:
@@ -292,6 +298,17 @@ class TestLoopback:
         with ProverServer(seed=0) as server:
             msg = request(server.address, program, 17)
         assert len(msg.bits) == 17
+
+    def test_server_streams_follow_session_not_arrival(self):
+        program = small_program()
+        batches = []
+        for order in (("A", "B"), ("B", "A")):
+            with ProverServer(seed=9) as server:
+                got = {s: request(server.address, program, 12, session=s) for s in order}
+            batches.append(got)
+        assert batches[0]["A"] == batches[1]["A"]
+        assert batches[0]["B"] == batches[1]["B"]
+        assert batches[0]["A"].bits != batches[0]["B"].bits
 
     def test_server_streams_are_reproducible(self):
         program = small_program()

@@ -55,6 +55,17 @@ class TestReportFormat:
         assert parse_report(report.to_csv()) == report
 
 
+class TestParallelMap:
+    # The drivers run serially; a leftover IQP_VERIFY_THREADS setting in the
+    # environment must not change what they report.
+    def test_thread_count_agnostic_results(self, monkeypatch):
+        monkeypatch.setenv("IQP_VERIFY_THREADS", "1")
+        serial = exp_fig1b(30, 5, seed=8)
+        monkeypatch.setenv("IQP_VERIFY_THREADS", "6")
+        threaded = exp_fig1b(30, 5, seed=8)
+        assert serial.rows == threaded.rows
+
+
 class TestQuantizationHistograms:
     def test_fig1b_counts_and_levels(self):
         report = exp_fig1b(80, 5, seed=4)
@@ -68,7 +79,7 @@ class TestQuantizationHistograms:
                 assert value == pytest.approx(2.0 ** (-g / 2))
 
     def test_fig1b_deterministic(self):
-        assert exp_fig1b(30, 5, seed=8).rows == exp_fig1b(30, 5, seed=8).rows
+        assert exp_fig1b(25, 4, seed=2).rows == exp_fig1b(25, 4, seed=2).rows
 
     def test_fig1a_fractions(self):
         report = exp_fig1a([3, 5], 60, seed=1)

@@ -229,7 +229,6 @@ def correlation_subspace(program: IqpProgram, s: BitVector) -> CorrelationResult
             raise AngleError("subspace backend needs one shared main-part angle")
     sub = BitMatrix([row for row, _ in mains], cols=program.n)
     basis = column_space_basis(sub)
-    d = len(basis)
     weights = span_weights(basis, length=q)
     hist = np.bincount(weights, minlength=q + 1)
     two_theta = 2.0 * theta.radians
@@ -237,7 +236,7 @@ def correlation_subspace(program: IqpProgram, s: BitVector) -> CorrelationResult
     for k in range(q + 1):
         if hist[k]:
             total += float(hist[k]) * math.cos(two_theta * (q - 2 * k))
-    return CorrelationResult(total / (1 << d), Backend.SUBSPACE)
+    return CorrelationResult(total / (1 << len(basis)), Backend.SUBSPACE)
 
 
 def correlation_clifford(program: IqpProgram, s: BitVector) -> CorrelationResult:

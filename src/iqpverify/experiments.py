@@ -12,7 +12,7 @@ import numpy as np
 from .bitlin import BitVector
 from .errors import ParseError, ValidationError
 from .evaluators import all_correlations, correlation_clifford, output_distribution
-from .keygen import _random_nonzero_bits, random_2local, random_program
+from .keygen import random_2local, random_nonzero_bits, random_program
 
 __all__ = [
     "ExperimentReport",
@@ -116,9 +116,8 @@ def _quantized_one(seed: int, stream, n: int):
     """One draw from the pi/8 ensemble: g level, or None for exact zero."""
     rng = np.random.default_rng([seed, *np.atleast_1d(stream).tolist()])
     program = random_program(n, n, "pi8", rng)
-    secret = BitVector(n, _random_nonzero_bits(n, rng))
-    result = correlation_clifford(program, secret)
-    return result.g
+    secret = BitVector(n, random_nonzero_bits(n, rng))
+    return correlation_clifford(program, secret).g
 
 
 def exp_fig1b(count: int, n: int, seed: int = 0) -> ExperimentReport:

@@ -22,6 +22,7 @@ __all__ = [
     "ScrambleOp",
     "ConstructionSpec",
     "SearchOutcome",
+    "random_nonzero_bits",
     "random_program",
     "random_2local",
     "search_main_part",
@@ -90,7 +91,8 @@ class SearchOutcome:
     target_met: bool
 
 
-def _random_nonzero_bits(n: int, rng: np.random.Generator) -> int:
+def random_nonzero_bits(n: int, rng: np.random.Generator) -> int:
+    """A uniform nonzero n-bit string as an int (bit i is coordinate i)."""
     if n <= 63:
         return int(rng.integers(1, 1 << n, dtype=np.uint64))
     while True:
@@ -125,7 +127,7 @@ def random_program(
         raise ValidationError("random_program needs an explicit rng")
     if n < 1 or m < 0:
         raise ValidationError(f"bad shape n={n}, m={m}")
-    rows = [BitVector(n, _random_nonzero_bits(n, rng)) for _ in range(m)]
+    rows = [BitVector(n, random_nonzero_bits(n, rng)) for _ in range(m)]
     angles = tuple(_row_angle(angle_policy, rng) for _ in range(m))
     return IqpProgram(BitMatrix(rows, cols=n), angles)
 

@@ -26,7 +26,7 @@ import socketserver
 import threading
 import uuid
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -395,10 +395,9 @@ def prover_leak(
     if s.is_zero():
         raise ProtocolError("unsupported", "leaked secret has empty support")
     p_orth = (1.0 + leaked.expected[0]) / 2.0
-    t = challenge.samples_requested
     flip = s.support()[0]
-    want_orth = rng.random(size=t) < p_orth
-    draws = random_rows(challenge.n, t, rng)
+    want_orth = rng.random(size=challenge.samples_requested) < p_orth
+    draws = random_rows(challenge.n, challenge.samples_requested, rng)
     # Parity 1 where orthogonal was drawn, or 0 where not: flip one support bit.
     fix = row_parities(draws, s) == want_orth
     draws[fix, flip // 64] ^= np.uint64(1 << (flip % 64))
@@ -576,6 +575,8 @@ def run_verification(
     unless ``reveal_verdict`` is set (a demo affordance: revealing verdicts
     hands a cheating prover a feedback bit per round).
     """
+    if key.n != program.n:  # a packed batch does not record its row width
+        raise ValidationError(f"program n={program.n} != key n={key.n}")
     challenge = ChallengeMsg.from_program(program, samples, session)
     epsilon = acceptance_threshold(key, delta, samples)
     with socket.create_connection(address, timeout=timeout) as sock:

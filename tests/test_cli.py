@@ -160,6 +160,20 @@ class TestVerify:
         )
         assert code == 3
 
+    def test_key_wider_than_program_is_rejected(self, challenge_files, tmp_path):
+        prog, _ = challenge_files
+        wide_prog, wide_key = tmp_path / "w.iqp", tmp_path / "w.iqpkey"
+        run_cli("keygen", "--n", 12, "--seed", 5, "--out", wide_prog, "--key-out", wide_key)
+        with ProverServer(seed=3) as server:
+            host, port = server.address
+            code = run_cli(
+                "verify",
+                "--address", f"{host}:{port}",
+                "--program", prog, "--key", wide_key,
+                "--samples", 600,
+            )
+        assert code == 3
+
     def test_bad_address_format(self, challenge_files):
         prog, key = challenge_files
         assert (

@@ -340,6 +340,15 @@ class TestLoopback:
                 reply = json.loads(_recv_line(sock))
         assert reply["code"] == "bad-type"
 
+    @pytest.mark.parametrize("program_n, key_n", [(10, 12), (12, 10)])
+    def test_key_width_must_match_program(self, program_n, key_n):
+        # Both widths pack into one word, so only this check tells them apart.
+        program, _ = build_challenge(ConstructionSpec(n=program_n, seed=1))
+        _, key = build_challenge(ConstructionSpec(n=key_n, seed=1))
+        with ProverServer(seed=2) as server:
+            with pytest.raises(ValidationError, match="program n="):
+                run_verification(server.address, program, key, 600)
+
     def test_verdict_withheld_by_default(self):
         program, key = build_challenge(ConstructionSpec(n=8, seed=1))
         with ProverServer(seed=2) as server:

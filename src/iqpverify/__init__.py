@@ -11,8 +11,8 @@ from .bitlin import (
     BitMatrix,
     BitVector,
     add_column,
-    column_space_basis,
     dot,
+    echelon,
     enumerate_span,
     nullspace_basis,
     rank,

@@ -22,8 +22,8 @@ __all__ = [
     "BitMatrix",
     "SPAN_CAP",
     "dot",
+    "echelon",
     "rank",
-    "column_space_basis",
     "nullspace_basis",
     "enumerate_span",
     "span_weights",
@@ -198,66 +198,47 @@ class BitMatrix:
         return f"BitMatrix([{body}], cols={self._cols})"
 
 
-def rank(matrix: BitMatrix) -> int:
-    """Rank over GF(2) by elimination on the packed row ints."""
-    pivots: list[int] = []
-    for r in matrix.rows:
-        work = r.bits
-        for p in pivots:
-            low = p & -p
-            if work & low:
-                work ^= p
-        if work:
-            pivots.append(work)
-    return len(pivots)
+def echelon(rows: Iterable[int]) -> dict[int, int]:
+    """Reduced echelon form over GF(2) of packed row ints, as {pivot: row}, sorted.
 
-
-def column_space_basis(matrix: BitMatrix) -> list[BitVector]:
-    """Greedy maximal independent subset of the *actual columns*, left to right.
-
-    Returns length-m column vectors of ``matrix``, not reduced combinations,
-    so callers can point back at concrete columns.
+    Each row's pivot is its lowest set bit, and that bit is clear in every
+    other row, so a full-rank square matrix reduces to the identity.
     """
-    basis: list[BitVector] = []
-    reduced: list[int] = []
-    for col in matrix.columns():
-        work = col.bits
-        for p in reduced:
-            low = p & -p
-            if work & low:
-                work ^= p
+    pivots: dict[int, int] = {}  # pivot bit (as 1 << p) -> row
+    mask = 0  # all pivot bits
+    for work in rows:
+        hit = work & mask
+        while hit:  # a pivot row holds one pivot bit, its own
+            low = hit & -hit
+            work ^= pivots[low]
+            hit ^= low
         if work:
-            basis.append(col)
-            reduced.append(work)
-    return basis
+            low = work & -work
+            for bit, row in pivots.items():
+                if row & low:
+                    pivots[bit] = row ^ work
+            pivots[low] = work
+            mask |= low
+    return {bit.bit_length() - 1: row for bit, row in sorted(pivots.items())}
+
+
+def rank(matrix: BitMatrix) -> int:
+    """Rank over GF(2): the number of pivots of :func:`echelon`."""
+    return len(echelon(r.bits for r in matrix.rows))
 
 
 def nullspace_basis(matrix: BitMatrix) -> list[BitVector]:
-    """Basis of {v : row . v = 0 for every row}, as length-n vectors."""
+    """Basis of {v : row . v = 0 for every row}, as length-n vectors.
+
+    Per free column f, in increasing f: e_f plus the pivots whose rows hold f.
+    """
     n = matrix.num_cols
-    # Row-reduce, remembering each pivot's column.
-    echelon: list[int] = []
-    pivot_cols: list[int] = []
-    for r in matrix.rows:
-        work = r.bits
-        for row_bits, pc in zip(echelon, pivot_cols):
-            if (work >> pc) & 1:
-                work ^= row_bits
-        if work:
-            pc = (work & -work).bit_length() - 1
-            # Back-substitute so each pivot column appears in one row only.
-            echelon = [e ^ work if (e >> pc) & 1 else e for e in echelon]
-            echelon.append(work)
-            pivot_cols.append(pc)
-    free_cols = [j for j in range(n) if j not in pivot_cols]
-    basis = []
-    for f in free_cols:
-        bits = 1 << f
-        for row_bits, pc in zip(echelon, pivot_cols):
-            if (row_bits >> f) & 1:
-                bits |= 1 << pc
-        basis.append(BitVector(n, bits))
-    return basis
+    pivots = echelon(r.bits for r in matrix.rows)
+    return [
+        BitVector(n, (1 << f) | sum(1 << p for p, row in pivots.items() if (row >> f) & 1))
+        for f in range(n)
+        if f not in pivots
+    ]
 
 
 def _span_basis(

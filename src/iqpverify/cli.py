@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from . import experiments
-from .bitlin import unpack_rows
+from .bitlin import BitVector, rank, unpack_rows
 from .errors import IqpError
 from .evaluators import Backend, evaluate, sample_outputs
 from .keygen import ConstructionSpec, build_challenge, random_scramble_ops, scramble
@@ -99,7 +99,8 @@ def _cmd_keygen(args) -> int:
     _write_text(args.out, serialize_program(program))
     _write_text(args.key_out, serialize_key(key))
     print(
-        f"challenge: n={program.n} m={program.m} secrets={key.count} "
+        f"challenge: n={program.n} m={program.m} rank={rank(program.chi)} "
+        f"secrets={key.count} "
         f"expected={' '.join(repr(e) for e in key.expected)}",
         file=sys.stderr,
     )
@@ -125,8 +126,6 @@ def _cmd_eval(args) -> int:
     if (args.secret is None) == (args.key is None):
         raise IqpError("give exactly one of --secret or --key")
     if args.secret is not None:
-        from .bitlin import BitVector
-
         secret = BitVector.from_string(args.secret)
     else:
         key = _load_key(args.key)

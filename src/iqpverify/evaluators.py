@@ -5,11 +5,15 @@ secret string s: the expectation of the Z-product observable picked out by s
 over the program's output distribution.  The redundant rows (even parity
 against s) never contribute, which is what the faster backends exploit:
 
-* statevector      exact, any angles, 2**n work
-* diagonal exact   exact, any angles, 2**n work but only main rows
-* diagonal mc      unbiased sampling estimate, polynomial work
+* statevector      exact, any angles, 2**r work
+* diagonal exact   exact, any angles, 2**r work but only main rows
+* diagonal mc      unbiased estimate over uniform n-bit strings, polynomial work
 * subspace         exact closed form when all main angles are equal
 * clifford         exact stabilizer amplitude when main angles are w*pi/8
+
+The exact paths and sampling simulate r = rank(chi) qubits, as the output
+lies in chi's row space; only the 2**n tables of output_distribution and
+all_correlations are n-wide.  The dense cap applies to the simulated width.
 """
 
 from __future__ import annotations
@@ -23,7 +27,9 @@ import numpy as np
 from .bitlin import (
     BitVector,
     BitMatrix,
-    column_space_basis,
+    dot,
+    echelon,
+    pack_rows,
     random_rows,
     row_parities,
     span_weights,
@@ -49,7 +55,7 @@ __all__ = [
     "evaluate",
 ]
 
-# Dense 2**n arrays above this many qubits are refused.
+# Dense 2**d arrays above this many simulated qubits d are refused.
 STATEVECTOR_CAP = 24
 
 
@@ -97,14 +103,37 @@ class DistributionTable:
             raise ValidationError(f"probabilities sum to {total}, not 1")
 
 
-def _check_cap(n: int):
-    if n > STATEVECTOR_CAP:
-        raise CapacityError(f"n={n} exceeds dense cap {STATEVECTOR_CAP}")
+def _check_cap(d: int):
+    if d > STATEVECTOR_CAP:
+        raise CapacityError(f"dimension {d} exceeds dense cap {STATEVECTOR_CAP}")
 
 
 def _check_secret(program: IqpProgram, s: BitVector):
     if len(s) != program.n:
         raise DimensionError(f"secret has {len(s)} bits, program has {program.n}")
+
+
+def _reduce(program: IqpProgram, s: BitVector | None = None):
+    """(program on r = rank(chi) qubits, reduced secret s', row-space basis B).
+
+    Row j becomes its coordinates c_j at the echelon pivots (chi_j = c_j . B)
+    and s'_k = b_k . s, so p(y . B) = p'(y), s . (y . B) = s' . y and
+    chi_j . s = c_j . s': every partition and value is unchanged.  At full
+    rank B is the identity; a program without rows keeps one qubit.
+    """
+    pivots = echelon(row.bits for row in program.chi.rows) or {0: 1}
+    basis = [BitVector(program.n, row) for row in pivots.values()]
+    r = len(basis)
+    if s is not None:
+        _check_secret(program, s)
+        s = BitVector(r, sum(dot(b, s) << k for k, b in enumerate(basis)))
+    if r == program.n:  # full rank: B is the identity, nothing to rewrite
+        return program, s, basis
+    rows = [
+        BitVector(r, sum(((row.bits >> p) & 1) << k for k, p in enumerate(pivots)))
+        for row in program.chi.rows
+    ]
+    return IqpProgram(BitMatrix(rows, cols=r), program.angles), s, basis
 
 
 def _parity_profile(n: int, mask: int) -> np.ndarray:
@@ -131,8 +160,8 @@ def output_distribution(program: IqpProgram) -> DistributionTable:
 
 
 def correlation_statevector(program: IqpProgram, s: BitVector) -> CorrelationResult:
-    """Exact correlation from the full output distribution."""
-    _check_secret(program, s)
+    """Exact correlation from the output distribution on rank(chi) qubits."""
+    program, s, _ = _reduce(program, s)
     table = output_distribution(program)
     signs = _parity_profile(program.n, s.bits)
     return CorrelationResult(float(table.probs @ signs), Backend.STATEVECTOR)
@@ -179,27 +208,26 @@ def correlation_diagonal(
     """Correlation via the diagonal picture: only main rows enter.
 
     Each output x contributes cos(sum over main rows of 2*theta*(-1)^(row.x)).
-    With ``samples=None`` the average runs over all 2**n strings (exact, cap
-    applies).  With ``samples=T`` it is a Monte-Carlo average over T uniform
-    strings; ``rng`` is then required and ``error_bound`` reports the
-    Hoeffding radius at confidence 1-delta.
+    With ``samples=None`` the average runs over all 2**r strings, r = rank(chi)
+    (exact, cap applies).  With ``samples=T`` it is a Monte-Carlo average over
+    T uniform n-bit strings; ``rng`` is then required and ``error_bound``
+    reports the Hoeffding radius at confidence 1-delta.
     """
-    _check_secret(program, s)
-    mains = _main_rows(program, s)
     if samples is None:
-        n = program.n
-        _check_cap(n)
-        omega = np.zeros(1 << n, dtype=np.float64)
-        for row, angle in mains:
-            omega += 2.0 * angle.radians * _parity_profile(n, row.bits)
+        program, s, _ = _reduce(program, s)
+        _check_cap(program.n)
+        omega = np.zeros(1 << program.n, dtype=np.float64)
+        for row, angle in _main_rows(program, s):
+            omega += 2.0 * angle.radians * _parity_profile(program.n, row.bits)
         return CorrelationResult(float(np.cos(omega).mean()), Backend.DIAGONAL_EXACT)
+    _check_secret(program, s)
     if samples < 1:
         raise ValidationError(f"sample count must be positive, got {samples}")
     if rng is None:
         raise ValidationError("monte-carlo mode needs an explicit rng")
     omega = np.zeros(samples, dtype=np.float64)
     xs = random_rows(program.n, samples, rng)
-    for row, angle in mains:
+    for row, angle in _main_rows(program, s):
         par = row_parities(xs, row)
         omega += 2.0 * angle.radians * (1.0 - 2.0 * par.astype(np.float64))
     value = float(np.cos(omega).mean())
@@ -218,7 +246,7 @@ def correlation_subspace(program: IqpProgram, s: BitVector) -> CorrelationResult
     2**-d * sum over the column-space elements c of cos(2*theta*(q - 2*|c|)).
     Exact, and independent of which basis the enumeration happens to pick.
     """
-    _check_secret(program, s)
+    program, s, _ = _reduce(program, s)
     mains = _main_rows(program, s)
     q = len(mains)
     if q == 0:
@@ -228,14 +256,11 @@ def correlation_subspace(program: IqpProgram, s: BitVector) -> CorrelationResult
         if angle != theta:
             raise AngleError("subspace backend needs one shared main-part angle")
     sub = BitMatrix([row for row, _ in mains], cols=program.n)
-    basis = column_space_basis(sub)
+    basis = [BitVector(q, c) for c in echelon(col.bits for col in sub.columns()).values()]
     weights = span_weights(basis, length=q)
     hist = np.bincount(weights, minlength=q + 1)
     two_theta = 2.0 * theta.radians
-    total = 0.0
-    for k in range(q + 1):
-        if hist[k]:
-            total += float(hist[k]) * math.cos(two_theta * (q - 2 * k))
+    total = sum(float(h) * math.cos(two_theta * (q - 2 * k)) for k, h in enumerate(hist) if h)
     return CorrelationResult(total / (1 << len(basis)), Backend.SUBSPACE)
 
 
@@ -247,10 +272,9 @@ def correlation_clifford(program: IqpProgram, s: BitVector) -> CorrelationResult
     eighth-root phase tracked separately.  The final amplitude is exact, so
     |value| is exactly 0 or 2**(-g/2) and g is reported.
     """
-    _check_secret(program, s)
-    mains = _main_rows(program, s)
+    program, s, _ = _reduce(program, s)
     st = CHForm.plus(program.n)
-    for row, angle in mains:
+    for row, angle in _main_rows(program, s):
         w = angle.multiple_of_pi8()
         if w is None:
             raise AngleError(f"main-part angle {angle} is not a multiple of pi/8")
@@ -281,15 +305,18 @@ def correlation_clifford(program: IqpProgram, s: BitVector) -> CorrelationResult
 def sample_outputs(
     program: IqpProgram, count: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Draw a packed batch of output strings from the exact distribution (cumulative table)."""
+    """A packed batch of outputs x = y . B, y drawn from the reduced program's table."""
     if count < 1:
         raise ValidationError(f"sample count must be positive, got {count}")
-    table = output_distribution(program)
-    cumulative = np.cumsum(table.probs)
-    draws = rng.random(count)
-    indices = np.searchsorted(cumulative, draws, side="right")
-    np.clip(indices, 0, (1 << program.n) - 1, out=indices)
-    return indices.astype(np.uint64).reshape(count, 1)
+    reduced, _, basis = _reduce(program)
+    cumulative = np.cumsum(output_distribution(reduced).probs)
+    ys = np.searchsorted(cumulative, rng.random(count), side="right")
+    np.clip(ys, 0, (1 << reduced.n) - 1, out=ys)
+    basis_words = pack_rows([b.to01() for b in basis], program.n)
+    out = np.zeros((count, basis_words.shape[1]), dtype=np.uint64)
+    for k, words in enumerate(basis_words):
+        out[(ys >> k) & 1 == 1] ^= words
+    return out
 
 
 def evaluate(

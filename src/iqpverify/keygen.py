@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bitlin import BitMatrix, BitVector, add_column, nullspace_basis, random_rows
+from .bitlin import BitMatrix, BitVector, nullspace_basis, random_rows
 from .errors import CapacityError, ConstructionError, DimensionError, ValidationError
 from .evaluators import CorrelationResult, correlation_clifford
 from .model import Angle, IqpProgram, PI_OVER_8, SecretKey
@@ -262,20 +262,18 @@ def scramble(
     for s in secrets:
         if len(s) != program.n:
             raise DimensionError("secret length differs from program width")
-    chi = program.chi
+    row_bits = [r.bits for r in program.chi.rows]
     secret_bits = [s.bits for s in secrets]
     n = program.n
     for op in ops:
         if op.src >= n or op.dst >= n:
             raise DimensionError(f"op ({op.src}, {op.dst}) outside {n} columns")
-        chi = add_column(chi, op.src, op.dst)
+        row_bits = [bits ^ (((bits >> op.src) & 1) << op.dst) for bits in row_bits]
         secret_bits = [
             bits ^ (((bits >> op.dst) & 1) << op.src) for bits in secret_bits
         ]
-    return (
-        IqpProgram(chi, program.angles),
-        tuple(BitVector(n, bits) for bits in secret_bits),
-    )
+    chi = BitMatrix([BitVector(n, bits) for bits in row_bits], cols=n)
+    return IqpProgram(chi, program.angles), tuple(BitVector(n, b) for b in secret_bits)
 
 
 def build_challenge(spec: ConstructionSpec) -> tuple[IqpProgram, SecretKey]:

@@ -40,8 +40,8 @@ from .bitlin import (
     unpack_rows,
     words_per_row,
 )
-from .errors import ProtocolError, ValidationError
-from .evaluators import STATEVECTOR_CAP, sample_outputs
+from .errors import CapacityError, DimensionError, ProtocolError, ValidationError
+from .evaluators import sample_outputs
 from .model import Angle, IqpProgram, SecretKey
 
 __all__ = [
@@ -212,9 +212,13 @@ class SamplesMsg:
         bits = payload.get("bits")
         if not isinstance(bits, list) or not bits:
             raise ProtocolError("bad-bits", "bits must be a non-empty list")
-        for b in bits:
-            if not isinstance(b, str) or not b or set(b) - {"0", "1"}:
-                raise ProtocolError("bad-bits", f"bad sample {b!r}")
+        try:  # one check over the joined text; join refuses a non-str sample
+            text = "".join(bits).encode("ascii", "replace")
+        except TypeError:
+            text = b"?"
+        if not all(bits) or text.translate(None, b"01"):
+            bad = next(b for b in bits if not isinstance(b, str) or not b or b.strip("01"))
+            raise ProtocolError("bad-bits", f"bad sample {bad!r}")
         return cls(session, tuple(bits))
 
     def to_payload(self) -> dict:
@@ -223,8 +227,8 @@ class SamplesMsg:
     def encode(self) -> bytes:
         return _encode(self.to_payload())
 
-    def check_against(self, challenge: ChallengeMsg) -> None:
-        """Reject structurally wrong replies before any judging happens."""
+    def check_against(self, challenge: ChallengeMsg) -> np.ndarray:
+        """Reject structurally wrong replies; return the samples as a packed batch."""
         if self.session != challenge.session:
             raise ProtocolError(
                 "bad-session",
@@ -235,11 +239,11 @@ class SamplesMsg:
                 "count-mismatch",
                 f"got {len(self.bits)} samples, requested {challenge.samples_requested}",
             )
-        for b in self.bits:
-            if len(b) != challenge.n:
-                raise ProtocolError(
-                    "bad-bits", f"sample length {len(b)} != n={challenge.n}"
-                )
+        try:
+            return pack_rows(self.bits, challenge.n)
+        except DimensionError:
+            bad = next(b for b in self.bits if len(b) != challenge.n)
+            raise ProtocolError("bad-bits", f"sample length {len(bad)} != n={challenge.n}")
 
 
 def _encode_error(exc: ProtocolError) -> bytes:
@@ -347,18 +351,12 @@ def judge(key: SecretKey, samples: np.ndarray, epsilon: float) -> VerdictReport:
 # provers
 
 
-def prover_honest(
-    challenge: ChallengeMsg,
-    rng: np.random.Generator,
-    cap: int = STATEVECTOR_CAP,
-) -> SamplesMsg:
-    """Simulate the program exactly and sample its output distribution."""
-    if challenge.n > cap:
-        raise ProtocolError(
-            "capacity", f"cannot simulate n={challenge.n} (cap {cap})"
-        )
-    program = challenge.to_program()
-    draws = sample_outputs(program, challenge.samples_requested, rng)
+def prover_honest(challenge: ChallengeMsg, rng: np.random.Generator) -> SamplesMsg:
+    """Sample the program exactly on rank(chi) qubits; a rank above the cap is ``capacity``."""
+    try:
+        draws = sample_outputs(challenge.to_program(), challenge.samples_requested, rng)
+    except CapacityError as exc:
+        raise ProtocolError("capacity", f"cannot simulate: {exc}")
     return SamplesMsg(challenge.session, tuple(unpack_rows(draws, challenge.n)))
 
 
@@ -415,9 +413,9 @@ class ProverServer:
 
     Each challenge gets its own rng stream derived from (seed, sha256 of its
     session), so a fixed seed gives every session the same batch regardless
-    of arrival order.  After
-    replying, the handler waits briefly for an optional verdict line (sent
-    only by verifiers running with verdict reveal switched on) and records it.
+    of arrival order.  After replying, the handler waits briefly for an optional
+    verdict line (sent only by verifiers running with verdict reveal switched
+    on) and records it.
     """
 
     def __init__(
@@ -427,7 +425,6 @@ class ProverServer:
         leaked_key: SecretKey | None = None,
         seed: int = 0,
         timeout: float = 30.0,
-        cap: int = STATEVECTOR_CAP,
     ):
         if prover not in _PROVER_BUILTINS:
             raise ValidationError(f"unknown prover {prover!r}")
@@ -437,7 +434,6 @@ class ProverServer:
         self._leaked_key = leaked_key
         self._seed = seed
         self._timeout = timeout
-        self._cap = cap
         self._lock = threading.Lock()
         self.verdicts: list[dict] = []
         outer = self
@@ -461,7 +457,7 @@ class ProverServer:
         digest = hashlib.sha256(challenge.session.encode("utf-8", "surrogatepass")).digest()
         rng = np.random.default_rng([self._seed, int.from_bytes(digest, "little")])
         if self._prover_name == "honest":
-            return prover_honest(challenge, rng, cap=self._cap)
+            return prover_honest(challenge, rng)
         if self._prover_name == "uniform":
             return prover_uniform(challenge, rng)
         return prover_leak(challenge, self._leaked_key, rng)
@@ -530,9 +526,7 @@ class ProverServer:
         self.close()
 
 
-def _exchange(
-    sock: socket.socket, challenge: ChallengeMsg
-) -> SamplesMsg:
+def _exchange(sock: socket.socket, challenge: ChallengeMsg) -> tuple[SamplesMsg, np.ndarray]:
     sock.sendall(challenge.encode())
     payload = _decode_line(_recv_line(sock))
     if payload.get("type") == "error":
@@ -540,8 +534,7 @@ def _exchange(
             str(payload.get("code", "unknown")), str(payload.get("detail", ""))
         )
     reply = SamplesMsg.from_payload(payload)
-    reply.check_against(challenge)
-    return reply
+    return reply, reply.check_against(challenge)
 
 
 def request(
@@ -555,7 +548,7 @@ def request(
     challenge = ChallengeMsg.from_program(program, samples, session)
     with socket.create_connection(address, timeout=timeout) as sock:
         sock.settimeout(timeout)
-        return _exchange(sock, challenge)
+        return _exchange(sock, challenge)[0]
 
 
 def run_verification(
@@ -581,8 +574,7 @@ def run_verification(
     epsilon = acceptance_threshold(key, delta, samples)
     with socket.create_connection(address, timeout=timeout) as sock:
         sock.settimeout(timeout)
-        reply = _exchange(sock, challenge)
-        report = judge(key, pack_rows(reply.bits, program.n), epsilon)
+        report = judge(key, _exchange(sock, challenge)[1], epsilon)
         if reveal_verdict:
             sock.sendall(_encode(report.to_payload(challenge.session)))
     return report

@@ -10,8 +10,8 @@ from iqpverify.bitlin import (
     BitMatrix,
     BitVector,
     add_column,
-    column_space_basis,
     dot,
+    echelon,
     enumerate_span,
     nullspace_basis,
     pack_rows,
@@ -123,6 +123,41 @@ class TestBitMatrix:
     def test_rank_bounds(self, m):
         r = rank(m)
         assert 0 <= r <= min(m.num_rows, m.num_cols)
+
+
+def column_space_basis(m):
+    """A basis of the column space: the echelon form of the columns."""
+    return [BitVector(m.num_rows, c) for c in echelon(c.bits for c in m.columns()).values()]
+
+
+class TestEchelon:
+    def test_frozen_example(self):
+        rows = [BitVector.from_string(r).bits for r in ("0110", "1100", "1010")]
+        assert echelon(rows) == {0: 0b0101, 1: 0b0110}
+
+    @given(st.integers(1, 12), st.integers(0, 2**32 - 1))
+    def test_full_rank_reduces_to_identity(self, n, seed):
+        rng = np.random.default_rng(seed)
+        rows = [BitVector(n, 1 << i) for i in range(n)]
+        for _ in range(4 * n):  # random row additions keep full rank
+            i, j = rng.integers(0, n, size=2)
+            if i != j:
+                rows[i] = rows[i] ^ rows[j]
+        assert echelon(r.bits for r in rows) == {i: 1 << i for i in range(n)}
+
+    @given(matrices(max_n=10, max_m=8))
+    def test_reduced_echelon_property(self, m):
+        pivots = echelon(r.bits for r in m.rows)
+        assert list(pivots) == sorted(pivots)
+        assert len(pivots) == rank(m)
+        for p, row in pivots.items():
+            assert row & -row == 1 << p  # the pivot is the lowest set bit
+            for q in pivots:
+                assert (row >> q) & 1 == (q == p)  # and no other pivot is set
+        # the echelon rows span exactly the row space
+        assert brute_force_span([BitVector(m.num_cols, r) for r in pivots.values()]) == (
+            brute_force_span(list(m.rows))
+        )
 
 
 class TestSpans:

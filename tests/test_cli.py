@@ -7,6 +7,7 @@ import time
 import numpy as np
 import pytest
 
+from iqpverify.bitlin import rank
 from iqpverify.cli import main
 from iqpverify.experiments import parse_report
 from iqpverify.model import parse_key, parse_program
@@ -36,7 +37,7 @@ class TestKeygenScramble:
         assert program.n == 8
         assert parsed.n == 8 and parsed.count == 1
 
-    def test_keygen_deterministic_with_seed(self, tmp_path):
+    def test_keygen_deterministic_with_seed(self, tmp_path, capsys):
         outs = []
         for tag in ("a", "b"):
             prog = tmp_path / f"{tag}.iqp"
@@ -46,6 +47,9 @@ class TestKeygenScramble:
                 == 0
             )
             outs.append((prog.read_text(), key.read_text()))
+            # the summary names the dimension a prover must really simulate
+            chi = parse_program(prog.read_text()).chi
+            assert f" rank={rank(chi)} " in capsys.readouterr().err
         assert outs[0] == outs[1]
 
     def test_scramble_preserves_expected_values(self, challenge_files, tmp_path):

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iqpverify.bitlin import BitMatrix, BitVector
+from iqpverify.bitlin import BitMatrix, BitVector, echelon, rank
 from iqpverify.errors import AngleError, CapacityError, DimensionError, ValidationError
 from iqpverify.evaluators import (
     STATEVECTOR_CAP,
@@ -30,7 +30,12 @@ from iqpverify.evaluators import (
     output_distribution,
     sample_outputs,
 )
-from iqpverify.keygen import random_program
+from iqpverify.keygen import (
+    ConstructionSpec,
+    build_challenge,
+    random_nonzero_bits,
+    random_program,
+)
 from iqpverify.model import PI_OVER_8, Angle, IqpProgram
 
 from oracles import dense_correlation, dense_distribution
@@ -48,6 +53,24 @@ ALL_EXACT = [
 def program_of(rows, angle=PI_OVER_8):
     mat = BitMatrix.from_strings(rows)
     return IqpProgram(mat, (angle,) * mat.num_rows)
+
+
+def rank_above_cap_program():
+    """30 independent rows on 30 qubits: nothing to reduce, rank above the cap."""
+    n = STATEVECTOR_CAP + 6
+    rows = [BitVector.from_support(n, range(i, n)) for i in range(n)]
+    program = IqpProgram(BitMatrix(rows, cols=n), (PI_OVER_8,) * n)
+    assert rank(program.chi) == n > STATEVECTOR_CAP
+    return program
+
+
+def xor_of(basis, y):
+    """y . B: the xor of the basis ints selected by the bits of y."""
+    out = 0
+    for k, b in enumerate(basis):
+        if (y >> k) & 1:
+            out ^= b
+    return out
 
 
 def random_uniform_program(n, m, rng, dens=(1, 2, 3, 4, 6, 8)):
@@ -175,6 +198,17 @@ class TestAgainstDenseOracle:
         if got.g is not None:
             assert abs(got.value) == pytest.approx(2.0 ** (-got.g / 2), abs=1e-15)
 
+    def test_wide_low_rank_challenge(self):
+        # n=200 but rank 12: every exact backend simulates 12 qubits
+        program, key = build_challenge(
+            ConstructionSpec(n=200, secrets=4, weight=3, seed=5)
+        )
+        assert rank(program.chi) == 12
+        for s, expected in zip(key.secrets, key.expected):
+            for backend in ALL_EXACT:
+                value = evaluate(program, s, backend).value
+                assert value == pytest.approx(expected, abs=1e-12), backend
+
 
 class TestMonteCarlo:
     def test_sample_count_frozen(self):
@@ -244,20 +278,25 @@ class TestMonteCarlo:
 
 class TestGuards:
     def test_statevector_cap(self):
+        program = rank_above_cap_program()
+        with pytest.raises(CapacityError):
+            correlation_statevector(program, BitVector(program.n, 1))
+        with pytest.raises(CapacityError):
+            sample_outputs(program, 5, np.random.default_rng(0))
         n = STATEVECTOR_CAP + 1
         program = IqpProgram(
             BitMatrix([BitVector(n, 1)], cols=n), (PI_OVER_8,)
         )
         with pytest.raises(CapacityError):
-            correlation_statevector(program, BitVector(n, 1))
-        with pytest.raises(CapacityError):
             output_distribution(program)
+        # rank 1: the cap applies to the simulated dimension, not to n
+        value = correlation_statevector(program, BitVector(n, 1)).value
+        assert value == pytest.approx(SQRT_HALF, abs=1e-12)
 
     def test_diagonal_exact_cap(self):
-        n = STATEVECTOR_CAP + 1
-        program = IqpProgram(BitMatrix([BitVector(n, 1)], cols=n), (PI_OVER_8,))
+        program = rank_above_cap_program()
         with pytest.raises(CapacityError):
-            correlation_diagonal(program, BitVector(n, 1))
+            correlation_diagonal(program, BitVector(program.n, 1))
 
     def test_subspace_needs_uniform_angle(self):
         program = IqpProgram(
@@ -308,6 +347,20 @@ class TestSampling:
         counts = np.bincount(draws[:, 0].astype(np.int64), minlength=4)
         table = output_distribution(program)
         assert np.allclose(counts / 4000, table.probs, atol=0.05)
+        # a rank-4 program embedded at any width: x = y . B for a random basis B
+        small = random_program(4, 6, "uniform-pi8", np.random.default_rng(8))
+        assert rank(small.chi) == 4
+        for n in (30, 64, 70):
+            rng = np.random.default_rng(n)
+            basis = [random_nonzero_bits(n, rng) for _ in range(4)]
+            assert len(echelon(basis)) == 4
+            rows = [BitVector(n, xor_of(basis, row.bits)) for row in small.chi.rows]
+            program = IqpProgram(BitMatrix(rows, cols=n), small.angles)
+            draws = sample_outputs(program, 4000, rng)
+            coords = {xor_of(basis, y): y for y in range(16)}
+            ys = [coords[int.from_bytes(x.tobytes(), "little")] for x in draws]
+            counts = np.bincount(ys, minlength=16)
+            assert np.allclose(counts / 4000, dense_distribution(small), atol=0.05)
 
     def test_count_validated(self):
         program = program_of(["11"])

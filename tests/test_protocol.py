@@ -10,10 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iqpverify.bitlin import BitVector, pack_rows
+from iqpverify.bitlin import BitMatrix, BitVector, pack_rows, rank
 from iqpverify.errors import ProtocolError, ValidationError
 from iqpverify.keygen import ConstructionSpec, build_challenge
-from iqpverify.model import SecretKey
+from iqpverify.evaluators import STATEVECTOR_CAP
+from iqpverify.model import PI_OVER_8, IqpProgram, SecretKey
 from iqpverify.protocol import (
     MAX_MESSAGE_BYTES,
     ChallengeMsg,
@@ -35,6 +36,13 @@ from iqpverify.keygen import random_program
 
 def small_program(seed=0, n=5, m=6):
     return random_program(n, m, "pi8", np.random.default_rng(seed))
+
+
+def rank_above_cap_program(n=30):
+    rows = [BitVector.from_support(n, range(i, n)) for i in range(n)]
+    program = IqpProgram(BitMatrix(rows, cols=n), (PI_OVER_8,) * n)
+    assert rank(program.chi) == n > STATEVECTOR_CAP
+    return program
 
 
 def challenge_payload(**overrides):
@@ -113,12 +121,31 @@ class TestCodec:
                 {"type": "samples", "session": "a", "bits": ["012"]}
             )
         assert err.value.code == "bad-bits"
+        # the detail names the first offending sample, wherever it sits
+        for bad in (7, None, ["01"], "", "01\u00e9", "0 1", "2"):
+            bits = ["0101", "1100", bad, "0011"]
+            with pytest.raises(ProtocolError) as err:
+                SamplesMsg.from_payload({"type": "samples", "session": "a", "bits": bits})
+            assert err.value.code == "bad-bits"
+            assert err.value.detail == f"bad sample {bad!r}"
+        # codes in order: characters, session, count, then lengths
+        challenge = ChallengeMsg.from_program(small_program(), 2, session="s1")
+        for session, bits, code in (
+            ("s2", ["0x", "01"], "bad-bits"),
+            ("s2", ["01"], "bad-session"),
+            ("s1", ["01"], "count-mismatch"),
+            ("s1", ["01", "01"], "bad-bits"),
+        ):
+            payload = {"type": "samples", "session": session, "bits": bits}
+            with pytest.raises(ProtocolError) as err:
+                SamplesMsg.from_payload(payload).check_against(challenge)
+            assert err.value.code == code
 
     def test_check_against(self):
         program = small_program()
         challenge = ChallengeMsg.from_program(program, 2, session="s1")
         good = SamplesMsg("s1", ("10000", "01000"))
-        good.check_against(challenge)  # no raise
+        assert good.check_against(challenge).tolist() == [[0b00001], [0b00010]]
         with pytest.raises(ProtocolError) as err:
             SamplesMsg("s2", ("10000", "01000")).check_against(challenge)
         assert err.value.code == "bad-session"
@@ -128,6 +155,9 @@ class TestCodec:
         with pytest.raises(ProtocolError) as err:
             SamplesMsg("s1", ("100", "010")).check_against(challenge)
         assert err.value.code == "bad-bits"
+        with pytest.raises(ProtocolError) as err:
+            SamplesMsg("s1", ("10000", "0100")).check_against(challenge)
+        assert err.value.detail == "sample length 4 != n=5"
 
     def test_bad_json(self):
         with pytest.raises(ProtocolError) as err:
@@ -238,7 +268,7 @@ class TestProvers:
         assert a.session == "s"
 
     def test_honest_capacity_refusal(self):
-        program = random_program(30, 2, "pi8", np.random.default_rng(0))
+        program = rank_above_cap_program()
         challenge = ChallengeMsg.from_program(program, 5)
         with pytest.raises(ProtocolError) as err:
             prover_honest(challenge, np.random.default_rng(0))
@@ -287,6 +317,15 @@ class TestLoopback:
         assert report.accept
         assert report.samples_used == 2952
 
+    def test_honest_wide_low_rank_round_accepts(self):
+        # n=200 but rank(chi)=12: an exact classical simulation of 12 qubits
+        # passes, so the accept of such a challenge proves nothing quantum.
+        program, key = build_challenge(ConstructionSpec(n=200, secrets=4, weight=3, seed=5))
+        assert rank(program.chi) == 12
+        with ProverServer(seed=2) as server:
+            report = run_verification(server.address, program, key, 2952, delta=1e-6)
+        assert report.accept and report.samples_used == 2952
+
     def test_uniform_round_rejects(self):
         program, key = build_challenge(ConstructionSpec(n=8, seed=1))
         with ProverServer(prover="uniform", seed=2) as server:
@@ -319,7 +358,7 @@ class TestLoopback:
         assert a == b
 
     def test_capacity_error_propagates(self):
-        program = random_program(30, 2, "pi8", np.random.default_rng(0))
+        program = rank_above_cap_program()
         with ProverServer(seed=0) as server:
             with pytest.raises(ProtocolError) as err:
                 request(server.address, program, 5)

@@ -13,7 +13,6 @@ from .bitlin import (
     add_column,
     dot,
     echelon,
-    enumerate_span,
     nullspace_basis,
     rank,
     span_weights,

@@ -25,7 +25,6 @@ __all__ = [
     "echelon",
     "rank",
     "nullspace_basis",
-    "enumerate_span",
     "span_weights",
     "add_column",
     "walsh_hadamard",
@@ -241,53 +240,26 @@ def nullspace_basis(matrix: BitMatrix) -> list[BitVector]:
     ]
 
 
-def _span_basis(
-    basis: Sequence[BitVector], length: int | None
-) -> tuple[list[BitVector], int]:
-    """The basis as a list plus its vector length, after the span checks."""
-    vecs = list(basis)
-    if len(vecs) > SPAN_CAP:
-        raise CapacityError(f"span dimension {len(vecs)} exceeds cap {SPAN_CAP}")
-    if vecs:
-        length = len(vecs[0])
-        for v in vecs:
-            if len(v) != length:
-                raise DimensionError("span basis vectors differ in length")
-    elif length is None:
-        raise DimensionError("empty basis needs an explicit length")
-    return vecs, length
-
-
-def enumerate_span(
-    basis: Sequence[BitVector], *, length: int | None = None
-) -> Iterator[BitVector]:
-    """Yield every element of the span exactly once, zero vector first.
-
-    Walks a Gray code over the 2**d combinations so each step is one xor.
-    ``length`` is only needed when ``basis`` is empty.
-    """
-    vecs, length = _span_basis(basis, length)
-    d = len(vecs)
-    current = 0
-    yield BitVector(length, 0)
-    for k in range(1, 1 << d):
-        # Gray code: element k differs from k-1 in bit ctz(k).
-        current ^= vecs[(k & -k).bit_length() - 1].bits
-        yield BitVector(length, current)
-
-
 _CHUNK = 16  # doubling table size; offsets iterate over the remaining dims
 
 
 def span_weights(basis: Sequence[BitVector], *, length: int | None = None) -> np.ndarray:
-    """Hamming weights of all 2**d span elements, order unspecified.
+    """Hamming weights of all 2**d span elements of a basis, order unspecified.
 
-    Same span walk as :func:`enumerate_span` but vectorised: the span is built
-    as word-packed numpy columns in chunks of 2**16 and popcounted in bulk, so
-    dimensions near the cap stay in the seconds range.
+    The span is built as word-packed numpy columns in chunks of 2**16 and
+    popcounted in bulk, so dimensions near the cap stay in the seconds range.
+    ``length`` is only needed when ``basis`` is empty.
     """
-    vecs, length = _span_basis(basis, length)
+    vecs = list(basis)
     d = len(vecs)
+    if d > SPAN_CAP:
+        raise CapacityError(f"span dimension {d} exceeds cap {SPAN_CAP}")
+    if vecs:
+        length = len(vecs[0])
+        if any(len(v) != length for v in vecs):
+            raise DimensionError("span basis vectors differ in length")
+    elif length is None:
+        raise DimensionError("empty basis needs an explicit length")
     nwords = max(1, words_per_row(length))
     base_d = min(d, _CHUNK)
     table = np.zeros((1 << base_d, nwords), dtype=np.uint64)
@@ -300,7 +272,7 @@ def span_weights(basis: Sequence[BitVector], *, length: int | None = None) -> np
     rest = vecs[base_d:]
     offset_bits = 0
     for k in range(1 << len(rest)):
-        if k:
+        if k:  # Gray code: offset k differs from k-1 in basis vector ctz(k)
             offset_bits ^= rest[(k & -k).bit_length() - 1].bits
         chunk = table ^ _words(offset_bits, nwords)
         out[k << base_d : (k + 1) << base_d] = np.bitwise_count(chunk).sum(

@@ -18,7 +18,13 @@ from . import experiments
 from .bitlin import BitVector, rank, unpack_rows
 from .errors import IqpError
 from .evaluators import Backend, evaluate, sample_outputs
-from .keygen import ConstructionSpec, build_challenge, random_scramble_ops, scramble
+from .keygen import (
+    DEFAULT_SCRAMBLE_FACTOR,
+    ConstructionSpec,
+    build_challenge,
+    random_scramble_ops,
+    scramble,
+)
 from .model import (
     parse_key,
     parse_program,
@@ -111,7 +117,7 @@ def _cmd_scramble(args) -> int:
     program = _load_program(args.program)
     key = _load_key(args.key)
     rng = np.random.default_rng(_seed_or_random(args.seed))
-    count = args.ops if args.ops is not None else 20 * program.n
+    count = args.ops if args.ops is not None else DEFAULT_SCRAMBLE_FACTOR * program.n
     ops = random_scramble_ops(program.n, count, rng)
     scrambled, secrets = scramble(program, key.secrets, ops)
     new_key = type(key)(secrets, key.expected, key.meta)
@@ -134,12 +140,10 @@ def _cmd_eval(args) -> int:
         secret = key.secrets[args.index]
     backend = _BACKENDS[args.backend]
     rng = None
-    samples = None
     if backend is Backend.DIAGONAL_MC:
         rng = np.random.default_rng(_seed_or_random(args.seed))
-        samples = args.samples
     result = evaluate(
-        program, secret, backend, samples=samples, rng=rng, delta=args.delta
+        program, secret, backend, samples=args.samples, rng=rng, delta=args.delta
     )
     print(f"value {result.value!r}")
     print(f"backend {result.backend.value}")
@@ -148,6 +152,8 @@ def _cmd_eval(args) -> int:
         print(f"g {result.g}")
     if result.samples_used is not None:
         print(f"samples {result.samples_used}")
+    if result.reduced_dim is not None:
+        print(f"reduced_dim {result.reduced_dim}")
     return 0
 
 

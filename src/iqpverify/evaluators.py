@@ -5,14 +5,16 @@ secret string s: the expectation of the Z-product observable picked out by s
 over the program's output distribution.  The redundant rows (even parity
 against s) never contribute, which is what the faster backends exploit:
 
-* statevector      exact, any angles, 2**r work
-* diagonal exact   exact, any angles, 2**r work but only main rows
+* statevector      exact, any angles, 2**d work
+* diagonal exact   exact, any angles, 2**d work
 * diagonal mc      unbiased estimate over uniform n-bit strings, polynomial work
 * subspace         exact closed form when all main angles are equal
 * clifford         exact stabilizer amplitude when main angles are w*pi/8
 
-The exact paths and sampling simulate r = rank(chi) qubits, as the output
-lies in chi's row space; only the 2**n tables of output_distribution and
+An exact correlation simulates only the secret's main rows, rewritten on
+d = rank(main rows) qubits, so it costs 2**rank(main rows).  Sampling
+simulates all rows on rank(chi) qubits, as the output lies in chi's row space,
+so it costs 2**rank(chi).  Only the 2**n tables of output_distribution and
 all_correlations are n-wide.  The dense cap applies to the simulated width.
 """
 
@@ -74,7 +76,8 @@ class CorrelationResult:
     ``error_bound`` is 0 for the exact backends; for the Monte-Carlo backend
     it is the Hoeffding radius at the requested confidence.  ``g`` is only
     set by the clifford backend (|value| = 2**(-g/2)); ``samples_used`` only
-    by the Monte-Carlo backend.
+    by the Monte-Carlo backend; ``reduced_dim`` only by the exact backends,
+    as the rank d of the secret's main rows they simulated.
     """
 
     value: float
@@ -82,6 +85,7 @@ class CorrelationResult:
     error_bound: float = 0.0
     g: int | None = None
     samples_used: int | None = None
+    reduced_dim: int | None = None
 
 
 @dataclass(eq=False)
@@ -114,26 +118,31 @@ def _check_secret(program: IqpProgram, s: BitVector):
 
 
 def _reduce(program: IqpProgram, s: BitVector | None = None):
-    """(program on r = rank(chi) qubits, reduced secret s', row-space basis B).
+    """(program on d qubits, reduced secret s', row-space basis B of d vectors).
 
-    Row j becomes its coordinates c_j at the echelon pivots (chi_j = c_j . B)
-    and s'_k = b_k . s, so p(y . B) = p'(y), s . (y . B) = s' . y and
-    chi_j . s = c_j . s': every partition and value is unchanged.  At full
-    rank B is the identity; a program without rows keeps one qubit.
+    Without a secret every row is kept and d = rank(chi).  With a secret only
+    its main rows are kept, as the redundant ones never move the value, and
+    d = rank(main rows).  Row j becomes its coordinates c_j at the echelon
+    pivots (chi_j = c_j . B) and s'_k = b_k . s, so p(y . B) = p'(y),
+    s . (y . B) = s' . y and chi_j . s = c_j . s': every value is unchanged.
+    The reduced rows have full column rank d; at full rank B is the identity.
+    A program without rows keeps one qubit, with an empty basis.
     """
-    pivots = echelon(row.bits for row in program.chi.rows) or {0: 1}
-    basis = [BitVector(program.n, row) for row in pivots.values()]
-    r = len(basis)
+    rows, angles = program.chi.rows, program.angles
     if s is not None:
         _check_secret(program, s)
-        s = BitVector(r, sum(dot(b, s) << k for k, b in enumerate(basis)))
-    if r == program.n:  # full rank: B is the identity, nothing to rewrite
-        return program, s, basis
+        main = partition(program, s).main_rows
+        rows, angles = [rows[i] for i in main], [angles[i] for i in main]
+    pivots = echelon(row.bits for row in rows)
+    basis = [BitVector(program.n, row) for row in pivots.values()]
+    d = max(1, len(basis))
+    if s is not None:
+        s = BitVector(d, sum(dot(b, s) << k for k, b in enumerate(basis)))
     rows = [
-        BitVector(r, sum(((row.bits >> p) & 1) << k for k, p in enumerate(pivots)))
-        for row in program.chi.rows
+        BitVector(d, sum(((row.bits >> p) & 1) << k for k, p in enumerate(pivots)))
+        for row in rows
     ]
-    return IqpProgram(BitMatrix(rows, cols=r), program.angles), s, basis
+    return IqpProgram(BitMatrix(rows, cols=d), angles), s, basis
 
 
 def _parity_profile(n: int, mask: int) -> np.ndarray:
@@ -160,11 +169,13 @@ def output_distribution(program: IqpProgram) -> DistributionTable:
 
 
 def correlation_statevector(program: IqpProgram, s: BitVector) -> CorrelationResult:
-    """Exact correlation from the output distribution on rank(chi) qubits."""
-    program, s, _ = _reduce(program, s)
+    """Exact correlation from the main part's output distribution on d qubits."""
+    program, s, basis = _reduce(program, s)
     table = output_distribution(program)
     signs = _parity_profile(program.n, s.bits)
-    return CorrelationResult(float(table.probs @ signs), Backend.STATEVECTOR)
+    return CorrelationResult(
+        float(table.probs @ signs), Backend.STATEVECTOR, reduced_dim=len(basis)
+    )
 
 
 def all_correlations(program: IqpProgram) -> np.ndarray:
@@ -174,11 +185,6 @@ def all_correlations(program: IqpProgram) -> np.ndarray:
     """
     table = output_distribution(program)
     return walsh_hadamard(table.probs)
-
-
-def _main_rows(program: IqpProgram, s: BitVector):
-    part = partition(program, s)
-    return [(program.chi.row(i), program.angles[i]) for i in part.main_rows]
 
 
 def mc_sample_count(epsilon: float, delta: float) -> int:
@@ -208,18 +214,21 @@ def correlation_diagonal(
     """Correlation via the diagonal picture: only main rows enter.
 
     Each output x contributes cos(sum over main rows of 2*theta*(-1)^(row.x)).
-    With ``samples=None`` the average runs over all 2**r strings, r = rank(chi)
-    (exact, cap applies).  With ``samples=T`` it is a Monte-Carlo average over
-    T uniform n-bit strings; ``rng`` is then required and ``error_bound``
-    reports the Hoeffding radius at confidence 1-delta.
+    With ``samples=None`` the average runs over all 2**d strings of the
+    reduced main part, d = rank(main rows) (exact, cap applies).  With
+    ``samples=T`` it is a Monte-Carlo average over T uniform n-bit strings;
+    ``rng`` is then required and ``error_bound`` reports the Hoeffding radius
+    at confidence 1-delta.
     """
     if samples is None:
-        program, s, _ = _reduce(program, s)
+        program, s, basis = _reduce(program, s)
         _check_cap(program.n)
         omega = np.zeros(1 << program.n, dtype=np.float64)
-        for row, angle in _main_rows(program, s):
+        for row, angle in zip(program.chi.rows, program.angles):
             omega += 2.0 * angle.radians * _parity_profile(program.n, row.bits)
-        return CorrelationResult(float(np.cos(omega).mean()), Backend.DIAGONAL_EXACT)
+        return CorrelationResult(
+            float(np.cos(omega).mean()), Backend.DIAGONAL_EXACT, reduced_dim=len(basis)
+        )
     _check_secret(program, s)
     if samples < 1:
         raise ValidationError(f"sample count must be positive, got {samples}")
@@ -227,9 +236,10 @@ def correlation_diagonal(
         raise ValidationError("monte-carlo mode needs an explicit rng")
     omega = np.zeros(samples, dtype=np.float64)
     xs = random_rows(program.n, samples, rng)
-    for row, angle in _main_rows(program, s):
-        par = row_parities(xs, row)
-        omega += 2.0 * angle.radians * (1.0 - 2.0 * par.astype(np.float64))
+    for row, angle in zip(program.chi.rows, program.angles):
+        if dot(row, s):  # main rows only
+            par = row_parities(xs, row)
+            omega += 2.0 * angle.radians * (1.0 - 2.0 * par.astype(np.float64))
     value = float(np.cos(omega).mean())
     return CorrelationResult(
         value,
@@ -244,24 +254,22 @@ def correlation_subspace(program: IqpProgram, s: BitVector) -> CorrelationResult
 
     With q main rows whose column space has dimension d, the value is
     2**-d * sum over the column-space elements c of cos(2*theta*(q - 2*|c|)).
-    Exact, and independent of which basis the enumeration happens to pick.
+    The reduced main rows have full column rank d, so their columns are a
+    basis of that space.  Exact, and independent of the basis: only the
+    weight histogram enters.
     """
-    program, s, _ = _reduce(program, s)
-    mains = _main_rows(program, s)
-    q = len(mains)
+    program, s, basis = _reduce(program, s)
+    q, d = program.m, len(basis)
     if q == 0:
-        return CorrelationResult(1.0, Backend.SUBSPACE)
-    theta = mains[0][1]
-    for _, angle in mains[1:]:
-        if angle != theta:
-            raise AngleError("subspace backend needs one shared main-part angle")
-    sub = BitMatrix([row for row, _ in mains], cols=program.n)
-    basis = [BitVector(q, c) for c in echelon(col.bits for col in sub.columns()).values()]
-    weights = span_weights(basis, length=q)
+        return CorrelationResult(1.0, Backend.SUBSPACE, reduced_dim=d)
+    theta = program.uniform_angle()
+    if theta is None:
+        raise AngleError("subspace backend needs one shared main-part angle")
+    weights = span_weights(list(program.chi.columns()), length=q)
     hist = np.bincount(weights, minlength=q + 1)
     two_theta = 2.0 * theta.radians
     total = sum(float(h) * math.cos(two_theta * (q - 2 * k)) for k, h in enumerate(hist) if h)
-    return CorrelationResult(total / (1 << len(basis)), Backend.SUBSPACE)
+    return CorrelationResult(total / (1 << d), Backend.SUBSPACE, reduced_dim=d)
 
 
 def correlation_clifford(program: IqpProgram, s: BitVector) -> CorrelationResult:
@@ -272,9 +280,9 @@ def correlation_clifford(program: IqpProgram, s: BitVector) -> CorrelationResult
     eighth-root phase tracked separately.  The final amplitude is exact, so
     |value| is exactly 0 or 2**(-g/2) and g is reported.
     """
-    program, s, _ = _reduce(program, s)
+    program, s, basis = _reduce(program, s)
     st = CHForm.plus(program.n)
-    for row, angle in _main_rows(program, s):
+    for row, angle in zip(program.chi.rows, program.angles):
         w = angle.multiple_of_pi8()
         if w is None:
             raise AngleError(f"main-part angle {angle} is not a multiple of pi/8")
@@ -291,15 +299,18 @@ def correlation_clifford(program: IqpProgram, s: BitVector) -> CorrelationResult
     for q in range(program.n):
         st.apply_h(q)
     amp = st.amplitude_zero_exact()
+    d = len(basis)
     if amp is None:
-        return CorrelationResult(0.0, Backend.CLIFFORD, g=None)
+        return CorrelationResult(0.0, Backend.CLIFFORD, reduced_dim=d)
     phase8, r2 = amp
     if phase8 not in (0, 4):  # pragma: no cover - the value is a real expectation
         raise AssertionError(f"non-real amplitude phase {phase8}")
     g = -r2
     assert 0 <= g <= program.n, g
     value = 2.0 ** (r2 / 2.0)
-    return CorrelationResult(value if phase8 == 0 else -value, Backend.CLIFFORD, g=g)
+    return CorrelationResult(
+        value if phase8 == 0 else -value, Backend.CLIFFORD, g=g, reduced_dim=d
+    )
 
 
 def sample_outputs(
@@ -329,7 +340,11 @@ def evaluate(
     delta: float = 0.05,
 ) -> CorrelationResult:
     """Dispatch to one backend by name."""
-    backend = Backend(backend)
+    try:
+        backend = Backend(backend)
+    except ValueError:
+        valid = ", ".join(b.value for b in Backend)
+        raise ValidationError(f"unknown backend {backend!r}; valid: {valid}") from None
     if backend is Backend.DIAGONAL_MC:
         if samples is None:
             raise ValidationError("the mc backend needs an explicit sample count")

@@ -309,7 +309,10 @@ def build_challenge(spec: ConstructionSpec) -> tuple[IqpProgram, SecretKey]:
             angles.append(PI_OVER_8)
         secrets.append(BitVector(spec.n, ((1 << spec.weight) - 1) << offset))
         expected.append(outcome.result.value)
-        meta.append(f"secret {k}: backend=clifford g={outcome.result.g}")
+        meta.append(
+            f"secret {k}: backend=clifford g={outcome.result.g} "
+            f"dim={outcome.result.reduced_dim}"
+        )
     program = IqpProgram(BitMatrix(rows, cols=spec.n), tuple(angles))
     program = add_redundant_rows(program, secrets, spec.redundant_rows, rng)
     order = rng.permutation(program.m)

@@ -12,7 +12,6 @@ from iqpverify.bitlin import (
     add_column,
     dot,
     echelon,
-    enumerate_span,
     nullspace_basis,
     pack_rows,
     random_rows,
@@ -187,14 +186,6 @@ class TestSpans:
         assert len(span) == len(kernel)
 
     @given(matrices(max_n=8, max_m=6))
-    def test_enumerate_span_matches_brute_force(self, m):
-        basis = column_space_basis(m)
-        seen = list(enumerate_span(basis, length=m.num_rows))
-        assert seen[0].is_zero()
-        assert {v.bits for v in seen} == brute_force_span(basis)
-        assert len(seen) == 1 << len(basis)
-
-    @given(matrices(max_n=8, max_m=6))
     def test_span_weights_histogram(self, m):
         basis = column_space_basis(m)
         weights = span_weights(basis, length=m.num_rows)
@@ -203,8 +194,6 @@ class TestSpans:
 
     def test_span_cap_enforced(self):
         basis = [BitVector(SPAN_CAP + 1, 1 << i) for i in range(SPAN_CAP + 1)]
-        with pytest.raises(CapacityError):
-            list(enumerate_span(basis))
         with pytest.raises(CapacityError):
             span_weights(basis)
 

@@ -77,6 +77,7 @@ class TestEval:
         assert "value 0.7071067811865476" in out
         assert "backend clifford" in out
         assert "g 1" in out
+        assert "reduced_dim 1" in out
 
     def test_eval_with_explicit_secret(self, challenge_files, capsys):
         prog, key = challenge_files
@@ -94,6 +95,15 @@ class TestEval:
         out = capsys.readouterr().out
         assert "samples 600" in out
         assert "error_bound" in out
+
+    def test_eval_refuses_samples_for_exact_backend(self, challenge_files, capsys):
+        prog, key = challenge_files
+        code = run_cli(
+            "eval", "--program", prog, "--key", key,
+            "--backend", "statevector", "--samples", 5,
+        )
+        assert code == 3
+        assert "only apply to the mc backend" in capsys.readouterr().err
 
     def test_eval_needs_exactly_one_secret_source(self, challenge_files, capsys):
         prog, key = challenge_files

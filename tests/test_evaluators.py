@@ -36,7 +36,7 @@ from iqpverify.keygen import (
     random_nonzero_bits,
     random_program,
 )
-from iqpverify.model import PI_OVER_8, Angle, IqpProgram
+from iqpverify.model import PI_OVER_8, Angle, IqpProgram, partition
 
 from oracles import dense_correlation, dense_distribution
 
@@ -56,10 +56,12 @@ def program_of(rows, angle=PI_OVER_8):
 
 
 def rank_above_cap_program():
-    """30 independent rows on 30 qubits: nothing to reduce, rank above the cap."""
+    """Rows e0 and e0+ei on 30 qubits: all main against e0, main-part rank 30."""
     n = STATEVECTOR_CAP + 6
-    rows = [BitVector.from_support(n, range(i, n)) for i in range(n)]
+    rows = [BitVector(n, 1)] + [BitVector(n, 1 | 1 << i) for i in range(1, n)]
     program = IqpProgram(BitMatrix(rows, cols=n), (PI_OVER_8,) * n)
+    e0 = BitVector(n, 1)
+    assert partition(program, e0).main_rows == tuple(range(n))
     assert rank(program.chi) == n > STATEVECTOR_CAP
     return program
 
@@ -205,9 +207,30 @@ class TestAgainstDenseOracle:
         )
         assert rank(program.chi) == 12
         for s, expected in zip(key.secrets, key.expected):
+            main = BitMatrix(
+                [program.chi.row(i) for i in partition(program, s).main_rows], cols=200
+            )
             for backend in ALL_EXACT:
-                value = evaluate(program, s, backend).value
-                assert value == pytest.approx(expected, abs=1e-12), backend
+                result = evaluate(program, s, backend)
+                assert result.value == pytest.approx(expected, abs=1e-12), backend
+                # only the main part is simulated: its rank, at most the window weight
+                assert result.reduced_dim == rank(main) <= 3, backend
+
+    def test_one_main_row_among_many(self):
+        # 40 independent rows, only e0 main against e0: one simulated qubit,
+        # while sampling the whole program stays refused at rank 40
+        n = 40
+        program = IqpProgram(
+            BitMatrix([BitVector(n, 1 << i) for i in range(n)], cols=n),
+            (PI_OVER_8,) * n,
+        )
+        e0 = BitVector(n, 1)
+        for backend in ALL_EXACT:
+            result = evaluate(program, e0, backend)
+            assert result.value == pytest.approx(SQRT_HALF, abs=1e-12), backend
+            assert result.reduced_dim == 1, backend
+        with pytest.raises(CapacityError):
+            sample_outputs(program, 5, np.random.default_rng(0))
 
 
 class TestMonteCarlo:
@@ -392,6 +415,12 @@ class TestDispatch:
         s = BitVector.from_string("10")
         with pytest.raises(ValidationError):
             evaluate(program, s, Backend.DIAGONAL_MC, rng=np.random.default_rng(0))
+
+    def test_unknown_backend_rejected(self):
+        program = program_of(["11"])
+        s = BitVector.from_string("10")
+        with pytest.raises(ValidationError, match="diagonal_mc"):
+            evaluate(program, s, "mc")
 
     def test_backend_tags(self):
         program = program_of(["11"])

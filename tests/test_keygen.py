@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from iqpverify.bitlin import BitMatrix, BitVector, dot
 from iqpverify.errors import ConstructionError, ValidationError
-from iqpverify.evaluators import correlation_statevector
+from iqpverify.evaluators import correlation_clifford, correlation_statevector
 from iqpverify.keygen import (
     ConstructionSpec,
     ScrambleOp,
@@ -261,8 +261,12 @@ class TestBuildChallenge:
         assert all(not s.is_zero() for s in key.secrets)
 
     def test_meta_records_backend(self):
-        _, key = build_challenge(ConstructionSpec(n=6, seed=2))
+        program, key = build_challenge(ConstructionSpec(n=6, seed=2))
         assert any("clifford" in line for line in key.meta)
+        for k, (line, s) in enumerate(zip(key.meta, key.secrets)):
+            d = correlation_clifford(program, s).reduced_dim
+            assert line.startswith(f"secret {k}: backend=clifford g=")
+            assert line.endswith(f" dim={d}")
 
     def test_spec_validation(self):
         with pytest.raises(ValidationError):

@@ -10,7 +10,6 @@ from .bitlin import (
     SPAN_CAP,
     BitMatrix,
     BitVector,
-    add_column,
     dot,
     echelon,
     nullspace_basis,

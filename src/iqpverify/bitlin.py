@@ -26,7 +26,6 @@ __all__ = [
     "rank",
     "nullspace_basis",
     "span_weights",
-    "add_column",
     "walsh_hadamard",
     "words_per_row",
     "pack_rows",
@@ -279,19 +278,6 @@ def span_weights(basis: Sequence[BitVector], *, length: int | None = None) -> np
             axis=1, dtype=np.int64
         )
     return out
-
-
-def add_column(matrix: BitMatrix, src: int, dst: int) -> BitMatrix:
-    """Return a copy with column ``dst`` replaced by dst xor src."""
-    n = matrix.num_cols
-    if not (0 <= src < n and 0 <= dst < n):
-        raise DimensionError(f"column indices ({src}, {dst}) outside 0..{n - 1}")
-    if src == dst:
-        raise ValidationError("column addition needs two distinct columns")
-    rows = [
-        BitVector(n, r.bits ^ (((r.bits >> src) & 1) << dst)) for r in matrix.rows
-    ]
-    return BitMatrix(rows, cols=n)
 
 
 def walsh_hadamard(values: np.ndarray) -> np.ndarray:

@@ -9,7 +9,7 @@ against s) never contribute, which is what the faster backends exploit:
 * diagonal exact   exact, any angles, 2**d work
 * diagonal mc      unbiased estimate over uniform n-bit strings, polynomial work
 * subspace         exact closed form when all main angles are equal
-* clifford         exact stabilizer amplitude when main angles are w*pi/8
+* clifford         exact Z4 exponential sum when main angles are w*pi/8
 
 An exact correlation simulates only the secret's main rows, rewritten on
 d = rank(main rows) qubits, so it costs 2**rank(main rows).  Sampling
@@ -37,7 +37,6 @@ from .bitlin import (
     span_weights,
     walsh_hadamard,
 )
-from .chform import CHForm
 from .errors import AngleError, CapacityError, DimensionError, ValidationError
 from .model import IqpProgram, partition
 
@@ -272,39 +271,98 @@ def correlation_subspace(program: IqpProgram, s: BitVector) -> CorrelationResult
     return CorrelationResult(total / (1 << d), Backend.SUBSPACE, reduced_dim=d)
 
 
-def correlation_clifford(program: IqpProgram, s: BitVector) -> CorrelationResult:
-    """Exact stabilizer amplitude when every main angle is a multiple of pi/8.
+def _bits(mask: int):
+    """Indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
-    Each main row becomes a diagonal eighth-root rotation: a CX ladder onto
-    one support qubit conjugating a single-qubit S power, with the scalar
-    eighth-root phase tracked separately.  The final amplitude is exact, so
-    |value| is exactly 0 or 2**(-g/2) and g is reported.
+
+def _add_parity(lin: list[int], pairs: list[int], k: int, mask: int):
+    """q(x) += k * [mask . x] mod 4.
+
+    [a . x] = sum_{i in a} x_i - 2 * sum_{i < i' in a} x_i x_i' (mod 4), so
+    L_i += k on the mask and, for odd k, every pair inside the mask toggles.
     """
-    program, s, basis = _reduce(program, s)
-    st = CHForm.plus(program.n)
+    for i in _bits(mask):
+        lin[i] = (lin[i] + k) & 3
+        if k & 1:
+            pairs[i] ^= mask ^ (1 << i)
+
+
+def _z4_sum(program: IqpProgram) -> tuple[int, int] | None:
+    """The reduced main part's correlation as (phase8, r2), or None when it is 0.
+
+    The value is omega**phase8 * 2**(r2/2), omega = e^(i*pi/4).  With
+    k_j = -w_j mod 4 and W = sum_j w_j it equals
+    omega**W * 2**-d * sum over x in F_2^d of i**q(x),
+    q(x) = sum_j k_j * [c_j . x] mod 4 = L . x + 2 * sum over pairs in B of x_i x_i'.
+    The sum drops the lowest live variable p at a time (Bravyi-Gosset,
+    arXiv:1601.07601), with b = B[p] on the live variables:
+    L_p odd gives sqrt2 * omega**(+-1) * i**(-+[b . x]); L_p even gives 2, or
+    0 when also b = 0 and L_p = 2, or, when b != 0, fixes the lowest pivot r
+    of b to x_r = L_p/2 xor (b minus r) . x.
+    """
+    d = program.n
+    lin, pairs = [0] * d, [0] * d
+    phase8, r2 = 0, -2 * d
     for row, angle in zip(program.chi.rows, program.angles):
         w = angle.multiple_of_pi8()
         if w is None:
             raise AngleError(f"main-part angle {angle} is not a multiple of pi/8")
-        st.scale_eighth_root(w)
-        k = (-w) % 4
-        if k:
-            support = row.support()
-            target = support[0]
-            for j in support[1:]:
-                st.apply_cx(j, target)
-            st.apply_s(target, k)
-            for j in support[1:]:
-                st.apply_cx(j, target)
-    for q in range(program.n):
-        st.apply_h(q)
-    amp = st.amplitude_zero_exact()
+        phase8 += w
+        _add_parity(lin, pairs, -w & 3, row.bits)
+    live = (1 << d) - 1
+    for p in range(d):
+        if not (live >> p) & 1:
+            continue
+        live ^= 1 << p
+        b, lp = pairs[p] & live, lin[p]
+        if lp & 1:
+            r2 += 1
+            phase8 += 1 if lp == 1 else 7
+            _add_parity(lin, pairs, -lp & 3, b)
+        elif not b:
+            if lp:
+                return None
+            r2 += 2
+        else:
+            r2 += 2
+            low = b & -b
+            live ^= low
+            r, rest = low.bit_length() - 1, b ^ low
+            u, lr = pairs[r] & live, lin[r]
+            if lp:  # x_r = 1 xor y: L_r x_r = L_r - L_r y, 2 x_r u.x = 2 u.x + 2 y u.x
+                phase8 += 2 * lr
+                _add_parity(lin, pairs, -lr & 3, rest)
+                _add_parity(lin, pairs, 2, u)
+            else:
+                _add_parity(lin, pairs, lr, rest)
+            # 2 y u.x with y = rest . x: the pairs rest x u, and 2 x_i for i in both
+            for i in _bits(rest):
+                pairs[i] ^= u
+            for j in _bits(u):
+                pairs[j] ^= rest
+            _add_parity(lin, pairs, 2, rest & u)
+    return phase8 % 8, r2
+
+
+def correlation_clifford(program: IqpProgram, s: BitVector) -> CorrelationResult:
+    """Exact value when every main angle is a multiple of pi/8.
+
+    The main part is a Z4 exponential sum over its d reduced qubits, summed
+    exactly in O(d**3) bit operations, so |value| is exactly 0 or 2**(-g/2)
+    and g is reported.
+    """
+    program, s, basis = _reduce(program, s)
+    exact = _z4_sum(program)
     d = len(basis)
-    if amp is None:
+    if exact is None:
         return CorrelationResult(0.0, Backend.CLIFFORD, reduced_dim=d)
-    phase8, r2 = amp
+    phase8, r2 = exact
     if phase8 not in (0, 4):  # pragma: no cover - the value is a real expectation
-        raise AssertionError(f"non-real amplitude phase {phase8}")
+        raise AssertionError(f"non-real phase {phase8}")
     g = -r2
     assert 0 <= g <= program.n, g
     value = 2.0 ** (r2 / 2.0)

@@ -67,6 +67,11 @@ MAX_MESSAGE_BYTES = 64 * 1024 * 1024
 _RECV_CHUNK = 1 << 16
 
 
+def _max_samples(n: int) -> int:
+    """Most samples whose reply fits one line: each costs n + 3 bytes ("...",)."""
+    return MAX_MESSAGE_BYTES // (n + 3)
+
+
 class WeakSignalWarning(UserWarning):
     """An expected value sits too close to zero for the chosen threshold."""
 
@@ -135,6 +140,11 @@ class ChallengeMsg:
     ) -> "ChallengeMsg":
         if samples < 1:
             raise ValidationError("must request at least one sample")
+        if samples > _max_samples(program.n):
+            raise ValidationError(
+                f"{samples} samples of n={program.n} exceed the reply limit "
+                f"of {_max_samples(program.n)}"
+            )
         return cls(
             session=session or uuid.uuid4().hex,
             n=program.n,
@@ -176,6 +186,10 @@ class ChallengeMsg:
         t = payload.get("t")
         if not isinstance(t, int) or isinstance(t, bool) or t < 1:
             raise ProtocolError("bad-count", "t must be a positive integer")
+        if t > _max_samples(n):
+            raise ProtocolError(
+                "capacity", f"t={t} at n={n} exceeds the reply limit of {_max_samples(n)}"
+            )
         return cls(session, n, tuple(rows), tuple(pairs), t)
 
     def to_payload(self) -> dict:

@@ -43,35 +43,6 @@ def dense_correlation(program: IqpProgram, s: BitVector) -> float:
     return float(np.dot(probs, signs))
 
 
-# -- dense Clifford gates (for validating the stabilizer representation) ----
-
-
-def gate_h(state: np.ndarray, q: int) -> np.ndarray:
-    idx = np.arange(state.size)
-    low = state[idx & ~(1 << q)]
-    high = state[idx | (1 << q)]
-    sign = 1.0 - 2.0 * ((idx >> q) & 1)
-    return (low + sign * high) / np.sqrt(2.0)
-
-
-def gate_s_power(state: np.ndarray, q: int, power: int) -> np.ndarray:
-    idx = np.arange(state.size)
-    phase = 1j ** (power % 4)
-    return np.where((idx >> q) & 1, phase * state, state)
-
-
-def gate_cx(state: np.ndarray, c: int, t: int) -> np.ndarray:
-    idx = np.arange(state.size)
-    src = np.where((idx >> c) & 1, idx ^ (1 << t), idx)
-    return state[src]
-
-
-def gate_cz(state: np.ndarray, c: int, t: int) -> np.ndarray:
-    idx = np.arange(state.size)
-    both = ((idx >> c) & 1) & ((idx >> t) & 1)
-    return np.where(both, -state, state)
-
-
 def brute_force_span(basis: list[BitVector]) -> set[int]:
     """All XOR combinations of the basis vectors, as plain ints."""
     out = {0}

@@ -9,7 +9,6 @@ from iqpverify.bitlin import (
     SPAN_CAP,
     BitMatrix,
     BitVector,
-    add_column,
     dot,
     echelon,
     nullspace_basis,
@@ -199,37 +198,6 @@ class TestSpans:
 
     def test_span_weights_empty_basis(self):
         assert span_weights([], length=4).tolist() == [0]
-
-
-class TestAddColumn:
-    def test_worked_example(self):
-        m = BitMatrix.from_strings(["1100", "0101"])
-        out = add_column(m, 0, 2)
-        assert out == BitMatrix.from_strings(["1110", "0101"])
-
-    def test_out_of_range(self):
-        m = BitMatrix.from_strings(["10", "01"])
-        with pytest.raises(DimensionError):
-            add_column(m, 0, 2)
-        with pytest.raises(ValidationError):
-            add_column(m, 1, 1)
-
-    @given(matrices(max_n=8, max_m=6), st.data())
-    def test_involution(self, m, data):
-        if m.num_cols < 2:
-            return
-        src = data.draw(st.integers(0, m.num_cols - 1))
-        dst = data.draw(
-            st.integers(0, m.num_cols - 2).map(lambda d: d + 1 if d >= src else d)
-        )
-        once = add_column(m, src, dst)
-        assert add_column(once, src, dst) == m
-
-    @given(matrices(max_n=8, max_m=6))
-    def test_rank_preserved(self, m):
-        if m.num_cols < 2:
-            return
-        assert rank(add_column(m, 0, m.num_cols - 1)) == rank(m)
 
 
 class TestWalshHadamard:

@@ -187,7 +187,7 @@ class TestAgainstDenseOracle:
         assert got == pytest.approx(dense_correlation(program, s), abs=1e-10)
 
     @settings(max_examples=50, deadline=None)
-    @given(st.integers(1, 7), st.integers(1, 10), st.integers(0, 2**32 - 1))
+    @given(st.integers(1, 10), st.integers(1, 10), st.integers(0, 2**32 - 1))
     def test_clifford_matches_at_pi8_multiples(self, n, m, seed):
         rng = np.random.default_rng(seed)
         rows = [BitVector(n, int(rng.integers(1, 1 << n))) for _ in range(m)]

@@ -3,7 +3,9 @@
 The digests below were recorded before sample batches were packed into
 uint64 words.  For n <= 63 every random draw, and so every reply's wire
 bytes, the judged statistics and every Monte-Carlo value, must stay exactly
-as they were; challenge bytes must stay the same at any n.
+as they were; challenge bytes must stay the same at any n.  The clifford
+digest was recorded with the CH-form stabilizer simulator, before the
+backend became an exponential sum: value, g and reduced_dim stay bitwise.
 """
 
 import hashlib
@@ -11,10 +13,15 @@ import hashlib
 import numpy as np
 import pytest
 
-from iqpverify.bitlin import BitVector, pack_rows
-from iqpverify.evaluators import correlation_diagonal
-from iqpverify.keygen import ConstructionSpec, build_challenge, random_program
-from iqpverify.model import SecretKey
+from iqpverify.bitlin import BitMatrix, BitVector, pack_rows
+from iqpverify.evaluators import correlation_clifford, correlation_diagonal
+from iqpverify.keygen import (
+    ConstructionSpec,
+    build_challenge,
+    random_nonzero_bits,
+    random_program,
+)
+from iqpverify.model import Angle, IqpProgram, SecretKey
 from iqpverify.protocol import (
     ChallengeMsg,
     SecretVerdict,
@@ -96,3 +103,22 @@ def test_monte_carlo_value():
     s = BitVector.from_string("1011001101")
     result = correlation_diagonal(program, s, samples=T, rng=np.random.default_rng(14))
     assert result.value == 0.023474412112561592
+
+
+def test_clifford_digest():
+    # n in 1..16, and 60..130 for every tenth program; w*pi/8 with w in
+    # 0..15; about one secret in eight is zero
+    rng = np.random.default_rng(8)
+    digest = hashlib.sha256()
+    for i in range(3000):
+        n = int(rng.integers(60, 131)) if i % 10 == 0 else int(rng.integers(1, 17))
+        m = int(rng.integers(0, 21))
+        rows = [BitVector(n, random_nonzero_bits(n, rng)) for _ in range(m)]
+        angles = tuple(Angle(int(rng.integers(0, 16)), 8) for _ in range(m))
+        program = IqpProgram(BitMatrix(rows, cols=n), angles)
+        s = 0 if rng.integers(0, 8) == 0 else random_nonzero_bits(n, rng)
+        r = correlation_clifford(program, BitVector(n, s))
+        digest.update(f"{r.value!r} {r.g} {r.reduced_dim};".encode())
+    assert digest.hexdigest() == (
+        "cb83acbd6f38d6b1e069a72750f6fd7de16b947860515ff7b36e97023eda7851"
+    )

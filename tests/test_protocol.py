@@ -98,12 +98,21 @@ class TestCodec:
             ({"angles": "x"}, "bad-angle"),
             ({"t": 0}, "bad-count"),
             ({"t": 2.5}, "bad-count"),
+            ({"t": 10**12}, "capacity"),
         ],
     )
     def test_challenge_rejections(self, overrides, code):
         with pytest.raises(ProtocolError) as err:
             ChallengeMsg.from_payload(challenge_payload(**overrides))
         assert err.value.code == code
+
+    def test_sample_count_bounded_by_reply_limit(self):
+        # a reply spends n + 3 bytes per sample, so n=5 allows MAX // 8 of them
+        at_bound = MAX_MESSAGE_BYTES // 8
+        msg = ChallengeMsg.from_payload(challenge_payload(t=at_bound))
+        assert msg.samples_requested == at_bound
+        with pytest.raises(ValidationError, match="reply limit"):
+            ChallengeMsg.from_program(small_program(), at_bound + 1)
 
     def test_angle_denominator_checked(self):
         payload = challenge_payload()
@@ -363,6 +372,16 @@ class TestLoopback:
             with pytest.raises(ProtocolError) as err:
                 request(server.address, program, 5)
         assert err.value.code == "capacity"
+
+    def test_oversized_count_gets_capacity_reply(self):
+        # refused while parsing, before any prover allocates the batch
+        line = json.dumps(challenge_payload(t=10**12)).encode() + b"\n"
+        with ProverServer(seed=0) as server:
+            with socket.create_connection(server.address, timeout=5) as sock:
+                sock.sendall(line)
+                reply = json.loads(_recv_line(sock))
+        assert reply["type"] == "error"
+        assert reply["code"] == "capacity"
 
     def test_malformed_line_gets_error_reply(self):
         with ProverServer(seed=0) as server:

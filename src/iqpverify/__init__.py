@@ -61,7 +61,6 @@ from .keygen import (
     random_scramble_ops,
     scramble,
     search_main_part,
-    swap_column_ops,
 )
 from .model import (
     PI_OVER_8,
@@ -70,7 +69,6 @@ from .model import (
     Partition,
     SecretKey,
     bias_from_correlation,
-    hamiltonian_text,
     parse_key,
     parse_program,
     partition,

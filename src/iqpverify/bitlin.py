@@ -179,7 +179,13 @@ class BitMatrix:
     def transpose(self) -> BitMatrix:
         if not self._rows:
             raise DimensionError("cannot transpose a matrix with no rows")
-        return BitMatrix(list(self.columns()), cols=len(self._rows))
+        m, width = len(self._rows), (self._cols + 7) // 8
+        data = b"".join(r.bits.to_bytes(width, "little") for r in self._rows)
+        octets = np.frombuffer(data, dtype=np.uint8).reshape(m, width)
+        table = np.unpackbits(octets, axis=1, count=self._cols, bitorder="little")
+        packed = np.packbits(table.T, axis=1, bitorder="little")
+        columns = [int.from_bytes(c.tobytes(), "little") for c in packed]
+        return BitMatrix([BitVector(m, c) for c in columns], cols=m)
 
     def __eq__(self, other) -> bool:
         return (

@@ -9,7 +9,7 @@ secrets together without moving any correlation value.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -28,7 +28,6 @@ __all__ = [
     "search_main_part",
     "add_redundant_rows",
     "random_scramble_ops",
-    "swap_column_ops",
     "scramble",
     "build_challenge",
 ]
@@ -45,10 +44,11 @@ class ScrambleOp:
     dst: int
 
     def __post_init__(self):
-        if self.src < 0 or self.dst < 0:
-            raise ValidationError("column indices must be non-negative")
-        if self.src == self.dst:
-            raise ValidationError("scramble op needs two distinct columns")
+        if self.src == self.dst or self.src < 0 or self.dst < 0:
+            raise ValidationError(f"op ({self.src}, {self.dst}) needs two distinct columns >= 0")
+
+    def __iter__(self):
+        return iter((self.src, self.dst))
 
 
 @dataclass(frozen=True)
@@ -206,9 +206,8 @@ def add_redundant_rows(
         raise ValidationError("count must be non-negative")
     if not secrets:
         raise ValidationError("need at least one secret")
-    for s in secrets:
-        if len(s) != program.n:
-            raise DimensionError("secret length differs from program width")
+    if any(len(s) != program.n for s in secrets):
+        raise DimensionError("secret length differs from program width")
     if count == 0:
         return program
     basis = nullspace_basis(BitMatrix(list(secrets), cols=program.n))
@@ -230,50 +229,67 @@ def add_redundant_rows(
     return IqpProgram(BitMatrix(rows, cols=program.n), tuple(angles))
 
 
-def random_scramble_ops(n: int, count: int, rng: np.random.Generator) -> list[ScrambleOp]:
-    """Uniform random distinct (src, dst) column-addition ops."""
-    if n < 2:
-        raise ValidationError("scrambling needs at least two columns")
-    ops = []
-    for _ in range(count):
-        src = int(rng.integers(0, n))
-        dst = int(rng.integers(0, n - 1))
-        if dst >= src:
-            dst += 1
-        ops.append(ScrambleOp(src, dst))
-    return ops
+def random_scramble_ops(n: int, count: int, rng: np.random.Generator) -> list[tuple[int, int]]:
+    """``count`` uniform random column pairs (src, dst), src != dst, in O(count) numpy work.
+
+    Equal, with the final ``rng`` state, to the scalar loop src = rng.integers(0, n),
+    dst = rng.integers(0, n - 1) moved past src: one call draws 32-bit words x,
+    mapped as numpy does to x*r >> 32 (r = n, then n - 1, none at n = 2); x is
+    dropped when x*r mod 2**32 < 2**32 mod r and the stream topped up.
+    """
+    if not 2 <= n <= 1 << 32 or count < 0:
+        raise ValidationError(f"{count} ops on {n} columns: need 2 <= n <= 2**32, count >= 0")
+    ranges = np.array([n, n - 1] if n > 2 else [n], dtype=np.uint64)
+    picks, done, need = [np.empty(0, dtype=np.uint64)], 0, count * len(ranges)
+    while done < need:
+        words = rng.integers(0, 1 << 32, size=need - done, dtype=np.uint32)
+        while words.size:
+            r = ranges[(done + np.arange(words.size)) % len(ranges)]
+            scaled = words * r
+            bad = np.flatnonzero((scaled & 0xFFFFFFFF) < (1 << 32) % r)
+            keep = int(bad[0]) if bad.size else words.size
+            picks.append(scaled[:keep] >> 32)
+            done, words = done + keep, words[keep + 1 :]
+    values = np.concatenate(picks).astype(np.int64).reshape(count, len(ranges))
+    src, dst = values[:, 0], values[:, -1] * (n > 2)  # dst = 0 at n = 2
+    return list(zip(src.tolist(), (dst + (dst >= src)).tolist()))
 
 
-def swap_column_ops(a: int, b: int) -> list[ScrambleOp]:
-    """A column swap expressed as three additions (xor-swap), so callers who
-    want permutations can feed these to :func:`scramble` directly."""
-    return [ScrambleOp(a, b), ScrambleOp(b, a), ScrambleOp(a, b)]
+def _transposed(rows: list[int], width: int) -> list[int]:
+    """Column j of a len(rows)-by-width bit matrix, as an int whose bit i is row i."""
+    if not rows or not width:
+        return [0] * width
+    matrix = BitMatrix([BitVector(width, r) for r in rows], cols=width)
+    return [c.bits for c in matrix.transpose().rows]
 
 
 def scramble(
-    program: IqpProgram, secrets: Sequence[BitVector], ops: Sequence[ScrambleOp]
+    program: IqpProgram, secrets: Sequence[BitVector], ops: Iterable[tuple[int, int]]
 ) -> tuple[IqpProgram, tuple[BitVector, ...]]:
     """Apply column additions to the program and the matched secret updates.
 
     Op (src, dst) adds column src into column dst and adds secret entry dst
     into entry src, which preserves every row-secret parity -- and therefore
     every correlation value.  Applying the same ops twice is the identity.
+    Ops are (src, dst) pairs or ScrambleOps.  Chi and the secrets are
+    transposed once into column ints, so each op is two int XORs: the cost
+    is O(len(ops) + n*(m + K)), not O(len(ops) * (m + K)).
     """
-    for s in secrets:
-        if len(s) != program.n:
-            raise DimensionError("secret length differs from program width")
-    row_bits = [r.bits for r in program.chi.rows]
-    secret_bits = [s.bits for s in secrets]
     n = program.n
-    for op in ops:
-        if op.src >= n or op.dst >= n:
-            raise DimensionError(f"op ({op.src}, {op.dst}) outside {n} columns")
-        row_bits = [bits ^ (((bits >> op.src) & 1) << op.dst) for bits in row_bits]
-        secret_bits = [
-            bits ^ (((bits >> op.dst) & 1) << op.src) for bits in secret_bits
-        ]
-    chi = BitMatrix([BitVector(n, bits) for bits in row_bits], cols=n)
-    return IqpProgram(chi, program.angles), tuple(BitVector(n, b) for b in secret_bits)
+    if any(len(s) != n for s in secrets):
+        raise DimensionError("secret length differs from program width")
+    cols = _transposed([r.bits for r in program.chi.rows], n)
+    secret_cols = _transposed([s.bits for s in secrets], n)
+    for src, dst in ops:
+        if src == dst or src < 0 or dst < 0:
+            raise ValidationError(f"op ({src}, {dst}) needs two distinct columns >= 0")
+        if src >= n or dst >= n:
+            raise DimensionError(f"op ({src}, {dst}) outside {n} columns")
+        cols[dst] ^= cols[src]
+        secret_cols[src] ^= secret_cols[dst]
+    chi = BitMatrix([BitVector(n, r) for r in _transposed(cols, program.m)], cols=n)
+    secrets = tuple(BitVector(n, s) for s in _transposed(secret_cols, len(secrets)))
+    return IqpProgram(chi, program.angles), secrets
 
 
 def build_challenge(spec: ConstructionSpec) -> tuple[IqpProgram, SecretKey]:
@@ -323,7 +339,7 @@ def build_challenge(spec: ConstructionSpec) -> tuple[IqpProgram, SecretKey]:
     op_count = spec.scramble_ops
     if op_count is None:
         op_count = DEFAULT_SCRAMBLE_FACTOR * spec.n
-    if op_count and spec.n >= 2:
+    if spec.n >= 2:
         ops = random_scramble_ops(spec.n, op_count, rng)
         program, secrets = scramble(program, secrets, ops)
     for k, (s, e) in enumerate(zip(secrets, expected)):

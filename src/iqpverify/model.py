@@ -22,7 +22,6 @@ __all__ = [
     "SecretKey",
     "Partition",
     "partition",
-    "hamiltonian_text",
     "bias_from_correlation",
     "serialize_program",
     "parse_program",
@@ -52,16 +51,8 @@ class Angle:
         object.__setattr__(self, "den", f.denominator)
 
     @property
-    def times_pi(self) -> Fraction:
-        """The angle divided by pi, as an exact fraction in [0, 2)."""
-        return Fraction(self.num, self.den)
-
-    @property
     def radians(self) -> float:
         return self.num * pi / self.den
-
-    def is_zero(self) -> bool:
-        return self.num == 0
 
     def multiple_of_pi8(self) -> int | None:
         """w such that the angle equals w*pi/8, or None if no integer works."""
@@ -165,17 +156,6 @@ def partition(program: IqpProgram, s: BitVector) -> Partition:
     for i, row in enumerate(program.chi.rows):
         (main if dot(row, s) else redundant).append(i)
     return Partition(tuple(main), tuple(redundant))
-
-
-def hamiltonian_text(program: IqpProgram) -> str:
-    """Human-readable product form, e.g. 'e^{i(1/8)π X1X2} · e^{i(1/8)π X2X4}'."""
-    if program.m == 0:
-        return "I"
-    terms = []
-    for row, angle in zip(program.chi.rows, program.angles):
-        xs = "".join(f"X{i + 1}" for i in row.support())
-        terms.append(f"e^{{i({angle})π {xs}}}")
-    return " · ".join(terms)
 
 
 def bias_from_correlation(value: float) -> float:

@@ -106,6 +106,16 @@ class TestBitMatrix:
         m = BitMatrix.from_strings(["110", "011", "101"])
         assert m.transpose().transpose() == m
 
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 64, 65, 200])
+    def test_transpose_entries(self, n):
+        rng = np.random.default_rng(n)
+        for m in (1, 8, 13):
+            rows = [BitVector(n, int(b)) for b in rng.integers(0, 1 << min(n, 62), size=m)]
+            rows[-1] = BitVector(n, (1 << n) - 1)  # top coordinate set
+            t = BitMatrix(rows, cols=n).transpose()
+            assert t.shape == (n, m)
+            assert t.rows == tuple(BitMatrix(rows, cols=n).columns())
+
     def test_ragged_rows_rejected(self):
         with pytest.raises(DimensionError):
             BitMatrix([BitVector(2, 1), BitVector(3, 1)], cols=2)

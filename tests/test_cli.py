@@ -68,6 +68,19 @@ class TestKeygenScramble:
         assert new.expected == old.expected
         assert new.secrets != old.secrets  # 60 ops on 8 columns will move it
 
+    def test_scramble_refuses_negative_op_count(self, challenge_files, tmp_path, capsys):
+        prog, key = challenge_files
+        sprog = tmp_path / "s.iqp"
+        code = run_cli(
+            "scramble",
+            "--program", prog, "--key", key,
+            "--ops", -5, "--seed", 3,
+            "--out", sprog, "--key-out", tmp_path / "s.iqpkey",
+        )
+        assert code == 3
+        assert "count >= 0" in capsys.readouterr().err
+        assert not sprog.exists()
+
 
 class TestEval:
     def test_eval_with_key(self, challenge_files, capsys):

@@ -6,6 +6,8 @@ bytes, the judged statistics and every Monte-Carlo value, must stay exactly
 as they were; challenge bytes must stay the same at any n.  The clifford
 digest was recorded with the CH-form stabilizer simulator, before the
 backend became an exponential sum: value, g and reduced_dim stay bitwise.
+The challenge digest was recorded while the scramble still drew its column
+ops one scalar ``rng.integers`` call at a time.
 """
 
 import hashlib
@@ -21,7 +23,7 @@ from iqpverify.keygen import (
     random_nonzero_bits,
     random_program,
 )
-from iqpverify.model import Angle, IqpProgram, SecretKey
+from iqpverify.model import Angle, IqpProgram, SecretKey, serialize_key
 from iqpverify.protocol import (
     ChallengeMsg,
     SecretVerdict,
@@ -121,4 +123,30 @@ def test_clifford_digest():
         digest.update(f"{r.value!r} {r.g} {r.reduced_dim};".encode())
     assert digest.hexdigest() == (
         "cb83acbd6f38d6b1e069a72750f6fd7de16b947860515ff7b36e97023eda7851"
+    )
+
+
+def test_challenge_digest():
+    # padding up to 2n rows; explicit op counts up to 25n, or the default
+    # 20n; n = 2 scrambles with no dst draws
+    rng = np.random.default_rng(9)
+    digest = hashlib.sha256()
+    for i in range(296):
+        n = (2, 3, 6, 10, 18, 64, 65, 200)[i % 8]
+        weight = int(rng.integers(1, min(3, n - 1) + 1))
+        secrets = int(rng.integers(1, min(4, (n - 1) // weight) + 1))
+        ops = None if rng.integers(0, 4) == 0 else int(rng.integers(0, 25 * n + 1))
+        spec = ConstructionSpec(
+            n=n,
+            secrets=secrets,
+            weight=weight,
+            redundant_rows=int(rng.integers(0, 2 * n + 1)),
+            scramble_ops=ops,
+            seed=i,
+        )
+        program, key = build_challenge(spec)
+        challenge = ChallengeMsg.from_program(program, T, session="frozen")
+        digest.update(challenge.encode() + serialize_key(key).encode())
+    assert digest.hexdigest() == (
+        "b02a809ea7f8cfd328afee78cc487e7d6acfe9cc41b99bd5212897b092b41e1b"
     )

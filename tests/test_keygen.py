@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iqpverify.bitlin import BitMatrix, BitVector, dot
-from iqpverify.errors import ConstructionError, ValidationError
+from iqpverify.errors import ConstructionError, DimensionError, ValidationError
 from iqpverify.evaluators import correlation_clifford, correlation_statevector
 from iqpverify.keygen import (
     ConstructionSpec,
@@ -18,7 +18,6 @@ from iqpverify.keygen import (
     random_scramble_ops,
     scramble,
     search_main_part,
-    swap_column_ops,
 )
 from iqpverify.model import PI_OVER_8, Angle, IqpProgram
 
@@ -171,6 +170,30 @@ class TestScramble:
         with pytest.raises(ValidationError):
             ScrambleOp(-1, 0)
 
+    @pytest.mark.parametrize("op", [(1, 1), (-1, 0), (0, -2)])
+    def test_bad_pair_refused(self, op):
+        program = IqpProgram(BitMatrix.from_strings(["110"]), (PI_OVER_8,))
+        with pytest.raises(ValidationError):
+            scramble(program, [BitVector(3, 1)], [(0, 1), op])
+
+    @pytest.mark.parametrize("op", [(0, 3), ScrambleOp(3, 1)])
+    def test_pair_outside_columns_refused(self, op):
+        program = IqpProgram(BitMatrix.from_strings(["110"]), (PI_OVER_8,))
+        with pytest.raises(DimensionError):
+            scramble(program, [BitVector(3, 1)], [op])
+
+    def test_tuples_and_ops_agree(self):
+        program = random_program(6, 5, "pi8", np.random.default_rng(4))
+        s = [BitVector(6, 0b101101), BitVector(6, 0b000011)]
+        pairs = random_scramble_ops(6, 30, np.random.default_rng(5))
+        assert scramble(program, s, pairs) == scramble(
+            program, s, [ScrambleOp(a, b) for a, b in pairs]
+        )
+
+    def test_empty_program_and_no_secrets(self):
+        program = IqpProgram(BitMatrix([], cols=4), ())
+        assert scramble(program, [], [(0, 1), (3, 2)]) == (program, ())
+
     @settings(max_examples=60, deadline=None)
     @given(
         st.integers(2, 10),
@@ -200,22 +223,32 @@ class TestScramble:
         back, secrets = scramble(program, [s], undo)
         assert back == program and secrets == (s,)
 
-    def test_swap_column_ops(self):
-        program = IqpProgram(
-            BitMatrix.from_strings(["100", "010", "110"]), (PI_OVER_8,) * 3
-        )
-        s = BitVector.from_string("101")
-        swapped, secrets = scramble(program, [s], swap_column_ops(0, 2))
-        assert swapped.chi == BitMatrix.from_strings(["001", "010", "011"])
-        assert secrets == (BitVector.from_string("101"),)
-
-        s2 = BitVector.from_string("100")
-        _, secrets2 = scramble(program, [s2], swap_column_ops(0, 2))
-        assert secrets2 == (BitVector.from_string("001"),)
-
     def test_scramble_ops_need_two_columns(self):
         with pytest.raises(ValidationError):
             random_scramble_ops(1, 3, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("n, count", [(4, -5), (2**32 + 1, 1)])
+    def test_bad_draw_refused(self, n, count):
+        # past 2**32 columns numpy draws 64-bit words, which this map does not follow
+        with pytest.raises(ValidationError):
+            random_scramble_ops(n, count, np.random.default_rng(0))
+
+    @pytest.mark.parametrize(
+        "n, count",
+        [(2, 300), (3, 300), (10, 300), (200, 300), (1000, 300), (2**31 + 1, 40), (2**32, 40)],
+    )
+    def test_draws_equal_scalar_loop(self, n, count):
+        # at n = 2**31 + 1 about half the src words are rejected, so the
+        # drop-and-top-up path runs many times
+        for seed in range(3):
+            batch, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+            expected = []
+            for _ in range(count):
+                src = int(scalar.integers(0, n))
+                dst = int(scalar.integers(0, n - 1))
+                expected.append((src, dst + (dst >= src)))
+            assert random_scramble_ops(n, count, batch) == expected
+            assert batch.bit_generator.state == scalar.bit_generator.state
 
 
 class TestBuildChallenge:

@@ -14,7 +14,6 @@ from iqpverify.model import (
     IqpProgram,
     SecretKey,
     bias_from_correlation,
-    hamiltonian_text,
     parse_key,
     parse_program,
     partition,
@@ -95,16 +94,6 @@ class TestProgram:
         assert part.redundant_rows == (1,)
         part = partition(p, BitVector.from_string("1110"))
         assert part.main_rows == (1,)
-
-    def test_hamiltonian_text(self):
-        assert (
-            hamiltonian_text(two_row_program())
-            == "e^{i(1/8)π X1X2} · e^{i(1/8)π X2X4}"
-        )
-
-    def test_hamiltonian_text_empty(self):
-        p = IqpProgram(BitMatrix([], cols=3), ())
-        assert hamiltonian_text(p) == "I"
 
 
 class TestBias:

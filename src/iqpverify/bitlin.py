@@ -29,8 +29,8 @@ __all__ = [
     "walsh_hadamard",
     "words_per_row",
     "pack_rows",
-    "unpack_rows",
-    "table_rows",
+    "pack_bits",
+    "unpack_bits",
     "row_parities",
     "random_rows",
 ]
@@ -326,22 +326,21 @@ def pack_rows(rows: Sequence[str], n: int) -> np.ndarray:
     bits = np.frombuffer(text, dtype=np.uint8).reshape(len(rows), n) - ord("0")
     if np.any(bits > 1):
         raise ValidationError("rows hold characters other than '0' and '1'")
-    padded = np.zeros((len(rows), 64 * words_per_row(n)), dtype=np.uint8)
-    padded[:, :n] = bits
+    return pack_bits(bits)
+
+
+def pack_bits(table: np.ndarray) -> np.ndarray:
+    """Pack a T x n table of 0/1 entries (column i is coordinate i) into a batch."""
+    count, n = table.shape
+    padded = np.zeros((count, 64 * words_per_row(n)), dtype=np.uint8)
+    padded[:, :n] = table
     return np.packbits(padded, axis=1, bitorder="little").view("<u8")
 
 
-def unpack_rows(words: np.ndarray, n: int) -> list[str]:
-    """Inverse of :func:`pack_rows`: one '0'/'1' string per row of the batch."""
+def unpack_bits(words: np.ndarray, n: int) -> np.ndarray:
+    """Inverse of :func:`pack_bits`: the batch as a T x n table of 0/1 uint8."""
     octets = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
-    return table_rows(np.unpackbits(octets, axis=1, count=n, bitorder="little"))
-
-
-def table_rows(table: np.ndarray) -> list[str]:
-    """Rows of a T x n table of 0/1 entries as '0'/'1' strings, in one pass."""
-    count, n = table.shape
-    text = (np.asarray(table, dtype=np.uint8) + ord("0")).tobytes().decode("ascii")
-    return [text[i * n : (i + 1) * n] for i in range(count)]
+    return np.unpackbits(octets, axis=1, count=n, bitorder="little")
 
 
 def row_parities(words: np.ndarray, v: BitVector) -> np.ndarray:

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from . import experiments
-from .bitlin import BitVector, rank, unpack_rows
+from .bitlin import BitVector, rank, unpack_bits
 from .errors import IqpError
 from .evaluators import Backend, evaluate, sample_outputs
 from .keygen import (
@@ -161,7 +161,9 @@ def _cmd_sample(args) -> int:
     program = _load_program(args.program)
     rng = np.random.default_rng(_seed_or_random(args.seed))
     draws = sample_outputs(program, args.count, rng)
-    _write_text(args.out, "".join(row + "\n" for row in unpack_rows(draws, program.n)))
+    table = np.full((len(draws), program.n + 1), ord("\n"), dtype=np.uint8)
+    np.add(unpack_bits(draws, program.n), ord("0"), out=table[:, :-1])
+    _write_text(args.out, table.tobytes().decode("ascii"))
     return 0
 
 

@@ -4,7 +4,8 @@ One exchange per connection, newline-delimited JSON.  The verifier connects,
 sends a challenge (matrix rows, angles, sample count), reads back sample bit
 strings and judges them locally against its secret key.  No secret string or
 expected value ever goes on the wire; a verdict is only sent back when the
-verifier explicitly opts in.
+verifier explicitly opts in.  A reply is one packed batch on both sides
+(:mod:`iqpverify.bitlin`): written straight from it, packed once when read.
 
 Message shapes::
 
@@ -33,11 +34,11 @@ import numpy as np
 from .bitlin import (
     BitMatrix,
     BitVector,
+    pack_bits,
     pack_rows,
     random_rows,
     row_parities,
-    table_rows,
-    unpack_rows,
+    unpack_bits,
     words_per_row,
 )
 from .errors import CapacityError, DimensionError, ProtocolError, ValidationError
@@ -65,11 +66,16 @@ log = logging.getLogger(__name__)
 
 MAX_MESSAGE_BYTES = 64 * 1024 * 1024
 _RECV_CHUNK = 1 << 16
+_UNIFORM_DRAW = 1 << 16  # table entries per rng call in prover_uniform
 
 
-def _max_samples(n: int) -> int:
-    """Most samples whose reply fits one line: each costs n + 3 bytes ("...",)."""
-    return MAX_MESSAGE_BYTES // (n + 3)
+def _reply_head(session: str) -> bytes:
+    return b'{"type":"samples","session":' + json.dumps(session).encode("ascii") + b',"bits":['
+
+
+def _max_samples(n: int, session: str) -> int:
+    """Most n-bit samples whose reply line, head and newline included, fits the limit."""
+    return (MAX_MESSAGE_BYTES - len(_reply_head(session)) - 2) // (n + 3)
 
 
 class WeakSignalWarning(UserWarning):
@@ -140,13 +146,14 @@ class ChallengeMsg:
     ) -> "ChallengeMsg":
         if samples < 1:
             raise ValidationError("must request at least one sample")
-        if samples > _max_samples(program.n):
+        session = session or uuid.uuid4().hex
+        limit = _max_samples(program.n, session)
+        if samples > limit:
             raise ValidationError(
-                f"{samples} samples of n={program.n} exceed the reply limit "
-                f"of {_max_samples(program.n)}"
+                f"{samples} samples of n={program.n} exceed the reply limit of {limit}"
             )
         return cls(
-            session=session or uuid.uuid4().hex,
+            session=session,
             n=program.n,
             rows=tuple(row.to01() for row in program.chi.rows),
             angles=tuple((a.num, a.den) for a in program.angles),
@@ -186,9 +193,10 @@ class ChallengeMsg:
         t = payload.get("t")
         if not isinstance(t, int) or isinstance(t, bool) or t < 1:
             raise ProtocolError("bad-count", "t must be a positive integer")
-        if t > _max_samples(n):
+        limit = _max_samples(n, session)
+        if t > limit:
             raise ProtocolError(
-                "capacity", f"t={t} at n={n} exceeds the reply limit of {_max_samples(n)}"
+                "capacity", f"t={t} at n={n} exceeds the reply limit of {limit}"
             )
         return cls(session, n, tuple(rows), tuple(pairs), t)
 
@@ -211,15 +219,17 @@ class ChallengeMsg:
         return IqpProgram(BitMatrix(rows, cols=self.n), angles)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SamplesMsg:
-    """Prover-to-verifier reply: one bit string per requested sample."""
+    """Prover-to-verifier reply: the samples as one packed batch of n-bit rows."""
 
     session: str
-    bits: tuple[str, ...]
+    n: int
+    batch: np.ndarray
 
     @classmethod
-    def from_payload(cls, payload: dict) -> "SamplesMsg":
+    def from_payload(cls, payload: dict, challenge: ChallengeMsg) -> "SamplesMsg":
+        """Check a decoded reply against its challenge and pack its samples."""
         if payload.get("type") != "samples":
             raise ProtocolError("bad-type", f"expected samples, got {payload.get('type')!r}")
         session = _require_session(payload)
@@ -233,31 +243,30 @@ class SamplesMsg:
         if not all(bits) or text.translate(None, b"01"):
             bad = next(b for b in bits if not isinstance(b, str) or not b or b.strip("01"))
             raise ProtocolError("bad-bits", f"bad sample {bad!r}")
-        return cls(session, tuple(bits))
-
-    def to_payload(self) -> dict:
-        return {"type": "samples", "session": self.session, "bits": list(self.bits)}
-
-    def encode(self) -> bytes:
-        return _encode(self.to_payload())
-
-    def check_against(self, challenge: ChallengeMsg) -> np.ndarray:
-        """Reject structurally wrong replies; return the samples as a packed batch."""
-        if self.session != challenge.session:
+        if session != challenge.session:
             raise ProtocolError(
-                "bad-session",
-                f"reply session {self.session!r} != {challenge.session!r}",
+                "bad-session", f"reply session {session!r} != {challenge.session!r}"
             )
-        if len(self.bits) != challenge.samples_requested:
+        if len(bits) != challenge.samples_requested:
             raise ProtocolError(
                 "count-mismatch",
-                f"got {len(self.bits)} samples, requested {challenge.samples_requested}",
+                f"got {len(bits)} samples, requested {challenge.samples_requested}",
             )
         try:
-            return pack_rows(self.bits, challenge.n)
+            batch = pack_rows(bits, challenge.n)
         except DimensionError:
-            bad = next(b for b in self.bits if len(b) != challenge.n)
+            bad = next(b for b in bits if len(b) != challenge.n)
             raise ProtocolError("bad-bits", f"sample length {len(bad)} != n={challenge.n}")
+        return cls(session, challenge.n, batch)
+
+    def encode(self) -> bytes:
+        """The reply line, written from a T x (n+3) byte table of "bits", rows."""
+        table = np.empty((len(self.batch), self.n + 3), dtype=np.uint8)
+        table[:, 0] = table[:, -2] = ord('"')
+        table[:, -1] = ord(",")
+        np.add(unpack_bits(self.batch, self.n), ord("0"), out=table[:, 1:-2])
+        body = table.reshape(-1).data[:-1]  # no comma after the last sample
+        return b"".join((_reply_head(self.session), body, b"]}\n"))
 
 
 def _encode_error(exc: ProtocolError) -> bytes:
@@ -371,15 +380,18 @@ def prover_honest(challenge: ChallengeMsg, rng: np.random.Generator) -> SamplesM
         draws = sample_outputs(challenge.to_program(), challenge.samples_requested, rng)
     except CapacityError as exc:
         raise ProtocolError("capacity", f"cannot simulate: {exc}")
-    return SamplesMsg(challenge.session, tuple(unpack_rows(draws, challenge.n)))
+    return SamplesMsg(challenge.session, challenge.n, draws)
 
 
-def prover_uniform(
-    challenge: ChallengeMsg, rng: np.random.Generator
-) -> SamplesMsg:
-    """Ignore the program and return uniform random bit strings."""
-    table = rng.integers(0, 2, size=(challenge.samples_requested, challenge.n))
-    return SamplesMsg(challenge.session, tuple(table_rows(table)))
+def prover_uniform(challenge: ChallengeMsg, rng: np.random.Generator) -> SamplesMsg:
+    """Ignore the program: one T x n ``rng.integers(0, 2)`` table, drawn in row blocks."""
+    n, total = challenge.n, challenge.samples_requested
+    batch = np.empty((total, words_per_row(n)), dtype=np.uint64)
+    rows = max(1, _UNIFORM_DRAW // n)
+    for start in range(0, total, rows):
+        count = min(rows, total - start)
+        batch[start : start + count] = pack_bits(rng.integers(0, 2, size=(count, n)))
+    return SamplesMsg(challenge.session, n, batch)
 
 
 def prover_leak(
@@ -413,7 +425,7 @@ def prover_leak(
     # Parity 1 where orthogonal was drawn, or 0 where not: flip one support bit.
     fix = row_parities(draws, s) == want_orth
     draws[fix, flip // 64] ^= np.uint64(1 << (flip % 64))
-    return SamplesMsg(challenge.session, tuple(unpack_rows(draws, challenge.n)))
+    return SamplesMsg(challenge.session, challenge.n, draws)
 
 
 # ---------------------------------------------------------------------------
@@ -456,9 +468,7 @@ class ProverServer:
             def handle(self):
                 outer._handle(self.request, "%s:%s" % self.client_address[:2])
 
-        self._tcp = socketserver.ThreadingTCPServer(
-            address, Handler, bind_and_activate=True
-        )
+        self._tcp = socketserver.ThreadingTCPServer(address, Handler)
         self._tcp.daemon_threads = True
         self._thread: threading.Thread | None = None
 
@@ -493,10 +503,7 @@ class ProverServer:
                 return
             sock.sendall(reply.encode())
             log.info(
-                "connection %s: served %d samples (n=%d)",
-                peer,
-                len(reply.bits),
-                challenge.n,
+                "connection %s: served %d samples (n=%d)", peer, len(reply.batch), challenge.n
             )
             self._await_verdict(sock, peer)
         except OSError:
@@ -504,21 +511,14 @@ class ProverServer:
 
     def _await_verdict(self, sock: socket.socket, peer: str) -> None:
         try:
-            line = _recv_line(sock)
+            payload = _decode_line(_recv_line(sock))
         except (ProtocolError, OSError):
-            return
-        try:
-            payload = _decode_line(line)
-        except ProtocolError:
             return
         if payload.get("type") == "verdict":
             with self._lock:
                 self.verdicts.append(payload)
-            log.info(
-                "connection %s: verifier revealed verdict accept=%s",
-                peer,
-                payload.get("accept"),
-            )
+            accept = payload.get("accept")
+            log.info("connection %s: verifier revealed verdict accept=%s", peer, accept)
 
     def start(self) -> "ProverServer":
         self._thread = threading.Thread(
@@ -540,15 +540,14 @@ class ProverServer:
         self.close()
 
 
-def _exchange(sock: socket.socket, challenge: ChallengeMsg) -> tuple[SamplesMsg, np.ndarray]:
+def _exchange(sock: socket.socket, challenge: ChallengeMsg) -> SamplesMsg:
     sock.sendall(challenge.encode())
     payload = _decode_line(_recv_line(sock))
     if payload.get("type") == "error":
         raise ProtocolError(
             str(payload.get("code", "unknown")), str(payload.get("detail", ""))
         )
-    reply = SamplesMsg.from_payload(payload)
-    return reply, reply.check_against(challenge)
+    return SamplesMsg.from_payload(payload, challenge)
 
 
 def request(
@@ -561,8 +560,7 @@ def request(
     """Fetch one batch of samples for ``program`` from a remote prover."""
     challenge = ChallengeMsg.from_program(program, samples, session)
     with socket.create_connection(address, timeout=timeout) as sock:
-        sock.settimeout(timeout)
-        return _exchange(sock, challenge)[0]
+        return _exchange(sock, challenge)
 
 
 def run_verification(
@@ -587,8 +585,7 @@ def run_verification(
     challenge = ChallengeMsg.from_program(program, samples, session)
     epsilon = acceptance_threshold(key, delta, samples)
     with socket.create_connection(address, timeout=timeout) as sock:
-        sock.settimeout(timeout)
-        report = judge(key, _exchange(sock, challenge)[1], epsilon)
+        report = judge(key, _exchange(sock, challenge).batch, epsilon)
         if reveal_verdict:
             sock.sendall(_encode(report.to_payload(challenge.session)))
     return report

@@ -12,13 +12,13 @@ from iqpverify.bitlin import (
     dot,
     echelon,
     nullspace_basis,
+    pack_bits,
     pack_rows,
     random_rows,
     rank,
     row_parities,
     span_weights,
-    table_rows,
-    unpack_rows,
+    unpack_bits,
     walsh_hadamard,
 )
 from iqpverify.errors import CapacityError, DimensionError, ValidationError
@@ -263,9 +263,13 @@ class TestWalshHadamard:
 BOUNDARY_WIDTHS = [1, 63, 64, 65, 128, 200]
 
 
+def table_strings(table):
+    return ["".join(map(str, row)) for row in table]
+
+
 def random_strings(n, count, seed):
     rng = np.random.default_rng([seed, n])
-    return table_rows(rng.integers(0, 2, size=(count, n)))
+    return table_strings(rng.integers(0, 2, size=(count, n)))
 
 
 class TestPackedBatch:
@@ -282,7 +286,10 @@ class TestPackedBatch:
         rows = random_strings(n, 40, 1)
         words = pack_rows(rows, n)
         assert words.shape == (40, (n + 63) // 64)
-        assert unpack_rows(words, n) == rows
+        table = unpack_bits(words, n)
+        assert table.shape == (40, n) and table.dtype == np.uint8
+        assert table_strings(table) == rows
+        assert np.array_equal(pack_bits(table), words)
         for row, text in zip(words, rows):
             assert int.from_bytes(row.tobytes(), "little") == BitVector.from_string(text).bits
 

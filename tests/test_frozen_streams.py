@@ -7,7 +7,9 @@ as they were; challenge bytes must stay the same at any n.  The clifford
 digest was recorded with the CH-form stabilizer simulator, before the
 backend became an exponential sum: value, g and reduced_dim stay bitwise.
 The challenge digest was recorded while the scramble still drew its column
-ops one scalar ``rng.integers`` call at a time.
+ops one scalar ``rng.integers`` call at a time.  The reply digest was recorded
+while replies still held one Python str per sample and were written by
+``json.dumps``.
 """
 
 import hashlib
@@ -15,7 +17,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from iqpverify.bitlin import BitMatrix, BitVector, pack_rows
+from iqpverify.bitlin import BitMatrix, BitVector
+from iqpverify.cli import main
 from iqpverify.evaluators import correlation_clifford, correlation_diagonal
 from iqpverify.keygen import (
     ConstructionSpec,
@@ -23,7 +26,13 @@ from iqpverify.keygen import (
     random_nonzero_bits,
     random_program,
 )
-from iqpverify.model import Angle, IqpProgram, SecretKey, serialize_key
+from iqpverify.model import (
+    Angle,
+    IqpProgram,
+    SecretKey,
+    serialize_key,
+    serialize_program,
+)
 from iqpverify.protocol import (
     ChallengeMsg,
     SecretVerdict,
@@ -91,7 +100,7 @@ def test_honest_verdict(round_n10):
     challenge, key = round_n10
     reply = prover_honest(challenge, np.random.default_rng(11))
     epsilon = acceptance_threshold(key, 1e-6, T)
-    report = judge(key, pack_rows(reply.bits, challenge.n), epsilon)
+    report = judge(key, reply.batch, epsilon)
     assert report.per_secret == (
         SecretVerdict(0.7071067811865476, 0.7066395663956639, 0.00046721479088362994, True),
         SecretVerdict(0.7071067811865476, 0.6998644986449865, 0.007242282541561118, True),
@@ -149,4 +158,34 @@ def test_challenge_digest():
         digest.update(challenge.encode() + serialize_key(key).encode())
     assert digest.hexdigest() == (
         "b02a809ea7f8cfd328afee78cc487e7d6acfe9cc41b99bd5212897b092b41e1b"
+    )
+
+
+def test_reply_digest(tmp_path):
+    # all three provers at the packed word edges n = 1, 63, 64, 65 and on
+    # the n=200 seed-5 challenge (rank 12); one session needing JSON escapes;
+    # then the text `iqp-verify sample` writes
+    rng = np.random.default_rng(15)
+    digest = hashlib.sha256()
+    rounds = []
+    for n in (1, 63, 64, 65):
+        program = random_program(n, 8, "uniform-pi8", rng)
+        secret = BitVector(n, random_nonzero_bits(n, rng))
+        rounds.append((program, SecretKey((secret,), (0.5,)), "frozen"))
+    program, key = build_challenge(ConstructionSpec(n=200, secrets=4, weight=3, seed=5))
+    rounds.append((program, SecretKey(key.secrets[:1], key.expected[:1]), "frozen"))
+    rounds.append((rounds[0][0], rounds[0][1], 'é "x\\'))
+    for program, leaked, session in rounds:
+        challenge = ChallengeMsg.from_program(program, 300, session=session)
+        digest.update(prover_honest(challenge, np.random.default_rng(21)).encode())
+        digest.update(prover_uniform(challenge, np.random.default_rng(22)).encode())
+        digest.update(prover_leak(challenge, leaked, np.random.default_rng(23)).encode())
+    program, _ = build_challenge(ConstructionSpec(n=10, secrets=2, weight=2, seed=3))
+    (tmp_path / "p.iqp").write_text(serialize_program(program))
+    out = tmp_path / "s.txt"
+    args = ["sample", "--program", tmp_path / "p.iqp", "--count", 50, "--seed", 3]
+    assert main([str(a) for a in args + ["--out", out]]) == 0
+    digest.update(out.read_bytes())
+    assert digest.hexdigest() == (
+        "07667bfb4bf770435cd98332aef3744cbc4bf8e375deb033380fb11b58725bd8"
     )

@@ -4,13 +4,15 @@ import json
 import math
 import socket
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iqpverify.bitlin import BitMatrix, BitVector, pack_rows, rank
+from iqpverify import protocol
+from iqpverify.bitlin import BitMatrix, BitVector, pack_bits, pack_rows, rank, words_per_row
 from iqpverify.errors import ProtocolError, ValidationError
 from iqpverify.keygen import ConstructionSpec, build_challenge
 from iqpverify.evaluators import STATEVECTOR_CAP
@@ -76,11 +78,20 @@ class TestCodec:
         assert back.to_program() == program
 
     def test_samples_round_trip(self):
-        msg = SamplesMsg("xyz", ("01", "11", "00"))
-        back = SamplesMsg.from_payload(_decode_line(msg.encode()))
-        assert back == msg
+        program = IqpProgram(BitMatrix.from_strings(["11"]), (PI_OVER_8,))
+        challenge = ChallengeMsg.from_program(program, 3, session="xyz")
+        msg = SamplesMsg("xyz", 2, pack_rows(["01", "11", "00"], 2))
+        back = SamplesMsg.from_payload(_decode_line(msg.encode()), challenge)
+        assert back.encode() == msg.encode()
         # leftmost character is coordinate 0, the low bit of the packed word
-        assert pack_rows(back.bits, 2)[:, 0].tolist() == [0b10, 0b11, 0b00]
+        assert back.batch[:, 0].tolist() == [0b10, 0b11, 0b00]
+        # the reply line is the compact json.dumps of its payload
+        for n, session in ((1, "s"), (63, "s"), (64, "s"), (65, "s"), (200, 'é "x\\')):
+            table = np.random.default_rng(n).integers(0, 2, size=(5, n))
+            rows = ["".join(map(str, row)) for row in table]
+            line = SamplesMsg(session, n, pack_rows(rows, n)).encode()
+            payload = {"type": "samples", "session": session, "bits": rows}
+            assert line == json.dumps(payload, separators=(",", ":")).encode() + b"\n"
 
     @pytest.mark.parametrize(
         "overrides, code",
@@ -106,13 +117,32 @@ class TestCodec:
             ChallengeMsg.from_payload(challenge_payload(**overrides))
         assert err.value.code == code
 
-    def test_sample_count_bounded_by_reply_limit(self):
-        # a reply spends n + 3 bytes per sample, so n=5 allows MAX // 8 of them
-        at_bound = MAX_MESSAGE_BYTES // 8
+    def test_sample_count_bounded_by_reply_limit(self, monkeypatch):
+        # a reply line is its head, n + 3 bytes per sample less one comma, and
+        # ]} plus the newline, so n=5 allows (MAX - head - 2) // 8 samples
+        head = len(b'{"type":"samples","session":"abc","bits":[')
+        at_bound = (MAX_MESSAGE_BYTES - head - 2) // 8
         msg = ChallengeMsg.from_payload(challenge_payload(t=at_bound))
         assert msg.samples_requested == at_bound
+        with pytest.raises(ProtocolError) as err:
+            ChallengeMsg.from_payload(challenge_payload(t=at_bound + 1))
+        assert err.value.code == "capacity"
         with pytest.raises(ValidationError, match="reply limit"):
-            ChallengeMsg.from_program(small_program(), at_bound + 1)
+            ChallengeMsg.from_program(small_program(), at_bound + 1, session="abc")
+        # a round at the bound fills the line limit; one sample more is refused
+        monkeypatch.setattr(protocol, "MAX_MESSAGE_BYTES", 8000)
+        at_bound = (8000 - head - 2) // 8
+        with ProverServer(seed=0) as server:
+            msg = request(server.address, small_program(), at_bound, session="abc")
+            assert len(msg.batch) == at_bound
+            assert len(msg.encode()) <= 8000 < len(msg.encode()) + 8
+            with pytest.raises(ValidationError, match="reply limit"):
+                request(server.address, small_program(), at_bound + 1, session="abc")
+            line = json.dumps(challenge_payload(t=at_bound + 1)).encode() + b"\n"
+            with socket.create_connection(server.address, timeout=5) as sock:
+                sock.sendall(line)
+                reply = json.loads(_recv_line(sock))
+        assert reply["code"] == "capacity"
 
     def test_angle_denominator_checked(self):
         payload = challenge_payload()
@@ -122,51 +152,43 @@ class TestCodec:
         assert err.value.code == "bad-angle"
 
     def test_samples_rejections(self):
+        challenge = ChallengeMsg.from_program(small_program(), 2, session="s1")
         with pytest.raises(ProtocolError) as err:
-            SamplesMsg.from_payload({"type": "samples", "session": "a", "bits": []})
+            SamplesMsg.from_payload({"type": "samples", "session": "a", "bits": []}, challenge)
         assert err.value.code == "bad-bits"
         with pytest.raises(ProtocolError) as err:
             SamplesMsg.from_payload(
-                {"type": "samples", "session": "a", "bits": ["012"]}
+                {"type": "samples", "session": "a", "bits": ["012"]}, challenge
             )
         assert err.value.code == "bad-bits"
         # the detail names the first offending sample, wherever it sits
         for bad in (7, None, ["01"], "", "01\u00e9", "0 1", "2"):
             bits = ["0101", "1100", bad, "0011"]
             with pytest.raises(ProtocolError) as err:
-                SamplesMsg.from_payload({"type": "samples", "session": "a", "bits": bits})
+                SamplesMsg.from_payload(
+                    {"type": "samples", "session": "a", "bits": bits}, challenge
+                )
             assert err.value.code == "bad-bits"
             assert err.value.detail == f"bad sample {bad!r}"
         # codes in order: characters, session, count, then lengths
-        challenge = ChallengeMsg.from_program(small_program(), 2, session="s1")
-        for session, bits, code in (
-            ("s2", ["0x", "01"], "bad-bits"),
-            ("s2", ["01"], "bad-session"),
-            ("s1", ["01"], "count-mismatch"),
-            ("s1", ["01", "01"], "bad-bits"),
+        for session, bits, code, detail in (
+            ("s2", ["0x", "01"], "bad-bits", None),
+            ("s2", ["01"], "bad-session", None),
+            ("s2", ["10000", "01000"], "bad-session", "reply session 's2' != 's1'"),
+            ("s1", ["01"], "count-mismatch", None),
+            ("s1", ["10000"], "count-mismatch", "got 1 samples, requested 2"),
+            ("s1", ["01", "01"], "bad-bits", None),
+            ("s1", ["100", "010"], "bad-bits", "sample length 3 != n=5"),
+            ("s1", ["10000", "0100"], "bad-bits", "sample length 4 != n=5"),
         ):
             payload = {"type": "samples", "session": session, "bits": bits}
             with pytest.raises(ProtocolError) as err:
-                SamplesMsg.from_payload(payload).check_against(challenge)
+                SamplesMsg.from_payload(payload, challenge)
             assert err.value.code == code
-
-    def test_check_against(self):
-        program = small_program()
-        challenge = ChallengeMsg.from_program(program, 2, session="s1")
-        good = SamplesMsg("s1", ("10000", "01000"))
-        assert good.check_against(challenge).tolist() == [[0b00001], [0b00010]]
-        with pytest.raises(ProtocolError) as err:
-            SamplesMsg("s2", ("10000", "01000")).check_against(challenge)
-        assert err.value.code == "bad-session"
-        with pytest.raises(ProtocolError) as err:
-            SamplesMsg("s1", ("10000",)).check_against(challenge)
-        assert err.value.code == "count-mismatch"
-        with pytest.raises(ProtocolError) as err:
-            SamplesMsg("s1", ("100", "010")).check_against(challenge)
-        assert err.value.code == "bad-bits"
-        with pytest.raises(ProtocolError) as err:
-            SamplesMsg("s1", ("10000", "0100")).check_against(challenge)
-        assert err.value.detail == "sample length 4 != n=5"
+            assert detail is None or err.value.detail == detail
+        payload = {"type": "samples", "session": "s1", "bits": ["10000", "01000"]}
+        good = SamplesMsg.from_payload(payload, challenge)
+        assert good.n == 5 and good.batch.tolist() == [[0b00001], [0b00010]]
 
     def test_bad_json(self):
         with pytest.raises(ProtocolError) as err:
@@ -272,8 +294,9 @@ class TestProvers:
         challenge = ChallengeMsg.from_program(small_program(), 40, session="s")
         a = prover_honest(challenge, np.random.default_rng(5))
         b = prover_honest(challenge, np.random.default_rng(5))
-        assert a == b
-        assert len(a.bits) == 40 and all(len(x) == 5 for x in a.bits)
+        assert a.encode() == b.encode()
+        assert a.batch.shape == (40, 1) and a.n == 5
+        assert not np.any(a.batch >> np.uint64(5))
         assert a.session == "s"
 
     def test_honest_capacity_refusal(self):
@@ -286,14 +309,35 @@ class TestProvers:
     def test_uniform_shape(self):
         challenge = ChallengeMsg.from_program(small_program(), 30)
         msg = prover_uniform(challenge, np.random.default_rng(2))
-        assert len(msg.bits) == 30 and all(len(x) == 5 for x in msg.bits)
+        assert msg.batch.shape == (30, 1) and msg.n == 5
+        assert not np.any(msg.batch >> np.uint64(5))
+
+    @pytest.mark.parametrize("n, t", [(1, 70000), (10, 15000), (70, 2000)])
+    def test_uniform_draws_one_table_stream(self, n, t):
+        # drawn in blocks of rows, across several blocks at each width, yet
+        # the samples are those of one whole-table rng.integers call
+        challenge = ChallengeMsg.from_program(small_program(n=n, m=2), t)
+        msg = prover_uniform(challenge, np.random.default_rng(3))
+        whole = np.random.default_rng(3).integers(0, 2, size=(t, n))
+        assert np.array_equal(msg.batch, pack_bits(whole))
+
+    def test_uniform_memory_bounded(self):
+        # the encoded reply dominates; no per-sample object or full int64 table
+        challenge = ChallengeMsg.from_program(small_program(n=10), 200_000)
+        tracemalloc.start()
+        try:
+            line = prover_uniform(challenge, np.random.default_rng(4)).encode()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * len(line)
 
     def test_leak_matches_single_secret_statistic(self):
         program, key = build_challenge(ConstructionSpec(n=8, seed=6))
         challenge = ChallengeMsg.from_program(program, 4000)
         msg = prover_leak(challenge, key, np.random.default_rng(1))
         eps = acceptance_threshold(key, 0.05, 4000)
-        report = judge(key, pack_rows(msg.bits, 8), eps)
+        report = judge(key, msg.batch, eps)
         assert report.accept
 
     def test_leak_rejects_multi_secret_key(self):
@@ -313,8 +357,8 @@ class TestProvers:
             key = SecretKey((secret,), (0.6,))
             challenge = ChallengeMsg.from_program(program, 3000)
             msg = prover_leak(challenge, key, np.random.default_rng(2))
-            assert all(len(x) == n for x in msg.bits)
-            obs = judge(key, pack_rows(msg.bits, n), 0.05).per_secret[0].observed
+            assert msg.batch.shape == (3000, words_per_row(n))
+            obs = judge(key, msg.batch, 0.05).per_secret[0].observed
             assert obs == pytest.approx(0.6, abs=0.05)
 
 
@@ -345,7 +389,7 @@ class TestLoopback:
         program = small_program()
         with ProverServer(seed=0) as server:
             msg = request(server.address, program, 17)
-        assert len(msg.bits) == 17
+        assert len(msg.batch) == 17 and msg.n == 5
 
     def test_server_streams_follow_session_not_arrival(self):
         program = small_program()
@@ -354,9 +398,10 @@ class TestLoopback:
             with ProverServer(seed=9) as server:
                 got = {s: request(server.address, program, 12, session=s) for s in order}
             batches.append(got)
-        assert batches[0]["A"] == batches[1]["A"]
-        assert batches[0]["B"] == batches[1]["B"]
-        assert batches[0]["A"].bits != batches[0]["B"].bits
+        line = {s: [got[s].encode() for got in batches] for s in "AB"}
+        assert line["A"][0] == line["A"][1]
+        assert line["B"][0] == line["B"][1]
+        assert not np.array_equal(batches[0]["A"].batch, batches[0]["B"].batch)
 
     def test_server_streams_are_reproducible(self):
         program = small_program()
@@ -364,7 +409,7 @@ class TestLoopback:
             a = request(server.address, program, 12, session="fixed")
         with ProverServer(seed=9) as server:
             b = request(server.address, program, 12, session="fixed")
-        assert a == b
+        assert a.encode() == b.encode()
 
     def test_capacity_error_propagates(self):
         program = rank_above_cap_program()

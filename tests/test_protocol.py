@@ -171,13 +171,23 @@ class TestCodec:
             assert err.value.code == "bad-bits"
             assert err.value.detail == f"bad sample {bad!r}"
         # codes in order: characters, session, count, then lengths
+        for session, bits, code in (
+            ("s2", ["0x", "01"], "bad-bits"),
+            ("s2", ["01"], "bad-session"),
+            ("s1", ["01"], "count-mismatch"),
+            ("s1", ["01", "01"], "bad-bits"),
+        ):
+            payload = {"type": "samples", "session": session, "bits": bits}
+            with pytest.raises(ProtocolError) as err:
+                SamplesMsg.from_payload(payload, challenge)
+            assert err.value.code == code
+
+    def test_check_against(self):
+        # a well-formed reply is still held to its challenge's session, count and n
+        challenge = ChallengeMsg.from_program(small_program(), 2, session="s1")
         for session, bits, code, detail in (
-            ("s2", ["0x", "01"], "bad-bits", None),
-            ("s2", ["01"], "bad-session", None),
             ("s2", ["10000", "01000"], "bad-session", "reply session 's2' != 's1'"),
-            ("s1", ["01"], "count-mismatch", None),
             ("s1", ["10000"], "count-mismatch", "got 1 samples, requested 2"),
-            ("s1", ["01", "01"], "bad-bits", None),
             ("s1", ["100", "010"], "bad-bits", "sample length 3 != n=5"),
             ("s1", ["10000", "0100"], "bad-bits", "sample length 4 != n=5"),
         ):
@@ -185,7 +195,7 @@ class TestCodec:
             with pytest.raises(ProtocolError) as err:
                 SamplesMsg.from_payload(payload, challenge)
             assert err.value.code == code
-            assert detail is None or err.value.detail == detail
+            assert err.value.detail == detail
         payload = {"type": "samples", "session": "s1", "bits": ["10000", "01000"]}
         good = SamplesMsg.from_payload(payload, challenge)
         assert good.n == 5 and good.batch.tolist() == [[0b00001], [0b00010]]

@@ -33,6 +33,7 @@ __all__ = [
     "unpack_bits",
     "row_parities",
     "random_rows",
+    "combine_rows",
 ]
 
 # Spans larger than 2**SPAN_CAP elements are refused outright: enumerating
@@ -290,7 +291,9 @@ def walsh_hadamard(values: np.ndarray) -> np.ndarray:
     """Unnormalised Walsh-Hadamard transform g[s] = sum_x f[x] * (-1)^(s.x).
 
     Accepts any real or complex array of power-of-two length; applying it
-    twice multiplies the input by the length.
+    twice multiplies the input by the length.  In-place radix-4 passes on a copy
+    (radix-2 last at odd log2 length) do the radix-2 butterfly's additions in
+    its order, so the result is bitwise the same on any host.
     """
     a = np.array(values, copy=True)
     if a.ndim != 1:
@@ -299,12 +302,20 @@ def walsh_hadamard(values: np.ndarray) -> np.ndarray:
     if size == 0 or size & (size - 1):
         raise DimensionError(f"length {size} is not a power of two")
     h = 1
-    while h < size:
-        pairs = a.reshape(-1, 2, h)
-        top = pairs[:, 0, :] + pairs[:, 1, :]
-        bottom = pairs[:, 0, :] - pairs[:, 1, :]
-        a = np.concatenate((top[:, None, :], bottom[:, None, :]), axis=1).reshape(size)
-        h *= 2
+    while 4 * h <= size:
+        v0, v1, v2, v3 = a.reshape(-1, 4, h).transpose(1, 0, 2)
+        diff01 = v0 - v1
+        v0 += v1
+        sum23 = v2 + v3
+        np.subtract(v2, v3, out=v3)
+        np.subtract(v0, sum23, out=v2)
+        v0 += sum23
+        np.add(diff01, v3, out=v1)
+        np.subtract(diff01, v3, out=v3)
+        h *= 4
+    if h < size:
+        top, bottom = a.reshape(2, h)
+        top[...], bottom[...] = top + bottom, top - bottom
     return a
 
 
@@ -358,3 +369,22 @@ def random_rows(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
         for k in range(words_per_row(n))
     ]
     return np.stack(columns, axis=1)
+
+
+def combine_rows(picks: np.ndarray, basis: Sequence[BitVector], n: int) -> np.ndarray:
+    """The batch whose row t is the XOR of the basis vectors k with bit k of picks[t] set.
+
+    ``picks`` is T x G packed bytes, bit j of byte g picking vector 8g + j; each
+    group of 8 vectors gets a table of its 256 XORs, so a row costs G lookups.
+    """
+    nwords = words_per_row(n)
+    data = b"".join(b.bits.to_bytes(8 * nwords, "little") for b in basis)
+    words = np.zeros((8 * picks.shape[1], nwords), dtype=np.uint64)
+    words[: len(basis)] = np.frombuffer(data, dtype="<u8").reshape(-1, nwords)
+    table = np.zeros((picks.shape[1], 256, nwords), dtype=np.uint64)
+    for j in range(8):  # vector j of every group
+        table[:, 1 << j : 2 << j] = table[:, : 1 << j] ^ words[j::8, None]
+    out = np.zeros((len(picks), nwords), dtype=np.uint64)
+    for g, column in enumerate(picks.T):
+        out ^= table[g, column]
+    return out

@@ -25,14 +25,11 @@ from .keygen import (
     random_scramble_ops,
     scramble,
 )
-from .model import (
-    parse_key,
-    parse_program,
-    serialize_key,
-    serialize_program,
-)
+from .model import parse_key, parse_program, serialize_key, serialize_program
 from .protocol import ProverServer, run_verification
 
+# The short CLI names ("diagonal", "mc") predate the Backend values and stay,
+# so existing command lines keep working; each Backend has exactly one name.
 _BACKENDS = {
     "statevector": Backend.STATEVECTOR,
     "diagonal": Backend.DIAGONAL_EXACT,

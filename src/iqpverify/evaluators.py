@@ -11,11 +11,14 @@ against s) never contribute, which is what the faster backends exploit:
 * subspace         exact closed form when all main angles are equal
 * clifford         exact Z4 exponential sum when main angles are w*pi/8
 
-An exact correlation simulates only the secret's main rows, rewritten on
-d = rank(main rows) qubits, so it costs 2**rank(main rows).  Sampling
-simulates all rows on rank(chi) qubits, as the output lies in chi's row space,
-so it costs 2**rank(chi).  Only the 2**n tables of output_distribution and
-all_correlations are n-wide.  The dense cap applies to the simulated width.
+The dense paths share one phase table sum_j theta_j (-1)^(chi_j . x), one
+Walsh-Hadamard transform of the row angles: exact diagonal averages
+cos(2 * table), the amplitudes are a second transform of exp(i * table).  An
+exact correlation simulates only the secret's main rows, rewritten on
+d = rank(main rows) qubits, so it costs 2**d.  Sampling simulates all rows on
+rank(chi) qubits, as the output lies in chi's row space.  Only the 2**n tables
+of output_distribution and all_correlations are n-wide.  The dense cap
+applies to the simulated width.
 """
 
 from __future__ import annotations
@@ -29,9 +32,9 @@ import numpy as np
 from .bitlin import (
     BitVector,
     BitMatrix,
+    combine_rows,
     dot,
     echelon,
-    pack_rows,
     random_rows,
     row_parities,
     span_weights,
@@ -106,11 +109,6 @@ class DistributionTable:
             raise ValidationError(f"probabilities sum to {total}, not 1")
 
 
-def _check_cap(d: int):
-    if d > STATEVECTOR_CAP:
-        raise CapacityError(f"dimension {d} exceeds dense cap {STATEVECTOR_CAP}")
-
-
 def _check_secret(program: IqpProgram, s: BitVector):
     if len(s) != program.n:
         raise DimensionError(f"secret has {len(s)} bits, program has {program.n}")
@@ -144,37 +142,34 @@ def _reduce(program: IqpProgram, s: BitVector | None = None):
     return IqpProgram(BitMatrix(rows, cols=d), angles), s, basis
 
 
-def _parity_profile(n: int, mask: int) -> np.ndarray:
-    """Parity of x & mask for every x in 0..2**n-1, as a float sign array."""
-    xs = np.arange(1 << n, dtype=np.uint64)
-    par = np.bitwise_count(xs & np.uint64(mask)) & 1
-    return 1.0 - 2.0 * par.astype(np.float64)
+def _phase_table(program: IqpProgram) -> np.ndarray:
+    """sum_j theta_j (-1)^(chi_j . x) at every x: one transform of the row angles."""
+    n, m = program.n, program.m
+    if n > STATEVECTOR_CAP:
+        raise CapacityError(f"dimension {n} exceeds dense cap {STATEVECTOR_CAP}")
+    bits = np.fromiter((row.bits for row in program.chi.rows), np.int64, m)
+    radians = np.fromiter((a.radians for a in program.angles), np.float64, m)
+    return walsh_hadamard(np.bincount(bits, radians, minlength=1 << n))  # duplicates add
 
 
 def output_distribution(program: IqpProgram) -> DistributionTable:
-    """Exact output distribution via phase accumulation plus one transform.
+    """Exact output distribution from two Walsh-Hadamard transforms.
 
-    In the X eigenbasis the program only attaches a phase to each basis
-    state, so the amplitudes are the Walsh-Hadamard transform of those
-    phases, scaled by 2**-n.
+    In the X eigenbasis the program only attaches the phase table's phase to
+    each basis state, so the amplitudes are the transform of those phases,
+    scaled by 2**-n.
     """
-    n = program.n
-    _check_cap(n)
-    phases = np.zeros(1 << n, dtype=np.float64)
-    for row, angle in zip(program.chi.rows, program.angles):
-        phases += angle.radians * _parity_profile(n, row.bits)
-    amplitudes = walsh_hadamard(np.exp(1j * phases)) / (1 << n)
-    return DistributionTable(n, np.abs(amplitudes) ** 2)
+    amplitudes = walsh_hadamard(np.exp(1j * _phase_table(program))) / (1 << program.n)
+    return DistributionTable(program.n, np.abs(amplitudes) ** 2)
 
 
 def correlation_statevector(program: IqpProgram, s: BitVector) -> CorrelationResult:
     """Exact correlation from the main part's output distribution on d qubits."""
     program, s, basis = _reduce(program, s)
     table = output_distribution(program)
-    signs = _parity_profile(program.n, s.bits)
-    return CorrelationResult(
-        float(table.probs @ signs), Backend.STATEVECTOR, reduced_dim=len(basis)
-    )
+    parities = np.bitwise_count(np.arange(1 << program.n) & s.bits) & 1
+    value = float(table.probs @ (1.0 - 2.0 * parities))
+    return CorrelationResult(value, Backend.STATEVECTOR, reduced_dim=len(basis))
 
 
 def all_correlations(program: IqpProgram) -> np.ndarray:
@@ -221,10 +216,7 @@ def correlation_diagonal(
     """
     if samples is None:
         program, s, basis = _reduce(program, s)
-        _check_cap(program.n)
-        omega = np.zeros(1 << program.n, dtype=np.float64)
-        for row, angle in zip(program.chi.rows, program.angles):
-            omega += 2.0 * angle.radians * _parity_profile(program.n, row.bits)
+        omega = 2.0 * _phase_table(program)
         return CorrelationResult(
             float(np.cos(omega).mean()), Backend.DIAGONAL_EXACT, reduced_dim=len(basis)
         )
@@ -381,11 +373,8 @@ def sample_outputs(
     cumulative = np.cumsum(output_distribution(reduced).probs)
     ys = np.searchsorted(cumulative, rng.random(count), side="right")
     np.clip(ys, 0, (1 << reduced.n) - 1, out=ys)
-    basis_words = pack_rows([b.to01() for b in basis], program.n)
-    out = np.zeros((count, basis_words.shape[1]), dtype=np.uint64)
-    for k, words in enumerate(basis_words):
-        out[(ys >> k) & 1 == 1] ^= words
-    return out
+    picks = ys.astype("<u4").view(np.uint8).reshape(count, 4)  # ys < 2**24
+    return combine_rows(picks[:, : (len(basis) + 7) // 8], basis, program.n)
 
 
 def evaluate(

@@ -9,7 +9,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bitlin import BitVector
+from .bitlin import BitVector, walsh_hadamard
 from .errors import ParseError, ValidationError
 from .evaluators import all_correlations, correlation_clifford, output_distribution
 from .keygen import random_2local, random_nonzero_bits, random_program
@@ -120,6 +120,13 @@ def _quantized_one(seed: int, stream, n: int):
     return correlation_clifford(program, secret).g
 
 
+def _levels(histogram: Counter) -> list[tuple[int, float, int]]:
+    """(g, value, count) per correlation level, exact zeros first as g = -1."""
+    zero = histogram.pop(None, 0)
+    rows = [(-1, 0.0, zero)] if zero else []
+    return rows + [(g, 2.0 ** (-g / 2.0), histogram[g]) for g in sorted(histogram)]
+
+
 def exp_fig1b(count: int, n: int, seed: int = 0) -> ExperimentReport:
     """Histogram of exact correlation levels in the random pi/8 ensemble.
 
@@ -130,13 +137,7 @@ def exp_fig1b(count: int, n: int, seed: int = 0) -> ExperimentReport:
     if count < 1 or n < 1:
         raise ValidationError("count and n must be positive")
     start = time.perf_counter()
-    histogram = Counter(_quantized_one(seed, i, n) for i in range(count))
-    zero = histogram.pop(None, 0)
-    rows: list[tuple[Cell, ...]] = []
-    if zero:
-        rows.append((-1, 0.0, zero))
-    for g in sorted(histogram):
-        rows.append((g, 2.0 ** (-g / 2.0), histogram[g]))
+    rows = _levels(Counter(_quantized_one(seed, i, n) for i in range(count)))
     return ExperimentReport(
         experiment="fig1b",
         params={"count": count, "n": n, "seed": seed},
@@ -156,11 +157,7 @@ def exp_fig1a(
     rows: list[tuple[Cell, ...]] = []
     for n in n_values:
         histogram = Counter(_quantized_one(seed, (n, i), n) for i in range(count))
-        zero = histogram.pop(None, 0)
-        if zero:
-            rows.append((n, -1, 0.0, zero / count))
-        for g in sorted(histogram):
-            rows.append((n, g, 2.0 ** (-g / 2.0), histogram[g] / count))
+        rows += [(n, g, value, k / count) for g, value, k in _levels(histogram)]
     return ExperimentReport(
         experiment="fig1a",
         params={
@@ -235,16 +232,14 @@ def exp_parseval(n: int, instances: int, seed: int = 0) -> ExperimentReport:
     if instances < 1 or n < 1:
         raise ValidationError("need positive n and instance count")
     start = time.perf_counter()
-
-    def one(i: int) -> tuple[Cell, ...]:
+    rows: list[tuple[Cell, ...]] = []
+    for i in range(instances):
         rng = np.random.default_rng([seed, i])
         program = random_program(n, 2 * n, "uniform-pi8", rng)
         probs = output_distribution(program).probs
         lhs = float(np.sum(probs**2))
-        rhs = float(np.mean(all_correlations(program) ** 2))
-        return (i, lhs, rhs, abs(lhs - rhs))
-
-    rows = [one(i) for i in range(instances)]
+        rhs = float(np.mean(walsh_hadamard(probs) ** 2))
+        rows.append((i, lhs, rhs, abs(lhs - rhs)))
     return ExperimentReport(
         experiment="parseval",
         params={"n": n, "instances": instances, "seed": seed},

@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .bitlin import BitMatrix, BitVector, nullspace_basis, random_rows
+from .bitlin import BitMatrix, BitVector, combine_rows, nullspace_basis, random_rows
 from .errors import CapacityError, ConstructionError, DimensionError, ValidationError
 from .evaluators import CorrelationResult, correlation_clifford
 from .model import Angle, IqpProgram, PI_OVER_8, SecretKey
@@ -101,14 +101,7 @@ def random_nonzero_bits(n: int, rng: np.random.Generator) -> int:
             return bits
 
 
-def _row_angle(angle_policy: str | Angle, rng: np.random.Generator) -> Angle:
-    if isinstance(angle_policy, Angle):
-        return angle_policy
-    if angle_policy == "pi8":
-        return PI_OVER_8
-    if angle_policy == "uniform-pi8":
-        return Angle(int(rng.integers(0, 8)), 8)
-    raise ValidationError(f"unknown angle policy {angle_policy!r}")
+_PI8_ANGLES = tuple(Angle(w, 8) for w in range(8))
 
 
 def random_program(
@@ -120,40 +113,38 @@ def random_program(
     """Program with m rows drawn uniformly from the nonzero n-bit strings.
 
     ``angle_policy`` is "pi8" (every row pi/8), "uniform-pi8" (independent
-    uniform multiples w*pi/8, w in 0..7) or a fixed :class:`Angle` shared by
-    every row.
+    uniform multiples w*pi/8, w in 0..7, drawn after the rows) or a fixed
+    :class:`Angle` shared by every row.
     """
     if rng is None:
         raise ValidationError("random_program needs an explicit rng")
     if n < 1 or m < 0:
         raise ValidationError(f"bad shape n={n}, m={m}")
     rows = [BitVector(n, random_nonzero_bits(n, rng)) for _ in range(m)]
-    angles = tuple(_row_angle(angle_policy, rng) for _ in range(m))
+    if angle_policy == "uniform-pi8":
+        angles = tuple(_PI8_ANGLES[w] for w in rng.integers(0, 8, size=m).tolist())
+    elif angle_policy == "pi8" or isinstance(angle_policy, Angle):
+        angles = (PI_OVER_8 if angle_policy == "pi8" else angle_policy,) * m
+    else:
+        raise ValidationError(f"unknown angle policy {angle_policy!r}")
     return IqpProgram(BitMatrix(rows, cols=n), angles)
 
 
 def random_2local(n: int, rng: np.random.Generator) -> IqpProgram:
     """Random two-local ensemble: X_iX_j and X_i rows with angles w*pi/8.
 
-    Coefficients w are uniform in 0..7 and rows whose coefficient lands on 0
-    are omitted, so the program (possibly empty) holds only acting rows.
+    Coefficients w are uniform in 0..7, drawn in one call (pairs i < j in
+    lexicographic order, then singles), and rows whose coefficient lands on
+    0 are omitted, so the program (possibly empty) holds only acting rows.
     """
     if n < 1:
         raise ValidationError("n must be at least 1")
-    rows: list[BitVector] = []
-    angles: list[Angle] = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            w = int(rng.integers(0, 8))
-            if w:
-                rows.append(BitVector(n, (1 << i) | (1 << j)))
-                angles.append(Angle(w, 8))
-    for i in range(n):
-        w = int(rng.integers(0, 8))
-        if w:
-            rows.append(BitVector(n, 1 << i))
-            angles.append(Angle(w, 8))
-    return IqpProgram(BitMatrix(rows, cols=n), tuple(angles))
+    masks = [(1 << i) | (1 << j) for i in range(n) for j in range(i + 1, n)]
+    masks += [1 << i for i in range(n)]
+    ws = rng.integers(0, 8, size=len(masks)).tolist()
+    rows = [BitVector(n, bits) for bits, w in zip(masks, ws) if w]
+    angles = tuple(_PI8_ANGLES[w] for w in ws if w)
+    return IqpProgram(BitMatrix(rows, cols=n), angles)
 
 
 def search_main_part(
@@ -215,18 +206,16 @@ def add_redundant_rows(
         raise ConstructionError("no nonzero row is orthogonal to every secret")
     if angle is None:
         angle = program.uniform_angle() or PI_OVER_8
-    rows = list(program.chi.rows)
-    angles = list(program.angles)
-    for _ in range(count):
-        bits = 0
-        while bits == 0:
-            coeffs = rng.integers(0, 2, size=len(basis))
-            for c, b in zip(coeffs, basis):
-                if c:
-                    bits ^= b.bits
-        rows.append(BitVector(program.n, bits))
-        angles.append(angle)
-    return IqpProgram(BitMatrix(rows, cols=program.n), tuple(angles))
+    coeffs, need = [], count
+    while need:  # nonzero draws in stream order, as a redraw-per-row loop keeps them
+        draw = rng.integers(0, 2, size=(need, len(basis)))
+        coeffs.append(draw[draw.any(axis=1)])
+        need -= len(coeffs[-1])
+    picks = np.packbits(np.concatenate(coeffs), axis=1, bitorder="little")
+    padding = combine_rows(picks, basis, program.n).astype("<u8")
+    new = (int.from_bytes(words.tobytes(), "little") for words in padding)
+    rows = program.chi.rows + tuple(BitVector(program.n, bits) for bits in new)
+    return IqpProgram(BitMatrix(rows, cols=program.n), program.angles + (angle,) * count)
 
 
 def random_scramble_ops(n: int, count: int, rng: np.random.Generator) -> list[tuple[int, int]]:

@@ -3,7 +3,9 @@
 Everything here is deliberately naive: dense vectors, explicit gate action,
 no shared code paths with the package (no Walsh-Hadamard trick, no phase
 tableau).  Values produced here were frozen first and the package is tested
-against them, not the other way round.
+against them, not the other way round.  The one exception is
+``radix2_walsh_hadamard``: the package's earlier transform, kept verbatim so
+that the current one can be checked to reproduce it bit for bit.
 """
 
 from __future__ import annotations
@@ -41,6 +43,29 @@ def dense_correlation(program: IqpProgram, s: BitVector) -> float:
     idx = np.arange(probs.size)
     signs = 1.0 - 2.0 * (np.bitwise_count(idx & s.bits) & 1)
     return float(np.dot(probs, signs))
+
+
+def direct_walsh_hadamard(values: np.ndarray) -> np.ndarray:
+    """g[s] = sum_x f[x] * (-1)^(s.x), one explicit sign row per s."""
+    idx = np.arange(values.size)
+    out = np.empty(values.size, dtype=np.result_type(values, np.float64))
+    for s in range(values.size):
+        out[s] = np.sum(values * (1.0 - 2.0 * (np.bitwise_count(idx & s) & 1)))
+    return out
+
+
+def radix2_walsh_hadamard(values: np.ndarray) -> np.ndarray:
+    """The radix-2 butterfly, one concatenating level at a time."""
+    a = np.array(values, copy=True)
+    size = a.shape[0]
+    h = 1
+    while h < size:
+        pairs = a.reshape(-1, 2, h)
+        top = pairs[:, 0, :] + pairs[:, 1, :]
+        bottom = pairs[:, 0, :] - pairs[:, 1, :]
+        a = np.concatenate((top[:, None, :], bottom[:, None, :]), axis=1).reshape(size)
+        h *= 2
+    return a
 
 
 def brute_force_span(basis: list[BitVector]) -> set[int]:

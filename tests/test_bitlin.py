@@ -9,6 +9,7 @@ from iqpverify.bitlin import (
     SPAN_CAP,
     BitMatrix,
     BitVector,
+    combine_rows,
     dot,
     echelon,
     nullspace_basis,
@@ -23,7 +24,7 @@ from iqpverify.bitlin import (
 )
 from iqpverify.errors import CapacityError, DimensionError, ValidationError
 
-from oracles import brute_force_span
+from oracles import brute_force_span, direct_walsh_hadamard, radix2_walsh_hadamard
 
 
 def bitvectors(max_n=24):
@@ -244,6 +245,31 @@ class TestWalshHadamard:
             signs = 1.0 - 2.0 * (np.bitwise_count(idx & s) & 1)
             assert got[s] == pytest.approx(float(np.dot(values, signs)), abs=1e-9)
 
+    @pytest.mark.parametrize("n", range(13))  # odd n end on the radix-2 pass
+    def test_matches_direct_definition_real_and_complex(self, n):
+        rng = np.random.default_rng([17, n])
+        real = rng.standard_normal(1 << n)
+        for values in (real, real + 1j * rng.standard_normal(1 << n)):
+            got = walsh_hadamard(values)
+            assert got.dtype == values.dtype
+            assert np.allclose(got, direct_walsh_hadamard(values), rtol=1e-12, atol=1e-9)
+
+    @pytest.mark.parametrize("n", range(19))
+    def test_bitwise_equal_to_radix2_butterfly(self, n):
+        rng = np.random.default_rng([18, n])
+        real = rng.standard_normal(1 << n)
+        for values in (real, np.exp(1j * real)):
+            got = walsh_hadamard(values)
+            assert got.tobytes() == radix2_walsh_hadamard(values).tobytes()
+
+    @pytest.mark.parametrize("n", [0, 1, 4, 5])
+    def test_input_left_unmodified(self, n):
+        values = np.exp(1j * np.arange(1 << n))
+        before = values.copy()
+        out = walsh_hadamard(values)
+        assert values.tobytes() == before.tobytes()
+        assert not np.shares_memory(out, values)
+
     @given(st.integers(0, 8), st.data())
     def test_self_inverse_up_to_size(self, n, data):
         size = 1 << n
@@ -311,6 +337,22 @@ class TestPackedBatch:
         # every coordinate is drawn, the top one included
         top = (words[:, -1] >> np.uint64((n - 1) % 64)) & np.uint64(1)
         assert 0 < int(top.sum()) < 500
+
+    @pytest.mark.parametrize("n", BOUNDARY_WIDTHS)
+    @pytest.mark.parametrize("k", [0, 1, 8, 13])  # groups: none, partial, full, two
+    def test_combine_rows_xors_the_picked_vectors(self, n, k):
+        rng = np.random.default_rng([n, k])
+        ints = [int.from_bytes(rng.bytes(32), "little") >> (256 - n) for _ in range(k)]
+        basis = [BitVector(n, bits) for bits in ints]
+        coeffs = rng.integers(0, 2, size=(50, k))
+        picks = np.packbits(coeffs, axis=1, bitorder="little")
+        got = combine_rows(picks, basis, n)
+        assert got.shape == (50, (n + 63) // 64) and got.dtype == np.uint64
+        for row, c in zip(got, coeffs):
+            want = 0
+            for b, bit in zip(basis, c):
+                want ^= b.bits if bit else 0
+            assert int.from_bytes(row.tobytes(), "little") == want
 
     def test_random_rows_narrow_stream(self):
         # below one word the batch is exactly one rng.integers call

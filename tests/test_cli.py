@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from iqpverify.bitlin import rank
-from iqpverify.cli import main
+from iqpverify.cli import _BACKENDS, main
+from iqpverify.evaluators import Backend
 from iqpverify.experiments import parse_report
 from iqpverify.model import parse_key, parse_program
 from iqpverify.protocol import ProverServer
@@ -243,6 +244,10 @@ class TestExperimentsCli:
             == 0
         )
         assert "mean_sq" in capsys.readouterr().out
+
+
+def test_backend_names_map_onto_every_backend_once():
+    assert sorted(_BACKENDS.values()) == sorted(Backend)
 
 
 class TestUsageErrors:

@@ -233,6 +233,34 @@ class TestAgainstDenseOracle:
             sample_outputs(program, 5, np.random.default_rng(0))
 
 
+class TestPhaseTable:
+    """Rows that share an index, and no rows at all, in the one phase table."""
+
+    def test_duplicate_rows_add_their_angles(self):
+        # 110 three times and 011 twice: a scatter that keeps one angle per
+        # index would drop four of these six rows
+        chi = BitMatrix.from_strings(["110", "011", "110", "101", "011", "110"])
+        angles = tuple(Angle(w, 8) for w in (1, 3, 2, 5, 1, 7))
+        program = IqpProgram(chi, angles)
+        got = output_distribution(program).probs
+        assert np.allclose(got, dense_distribution(program), atol=1e-12)
+        for bits in range(1, 8):
+            s = BitVector(3, bits)
+            want = dense_correlation(program, s)
+            for backend in (Backend.STATEVECTOR, Backend.DIAGONAL_EXACT):
+                assert evaluate(program, s, backend).value == pytest.approx(want, abs=1e-12)
+
+    def test_program_without_rows(self):
+        program = IqpProgram(BitMatrix([], cols=4), ())
+        got = output_distribution(program).probs
+        assert got.tolist() == dense_distribution(program).tolist() == [1.0] + [0.0] * 15
+        s = BitVector.from_string("1010")
+        assert correlation_diagonal(program, s).value == 1.0
+        assert correlation_statevector(program, s).value == 1.0
+        batch = sample_outputs(program, 5, np.random.default_rng(0))
+        assert batch.tolist() == [[0]] * 5
+
+
 class TestMonteCarlo:
     def test_sample_count_frozen(self):
         assert mc_sample_count(0.05, 0.05) == 2952

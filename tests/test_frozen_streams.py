@@ -9,7 +9,9 @@ backend became an exponential sum: value, g and reduced_dim stay bitwise.
 The challenge digest was recorded while the scramble still drew its column
 ops one scalar ``rng.integers`` call at a time.  The reply digest was recorded
 while replies still held one Python str per sample and were written by
-``json.dumps``.
+``json.dumps``.  The ensemble digest was recorded while ``random_2local``
+and the "uniform-pi8" policy still drew one scalar ``rng.integers`` per
+coefficient.
 """
 
 import hashlib
@@ -23,6 +25,7 @@ from iqpverify.evaluators import correlation_clifford, correlation_diagonal
 from iqpverify.keygen import (
     ConstructionSpec,
     build_challenge,
+    random_2local,
     random_nonzero_bits,
     random_program,
 )
@@ -158,6 +161,22 @@ def test_challenge_digest():
         digest.update(challenge.encode() + serialize_key(key).encode())
     assert digest.hexdigest() == (
         "b02a809ea7f8cfd328afee78cc487e7d6acfe9cc41b99bd5212897b092b41e1b"
+    )
+
+
+def test_ensemble_digest():
+    # both random ensembles at the packed word edges, m = 0 included, then
+    # the generator's final state
+    rng = np.random.default_rng(16)
+    digest = hashlib.sha256()
+    for i in range(160):
+        n = (1, 2, 5, 10, 31, 63, 64, 65)[i % 8]
+        digest.update(serialize_program(random_2local(n, rng)).encode())
+        m = int(rng.integers(0, 2 * n + 1))
+        digest.update(serialize_program(random_program(n, m, "uniform-pi8", rng)).encode())
+    digest.update(rng.bytes(8))
+    assert digest.hexdigest() == (
+        "0c2e758524fd9161530bfbc8acbc5dad5f796cf1ff435db64939f23aeb976b6f"
     )
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iqpverify.bitlin import BitMatrix, BitVector, dot
+from iqpverify.bitlin import BitMatrix, BitVector, dot, nullspace_basis
 from iqpverify.errors import ConstructionError, DimensionError, ValidationError
 from iqpverify.evaluators import correlation_clifford, correlation_statevector
 from iqpverify.keygen import (
@@ -146,6 +146,26 @@ class TestRedundantRows:
             program, [BitVector.from_string("1100")], 3, rng, angle=Angle(1, 4)
         )
         assert grown.angles[2:] == (Angle(1, 4),) * 3
+
+    @pytest.mark.parametrize("n, secret", [(2, "11"), (3, "110"), (6, "101100")])
+    def test_padding_follows_the_one_draw_per_row_stream(self, n, secret):
+        # small bases draw all-zero coefficient rows often; each is redrawn
+        # in place, so the rows and the final state match a per-row loop
+        secrets = [BitVector.from_string(secret)]
+        program = random_program(n, 3, "pi8", np.random.default_rng(5))
+        basis = nullspace_basis(BitMatrix(secrets, cols=n))
+        rng, ref = np.random.default_rng(6), np.random.default_rng(6)
+        grown = add_redundant_rows(program, secrets, 40, rng)
+        rows = []
+        while len(rows) < 40:
+            coeffs = ref.integers(0, 2, size=len(basis))
+            bits = 0
+            for c, b in zip(coeffs, basis):
+                bits ^= b.bits if c else 0
+            if bits:
+                rows.append(BitVector(n, bits))
+        assert grown.chi.rows[3:] == tuple(rows)
+        assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_zero_count_is_identity(self):
         rng = np.random.default_rng(2)

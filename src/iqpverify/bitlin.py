@@ -343,9 +343,11 @@ def pack_rows(rows: Sequence[str], n: int) -> np.ndarray:
 def pack_bits(table: np.ndarray) -> np.ndarray:
     """Pack a T x n table of 0/1 entries (column i is coordinate i) into a batch."""
     count, n = table.shape
-    padded = np.zeros((count, 64 * words_per_row(n)), dtype=np.uint8)
+    nwords = words_per_row(n)
+    padded = np.zeros((count, 64 * nwords), dtype=np.uint8)
     padded[:, :n] = table
-    return np.packbits(padded, axis=1, bitorder="little").view("<u8")
+    # rows are whole words, so one flat pass packs them; axis=1 is about 2x slower
+    return np.packbits(padded.reshape(-1), bitorder="little").view("<u8").reshape(count, nwords)
 
 
 def unpack_bits(words: np.ndarray, n: int) -> np.ndarray:

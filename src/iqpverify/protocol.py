@@ -6,6 +6,9 @@ strings and judges them locally against its secret key.  No secret string or
 expected value ever goes on the wire; a verdict is only sent back when the
 verifier explicitly opts in.  A reply is one packed batch on both sides
 (:mod:`iqpverify.bitlin`): written straight from it, packed once when read.
+A reply line in :meth:`SamplesMsg.encode`'s exact layout is read in one
+``np.frombuffer`` pass; any other line goes through ``json.loads`` and
+:meth:`SamplesMsg.from_payload`, so it gets the same batch or error code.
 
 Message shapes::
 
@@ -269,6 +272,33 @@ class SamplesMsg:
         return b"".join((_reply_head(self.session), body, b"]}\n"))
 
 
+def _read_encoded_reply(line: bytes, challenge: ChallengeMsg) -> np.ndarray | None:
+    """The batch of a reply line in exactly :meth:`SamplesMsg.encode`'s layout, else None.
+
+    Reads the line as one T x (n+3) byte table.  It accepts only lines that
+    ``from_payload`` accepts with the same batch and never raises, so every
+    other line, and every error code and detail, is left to the json path.
+    """
+    n, t, session = challenge.n, challenge.samples_requested, challenge.session
+    head = _reply_head(session)
+    if not session or n < 1 or t < 1 or len(line) != len(head) + t * (n + 3) + 1:
+        return None
+    if not line.startswith(head) or line[-1:] != b"}":
+        return None
+    # the body and its closing "]": one '"bits",' row per sample, "]" for the last comma
+    table = np.frombuffer(line, np.uint8, t * (n + 3), len(head)).reshape(t, n + 3)
+    bits = table[:, 1 : n + 1] - np.uint8(ord("0"))
+    if (
+        np.any(bits > 1)
+        or np.any(table[:, 0] != ord('"'))
+        or np.any(table[:, n + 1] != ord('"'))
+        or np.any(table[:-1, n + 2] != ord(","))
+        or table[-1, n + 2] != ord("]")
+    ):
+        return None
+    return pack_bits(bits)
+
+
 def _encode_error(exc: ProtocolError) -> bytes:
     return _encode({"type": "error", "code": exc.code, "detail": exc.detail})
 
@@ -528,10 +558,10 @@ class ProverServer:
         return self
 
     def close(self) -> None:
-        self._tcp.shutdown()
-        self._tcp.server_close()
-        if self._thread is not None:
+        if self._thread is not None:  # shutdown() waits for serve_forever to return
+            self._tcp.shutdown()
             self._thread.join(timeout=5.0)
+        self._tcp.server_close()
 
     def __enter__(self) -> "ProverServer":
         return self.start()
@@ -542,7 +572,11 @@ class ProverServer:
 
 def _exchange(sock: socket.socket, challenge: ChallengeMsg) -> SamplesMsg:
     sock.sendall(challenge.encode())
-    payload = _decode_line(_recv_line(sock))
+    line = _recv_line(sock)
+    batch = _read_encoded_reply(line, challenge)
+    if batch is not None:
+        return SamplesMsg(challenge.session, challenge.n, batch)
+    payload = _decode_line(line)
     if payload.get("type") == "error":
         raise ProtocolError(
             str(payload.get("code", "unknown")), str(payload.get("detail", ""))

@@ -184,7 +184,7 @@ class TestVerify:
             "verify",
             "--address", "127.0.0.1:1",  # nothing listens there
             "--program", prog, "--key", key,
-            "--samples", 10, "--timeout", 2,
+            "--samples", 2952, "--timeout", 2,
         )
         assert code == 3
 

@@ -3,6 +3,7 @@
 import json
 import math
 import socket
+import threading
 import time
 import tracemalloc
 
@@ -59,6 +60,38 @@ class FakeSock:
 
     def recv(self, size):
         return next(self._chunks, b"")
+
+    def sendall(self, data):
+        pass
+
+
+def json_outcome(line, challenge):
+    """The json path's reading of a reply line: its batch bytes, or (code, detail)."""
+    try:
+        return SamplesMsg.from_payload(_decode_line(line), challenge).batch.tobytes()
+    except ProtocolError as exc:
+        return exc.code, exc.detail
+
+
+def exchange_outcome(line, challenge):
+    """The same for what the verifier's exchange makes of the line."""
+    try:
+        return protocol._exchange(FakeSock([line + b"\n"]), challenge).batch.tobytes()
+    except ProtocolError as exc:
+        return exc.code, exc.detail
+
+
+def assert_read_as_json_path(line, challenge):
+    """The one-pass reader gives the json path's batch or None; the exchange agrees."""
+    want = json_outcome(line, challenge)
+    got = protocol._read_encoded_reply(line, challenge)
+    if isinstance(want, tuple):
+        assert got is None, (line, want)
+    else:
+        assert got is None or (got.dtype, got.tobytes()) == (np.uint64, want), line
+    if b"\n" not in line:  # a newline would end the line early on the socket
+        assert exchange_outcome(line, challenge) == want, line
+    return got, want
 
 
 class TestCodec:
@@ -199,6 +232,98 @@ class TestCodec:
         payload = {"type": "samples", "session": "s1", "bits": ["10000", "01000"]}
         good = SamplesMsg.from_payload(payload, challenge)
         assert good.n == 5 and good.batch.tolist() == [[0b00001], [0b00010]]
+
+    @pytest.mark.parametrize("prover", ["honest", "uniform", "leak"])
+    def test_encoded_reply_read_in_one_pass(self, prover):
+        for n in (1, 63, 64, 65, 200):
+            program = small_program(n=n, m=4)
+            key = SecretKey((BitVector.from_support(n, [n - 1]),), (0.5,))
+            for t, session in ((1, "s"), (40, "s"), (40, 'é "x\\')):
+                challenge = ChallengeMsg.from_program(program, t, session=session)
+                rng = np.random.default_rng(n)
+                if prover == "honest":
+                    reply = prover_honest(challenge, rng)
+                elif prover == "uniform":
+                    reply = prover_uniform(challenge, rng)
+                else:
+                    reply = prover_leak(challenge, key, rng)
+                line = reply.encode()[:-1]
+                got = protocol._read_encoded_reply(line, challenge)
+                want = SamplesMsg.from_payload(_decode_line(line), challenge).batch
+                assert got is not None
+                assert (got.dtype, got.shape) == (want.dtype, want.shape)
+                assert got.tobytes() == want.tobytes() == reply.batch.tobytes()
+
+    def test_encoded_reply_skips_json(self, monkeypatch):
+        challenge = ChallengeMsg.from_program(small_program(), 3, session="s1")
+        msg = SamplesMsg("s1", 5, pack_rows(["01101", "10110", "00011"], 5))
+
+        def refuse(line):
+            raise AssertionError("json path used for an encoded reply")
+
+        monkeypatch.setattr(protocol, "_decode_line", refuse)
+        assert exchange_outcome(msg.encode()[:-1], challenge) == msg.batch.tobytes()
+
+    @pytest.mark.parametrize("session", ["s1", 'é "x\\'])
+    def test_mutated_replies_read_as_json_path(self, session):
+        # every one-byte replacement and deletion: the one-pass reader takes
+        # exactly the lines whose only change is one flipped bit
+        n, t = 4, 3
+        challenge = ChallengeMsg.from_program(small_program(n=n), t, session=session)
+        line = SamplesMsg(session, n, pack_rows(["0110", "1011", "0001"], n)).encode()[:-1]
+        accepted = 0
+        for i in range(len(line)):
+            for byte in range(256):
+                if byte != line[i]:
+                    mutant = line[:i] + bytes([byte]) + line[i + 1 :]
+                    accepted += assert_read_as_json_path(mutant, challenge)[0] is not None
+            assert assert_read_as_json_path(line[:i] + line[i + 1 :], challenge)[0] is None
+        assert accepted == n * t
+
+    def test_reply_variants_read_as_json_path(self):
+        rows = ["0110", "1011", "0001"]
+        batch = pack_rows(rows, 4).tobytes()
+        challenge = ChallengeMsg.from_program(small_program(n=4), 3, session="s1")
+        line = SamplesMsg("s1", 4, pack_rows(rows, 4)).encode()[:-1]
+        reordered = {"session": "s1", "type": "samples", "bits": rows}
+        for variant, want in (
+            (line.replace(b",", b", "), batch),
+            (json.dumps(reordered, separators=(",", ":")).encode(), batch),
+            (line.replace(b'["0', b'["\\u0030', 1), batch),
+            (line + b" ", batch),
+            (line + b"x", ("bad-json",)),
+            (line[:-1], ("bad-json",)),
+            (line[: len(line) // 2], ("bad-json",)),
+            (
+                SamplesMsg("s2", 4, pack_rows(rows, 4)).encode()[:-1],
+                ("bad-session", "reply session 's2' != 's1'"),
+            ),
+            (
+                SamplesMsg("s1", 4, pack_rows(rows[:2], 4)).encode()[:-1],
+                ("count-mismatch", "got 2 samples, requested 3"),
+            ),
+            (
+                SamplesMsg("s1", 3, pack_rows(["011"] * 3, 3)).encode()[:-1],
+                ("bad-bits", "sample length 3 != n=4"),
+            ),
+        ):
+            got, outcome = assert_read_as_json_path(variant, challenge)
+            assert got is None
+            assert outcome[: len(want)] == want
+        assert assert_read_as_json_path(line, challenge)[0].tobytes() == batch
+
+    def test_degenerate_challenges_left_to_json_path(self):
+        # challenges from_program never builds: empty session, n=0, t=0
+        for session, n, t, body, code in (
+            ("", 4, 1, b'"0110"]}', "bad-session"),
+            ("s1", 0, 2, b'"",""]}', "bad-bits"),
+            ("s1", 4, 0, b"}", "bad-json"),
+            ("s1", 4, 0, b"]}", "bad-bits"),
+        ):
+            challenge = ChallengeMsg(session, n, (), (), t)
+            line = protocol._reply_head(session) + body
+            got, want = assert_read_as_json_path(line, challenge)
+            assert got is None and want[0] == code
 
     def test_bad_json(self):
         with pytest.raises(ProtocolError) as err:
@@ -480,6 +605,15 @@ class TestLoopback:
                 time.sleep(0.02)
             assert len(server.verdicts) == 1
             assert server.verdicts[0]["accept"] == report.accept
+
+    def test_close_without_start_returns(self):
+        # shutdown() alone would wait for a serve_forever loop that never ran
+        server = ProverServer()
+        closer = threading.Thread(target=server.close, daemon=True)
+        closer.start()
+        closer.join(timeout=10)
+        assert not closer.is_alive()
+        assert server._tcp.socket.fileno() == -1
 
     def test_leak_server_needs_key(self):
         with pytest.raises(ValidationError):

@@ -6,7 +6,8 @@ leftmost, matching the qubit-1-leftmost convention used in program files.
 
 A batch of T n-bit strings (samples, Monte-Carlo points) is one uint64 array
 of shape T x ceil(n/64) in the same bit order: coordinate i sits at bit
-i % 64 of word i // 64.
+i % 64 of word i // 64.  Only this module knows that layout: pack_ints and
+row_ints are the one bridge between ints and batches.
 """
 
 from __future__ import annotations
@@ -28,6 +29,9 @@ __all__ = [
     "span_weights",
     "walsh_hadamard",
     "words_per_row",
+    "pack_ints",
+    "row_ints",
+    "transpose_ints",
     "pack_rows",
     "pack_bits",
     "unpack_bits",
@@ -57,13 +61,10 @@ class BitVector:
     @classmethod
     def from_string(cls, text: str) -> BitVector:
         """Parse '1100' (leftmost character is coordinate 0)."""
-        bits = 0
-        for i, ch in enumerate(text):
-            if ch == "1":
-                bits |= 1 << i
-            elif ch != "0":
-                raise ValidationError(f"invalid bit character {ch!r} in {text!r}")
-        return cls(len(text), bits)
+        bad = text.strip("01")  # starts at the first character that is not a bit
+        if bad:
+            raise ValidationError(f"invalid bit character {bad[0]!r} in {text!r}")
+        return cls(len(text), int(text[::-1] or "0", 2))
 
     @classmethod
     def from_support(cls, length: int, positions: Iterable[int]) -> BitVector:
@@ -169,24 +170,15 @@ class BitMatrix:
     def column(self, j: int) -> BitVector:
         if not 0 <= j < self._cols:
             raise DimensionError(f"column {j} outside matrix with {self._cols} columns")
-        bits = 0
-        for i, r in enumerate(self._rows):
-            bits |= ((r.bits >> j) & 1) << i
+        bits = sum(((r.bits >> j) & 1) << i for i, r in enumerate(self._rows))
         return BitVector(len(self._rows), bits)
 
     def columns(self) -> Iterator[BitVector]:
         return (self.column(j) for j in range(self._cols))
 
     def transpose(self) -> BitMatrix:
-        if not self._rows:
-            raise DimensionError("cannot transpose a matrix with no rows")
-        m, width = len(self._rows), (self._cols + 7) // 8
-        data = b"".join(r.bits.to_bytes(width, "little") for r in self._rows)
-        octets = np.frombuffer(data, dtype=np.uint8).reshape(m, width)
-        table = np.unpackbits(octets, axis=1, count=self._cols, bitorder="little")
-        packed = np.packbits(table.T, axis=1, bitorder="little")
-        columns = [int.from_bytes(c.tobytes(), "little") for c in packed]
-        return BitMatrix([BitVector(m, c) for c in columns], cols=m)
+        columns = transpose_ints([r.bits for r in self._rows], self._cols)
+        return BitMatrix([BitVector(len(self._rows), c) for c in columns], cols=len(self._rows))
 
     def __eq__(self, other) -> bool:
         return (
@@ -266,13 +258,10 @@ def span_weights(basis: Sequence[BitVector], *, length: int | None = None) -> np
             raise DimensionError("span basis vectors differ in length")
     elif length is None:
         raise DimensionError("empty basis needs an explicit length")
-    nwords = max(1, words_per_row(length))
     base_d = min(d, _CHUNK)
-    table = np.zeros((1 << base_d, nwords), dtype=np.uint64)
-    size = 1
-    for v in vecs[:base_d]:
-        table[size : 2 * size] = table[:size] ^ _words(v.bits, nwords)
-        size *= 2
+    table = np.zeros((1 << base_d, words_per_row(length)), dtype=np.uint64)
+    for k, v in enumerate(vecs[:base_d]):
+        table[1 << k : 2 << k] = table[: 1 << k] ^ pack_ints([v.bits], length)
 
     out = np.empty(1 << d, dtype=np.int64)
     rest = vecs[base_d:]
@@ -280,10 +269,8 @@ def span_weights(basis: Sequence[BitVector], *, length: int | None = None) -> np
     for k in range(1 << len(rest)):
         if k:  # Gray code: offset k differs from k-1 in basis vector ctz(k)
             offset_bits ^= rest[(k & -k).bit_length() - 1].bits
-        chunk = table ^ _words(offset_bits, nwords)
-        out[k << base_d : (k + 1) << base_d] = np.bitwise_count(chunk).sum(
-            axis=1, dtype=np.int64
-        )
+        chunk = np.bitwise_count(table ^ pack_ints([offset_bits], length))
+        out[k << base_d : (k + 1) << base_d] = chunk.sum(axis=1, dtype=np.int64)
     return out
 
 
@@ -324,9 +311,21 @@ def words_per_row(n: int) -> int:
     return (n + 63) // 64
 
 
-def _words(bits: int, nwords: int) -> np.ndarray:
-    """The low 64*nwords bits of an int as packed row words."""
-    return np.frombuffer(bits.to_bytes(8 * nwords, "little"), dtype="<u8")
+def pack_ints(values: Sequence[int], n: int) -> np.ndarray:
+    """Pack n-bit ints (bit i is coordinate i) into a batch, one row per int."""
+    data = b"".join(v.to_bytes(8 * words_per_row(n), "little") for v in values)
+    return np.frombuffer(bytearray(data), dtype="<u8").reshape(len(values), words_per_row(n))
+
+
+def row_ints(words: np.ndarray) -> list[int]:
+    """Inverse of :func:`pack_ints`: the rows of a batch as ints."""
+    data, width = np.ascontiguousarray(words, dtype="<u8").tobytes(), 8 * words.shape[1]
+    return [int.from_bytes(data[t * width : (t + 1) * width], "little") for t in range(len(words))]
+
+
+def transpose_ints(rows: Sequence[int], width: int) -> list[int]:
+    """Column j of a len(rows) x width bit matrix of row ints, as an int whose bit i is row i."""
+    return row_ints(pack_bits(unpack_bits(pack_ints(rows, width), width).T))
 
 
 def pack_rows(rows: Sequence[str], n: int) -> np.ndarray:
@@ -358,10 +357,9 @@ def unpack_bits(words: np.ndarray, n: int) -> np.ndarray:
 
 def row_parities(words: np.ndarray, v: BitVector) -> np.ndarray:
     """GF(2) inner product of ``v`` with every row of the batch, as 0/1."""
-    nwords = words_per_row(len(v))
-    if words.ndim != 2 or words.shape[1] != nwords:
+    if words.ndim != 2 or words.shape[1] != words_per_row(len(v)):
         raise DimensionError(f"batch of shape {words.shape} is not {len(v)} bits wide")
-    return np.bitwise_count(words & _words(v.bits, nwords)).sum(axis=1) & 1
+    return np.bitwise_count(words & pack_ints([v.bits], len(v))).sum(axis=1) & 1
 
 
 def random_rows(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -376,17 +374,16 @@ def random_rows(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
 def combine_rows(picks: np.ndarray, basis: Sequence[BitVector], n: int) -> np.ndarray:
     """The batch whose row t is the XOR of the basis vectors k with bit k of picks[t] set.
 
-    ``picks`` is T x G packed bytes, bit j of byte g picking vector 8g + j; each
-    group of 8 vectors gets a table of its 256 XORs, so a row costs G lookups.
+    ``picks`` is a batch of len(basis)-bit rows.  Its byte g picks among vectors
+    8g..8g+7, and each such group gets a table of its 256 XORs: one lookup each.
     """
-    nwords = words_per_row(n)
-    data = b"".join(b.bits.to_bytes(8 * nwords, "little") for b in basis)
-    words = np.zeros((8 * picks.shape[1], nwords), dtype=np.uint64)
-    words[: len(basis)] = np.frombuffer(data, dtype="<u8").reshape(-1, nwords)
-    table = np.zeros((picks.shape[1], 256, nwords), dtype=np.uint64)
+    words = pack_ints([b.bits for b in basis] + [0] * (-len(basis) % 8), n)  # whole groups
+    groups, nwords = len(words) // 8, words_per_row(n)
+    octets = np.ascontiguousarray(picks, dtype="<u8").view(np.uint8)[:, :groups]
+    table = np.zeros((groups, 256, nwords), dtype=np.uint64)
     for j in range(8):  # vector j of every group
         table[:, 1 << j : 2 << j] = table[:, : 1 << j] ^ words[j::8, None]
     out = np.zeros((len(picks), nwords), dtype=np.uint64)
-    for g, column in enumerate(picks.T):
+    for g, column in enumerate(octets.T):
         out ^= table[g, column]
     return out

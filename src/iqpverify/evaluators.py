@@ -363,9 +363,7 @@ def correlation_clifford(program: IqpProgram, s: BitVector) -> CorrelationResult
     )
 
 
-def sample_outputs(
-    program: IqpProgram, count: int, rng: np.random.Generator
-) -> np.ndarray:
+def sample_outputs(program: IqpProgram, count: int, rng: np.random.Generator) -> np.ndarray:
     """A packed batch of outputs x = y . B, y drawn from the reduced program's table."""
     if count < 1:
         raise ValidationError(f"sample count must be positive, got {count}")
@@ -373,8 +371,7 @@ def sample_outputs(
     cumulative = np.cumsum(output_distribution(reduced).probs)
     ys = np.searchsorted(cumulative, rng.random(count), side="right")
     np.clip(ys, 0, (1 << reduced.n) - 1, out=ys)
-    picks = ys.astype("<u4").view(np.uint8).reshape(count, 4)  # ys < 2**24
-    return combine_rows(picks[:, : (len(basis) + 7) // 8], basis, program.n)
+    return combine_rows(ys.astype(np.uint64)[:, None], basis, program.n)  # ys < 2**24: one word
 
 
 def evaluate(

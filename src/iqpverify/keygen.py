@@ -13,7 +13,16 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .bitlin import BitMatrix, BitVector, combine_rows, nullspace_basis, random_rows
+from .bitlin import (
+    BitMatrix,
+    BitVector,
+    combine_rows,
+    nullspace_basis,
+    pack_bits,
+    random_rows,
+    row_ints,
+    transpose_ints,
+)
 from .errors import CapacityError, ConstructionError, DimensionError, ValidationError
 from .evaluators import CorrelationResult, correlation_clifford
 from .model import Angle, IqpProgram, PI_OVER_8, SecretKey
@@ -96,7 +105,7 @@ def random_nonzero_bits(n: int, rng: np.random.Generator) -> int:
     if n <= 63:
         return int(rng.integers(1, 1 << n, dtype=np.uint64))
     while True:
-        bits = int.from_bytes(random_rows(n, 1, rng).astype("<u8").tobytes(), "little")
+        bits = row_ints(random_rows(n, 1, rng))[0]
         if bits:
             return bits
 
@@ -211,9 +220,7 @@ def add_redundant_rows(
         draw = rng.integers(0, 2, size=(need, len(basis)))
         coeffs.append(draw[draw.any(axis=1)])
         need -= len(coeffs[-1])
-    picks = np.packbits(np.concatenate(coeffs), axis=1, bitorder="little")
-    padding = combine_rows(picks, basis, program.n).astype("<u8")
-    new = (int.from_bytes(words.tobytes(), "little") for words in padding)
+    new = row_ints(combine_rows(pack_bits(np.concatenate(coeffs)), basis, program.n))
     rows = program.chi.rows + tuple(BitVector(program.n, bits) for bits in new)
     return IqpProgram(BitMatrix(rows, cols=program.n), program.angles + (angle,) * count)
 
@@ -244,14 +251,6 @@ def random_scramble_ops(n: int, count: int, rng: np.random.Generator) -> list[tu
     return list(zip(src.tolist(), (dst + (dst >= src)).tolist()))
 
 
-def _transposed(rows: list[int], width: int) -> list[int]:
-    """Column j of a len(rows)-by-width bit matrix, as an int whose bit i is row i."""
-    if not rows or not width:
-        return [0] * width
-    matrix = BitMatrix([BitVector(width, r) for r in rows], cols=width)
-    return [c.bits for c in matrix.transpose().rows]
-
-
 def scramble(
     program: IqpProgram, secrets: Sequence[BitVector], ops: Iterable[tuple[int, int]]
 ) -> tuple[IqpProgram, tuple[BitVector, ...]]:
@@ -267,8 +266,8 @@ def scramble(
     n = program.n
     if any(len(s) != n for s in secrets):
         raise DimensionError("secret length differs from program width")
-    cols = _transposed([r.bits for r in program.chi.rows], n)
-    secret_cols = _transposed([s.bits for s in secrets], n)
+    cols = transpose_ints([r.bits for r in program.chi.rows], n)
+    secret_cols = transpose_ints([s.bits for s in secrets], n)
     for src, dst in ops:
         if src == dst or src < 0 or dst < 0:
             raise ValidationError(f"op ({src}, {dst}) needs two distinct columns >= 0")
@@ -276,8 +275,8 @@ def scramble(
             raise DimensionError(f"op ({src}, {dst}) outside {n} columns")
         cols[dst] ^= cols[src]
         secret_cols[src] ^= secret_cols[dst]
-    chi = BitMatrix([BitVector(n, r) for r in _transposed(cols, program.m)], cols=n)
-    secrets = tuple(BitVector(n, s) for s in _transposed(secret_cols, len(secrets)))
+    chi = BitMatrix([BitVector(n, r) for r in transpose_ints(cols, program.m)], cols=n)
+    secrets = tuple(BitVector(n, s) for s in transpose_ints(secret_cols, len(secrets)))
     return IqpProgram(chi, program.angles), secrets
 
 

@@ -46,9 +46,13 @@ class Angle:
     def __post_init__(self):
         if self.den == 0:
             raise ValidationError("angle denominator must be nonzero")
-        f = Fraction(self.num, self.den) % 2
+        f = Fraction(self.num % (2 * self.den), self.den)  # folded mod 2, then reduced
         object.__setattr__(self, "num", f.numerator)
         object.__setattr__(self, "den", f.denominator)
+        try:
+            self.radians
+        except OverflowError:
+            raise ValidationError("angle fraction is too large for a float") from None
 
     @property
     def radians(self) -> float:
@@ -271,7 +275,10 @@ def parse_program(text: str) -> IqpProgram:
         den = _parse_int(den_s, lineno, "angle denominator")
         if den <= 0:
             raise ParseError(f"angle denominator must be positive, got {den}", lineno)
-        angles.append(Angle(num, den))
+        try:
+            angles.append(Angle(num, den))
+        except ValidationError as exc:
+            raise ParseError(str(exc), lineno) from None
     return IqpProgram(BitMatrix(rows, cols=n), tuple(angles))
 
 

@@ -38,6 +38,7 @@ from .bitlin import (
     BitMatrix,
     BitVector,
     pack_bits,
+    pack_ints,
     pack_rows,
     random_rows,
     row_parities,
@@ -119,7 +120,7 @@ def _recv_line(sock: socket.socket) -> bytes:
 def _decode_line(line: bytes) -> dict:
     try:
         payload = json.loads(line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # also: an int past the digit limit, deep nesting
         raise ProtocolError("bad-json", f"undecodable message: {exc}")
     if not isinstance(payload, dict):
         raise ProtocolError("bad-json", "message is not a JSON object")
@@ -182,7 +183,6 @@ class ChallengeMsg:
         angles = payload.get("angles")
         if not isinstance(angles, list) or len(angles) != len(rows):
             raise ProtocolError("bad-angle", "need one [num, den] pair per row")
-        pairs = []
         for a in angles:
             if (
                 not isinstance(a, list)
@@ -192,7 +192,10 @@ class ChallengeMsg:
                 raise ProtocolError("bad-angle", f"bad angle entry {a!r}")
             if a[1] <= 0:
                 raise ProtocolError("bad-angle", f"denominator {a[1]} not positive")
-            pairs.append((a[0], a[1]))
+            try:
+                Angle(*a)
+            except ValidationError as exc:
+                raise ProtocolError("bad-angle", str(exc))
         t = payload.get("t")
         if not isinstance(t, int) or isinstance(t, bool) or t < 1:
             raise ProtocolError("bad-count", "t must be a positive integer")
@@ -201,7 +204,7 @@ class ChallengeMsg:
             raise ProtocolError(
                 "capacity", f"t={t} at n={n} exceeds the reply limit of {limit}"
             )
-        return cls(session, n, tuple(rows), tuple(pairs), t)
+        return cls(session, n, tuple(rows), tuple(tuple(a) for a in angles), t)
 
     def to_payload(self) -> dict:
         return {
@@ -381,7 +384,7 @@ def judge(key: SecretKey, samples: np.ndarray, epsilon: float) -> VerdictReport:
     n = key.n
     if samples.dtype != np.uint64 or samples.shape[1:] != (words_per_row(n),):
         raise ValidationError(f"batch of shape {samples.shape} does not hold {n}-bit rows")
-    if n % 64 and np.any(samples[:, -1] >> np.uint64(n % 64)):
+    if np.any(samples & ~pack_ints([(1 << n) - 1], n)):
         raise ValidationError(f"sample bits set above key n={n}")
     total = len(samples)
     verdicts = []
@@ -438,14 +441,10 @@ def prover_leak(
     multi-secret challenges exploit.
     """
     if leaked.count != 1:
-        raise ProtocolError(
-            "unsupported", "leak prover plays exactly one leaked secret"
-        )
+        raise ProtocolError("unsupported", "leak prover plays exactly one leaked secret")
     s = leaked.secrets[0]
     if len(s) != challenge.n:
-        raise ProtocolError(
-            "bad-n", f"leaked secret has {len(s)} bits, challenge n={challenge.n}"
-        )
+        raise ProtocolError("bad-n", f"leaked secret has {len(s)} bits, challenge n={challenge.n}")
     if s.is_zero():
         raise ProtocolError("unsupported", "leaked secret has empty support")
     p_orth = (1.0 + leaked.expected[0]) / 2.0
@@ -454,7 +453,7 @@ def prover_leak(
     draws = random_rows(challenge.n, challenge.samples_requested, rng)
     # Parity 1 where orthogonal was drawn, or 0 where not: flip one support bit.
     fix = row_parities(draws, s) == want_orth
-    draws[fix, flip // 64] ^= np.uint64(1 << (flip % 64))
+    draws[fix] ^= pack_ints([1 << flip], challenge.n)
     return SamplesMsg(challenge.session, challenge.n, draws)
 
 

@@ -14,11 +14,14 @@ from iqpverify.bitlin import (
     echelon,
     nullspace_basis,
     pack_bits,
+    pack_ints,
     pack_rows,
     random_rows,
     rank,
+    row_ints,
     row_parities,
     span_weights,
+    transpose_ints,
     unpack_bits,
     walsh_hadamard,
 )
@@ -69,8 +72,12 @@ class TestBitVector:
             BitVector(-1, 0)
         with pytest.raises(ValidationError):
             BitVector(2, 4)
-        with pytest.raises(ValidationError):
-            BitVector.from_string("10x")
+        with pytest.raises(ValidationError, match="'x'"):
+            BitVector.from_string("10x1y")
+        for text in ("1_0", " 10", "10 ", "1\u0661"):  # int() would take some of these
+            with pytest.raises(ValidationError):
+                BitVector.from_string(text)
+        assert BitVector.from_string("") == BitVector(0)
 
     def test_xor_requires_equal_length(self):
         with pytest.raises(DimensionError):
@@ -116,6 +123,10 @@ class TestBitMatrix:
             t = BitMatrix(rows, cols=n).transpose()
             assert t.shape == (n, m)
             assert t.rows == tuple(BitMatrix(rows, cols=n).columns())
+
+    def test_transpose_without_rows_rejected(self):
+        with pytest.raises(DimensionError):
+            BitMatrix([], cols=3).transpose()
 
     def test_ragged_rows_rejected(self):
         with pytest.raises(DimensionError):
@@ -345,14 +356,37 @@ class TestPackedBatch:
         ints = [int.from_bytes(rng.bytes(32), "little") >> (256 - n) for _ in range(k)]
         basis = [BitVector(n, bits) for bits in ints]
         coeffs = rng.integers(0, 2, size=(50, k))
-        picks = np.packbits(coeffs, axis=1, bitorder="little")
-        got = combine_rows(picks, basis, n)
+        got = combine_rows(pack_bits(coeffs), basis, n)
         assert got.shape == (50, (n + 63) // 64) and got.dtype == np.uint64
         for row, c in zip(got, coeffs):
             want = 0
             for b, bit in zip(basis, c):
                 want ^= b.bits if bit else 0
             assert int.from_bytes(row.tobytes(), "little") == want
+
+    @pytest.mark.parametrize("n", BOUNDARY_WIDTHS)
+    def test_pack_ints_round_trip(self, n):
+        rng = np.random.default_rng([n, 5])
+        values = [0, (1 << n) - 1, 1 << (n - 1)]
+        values += [int.from_bytes(rng.bytes(32), "little") >> (256 - n) for _ in range(20)]
+        words = pack_ints(values, n)
+        assert words.shape == (len(values), (n + 63) // 64) and words.dtype == np.uint64
+        assert row_ints(words) == values
+        strings = [BitVector(n, v).to01() for v in values]
+        assert np.array_equal(words, pack_rows(strings, n))
+        words[0] = 1  # a fresh, writable batch
+        empty = pack_ints([], n)
+        assert empty.shape == (0, (n + 63) // 64) and row_ints(empty) == []
+
+    @pytest.mark.parametrize("n", BOUNDARY_WIDTHS)
+    def test_transpose_ints_matches_columns(self, n):
+        rng = np.random.default_rng([n, 6])
+        for m in (1, 8, 13, 65):
+            rows = [int.from_bytes(rng.bytes(32), "little") >> (256 - n) for _ in range(m)]
+            matrix = BitMatrix([BitVector(n, r) for r in rows], cols=n)
+            assert transpose_ints(rows, n) == [c.bits for c in matrix.columns()]
+        assert transpose_ints([], n) == [0] * n  # no rows: every column is empty
+        assert transpose_ints([0] * n, 0) == []  # zero width: no columns
 
     def test_random_rows_narrow_stream(self):
         # below one word the batch is exactly one rng.integers call

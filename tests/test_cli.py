@@ -264,6 +264,12 @@ class TestUsageErrors:
     def test_missing_file_is_runtime_error(self, tmp_path):
         assert run_cli("eval", "--program", tmp_path / "nope.iqp", "--secret", "1") == 3
 
+    def test_angle_past_float_range_is_runtime_error(self, tmp_path, capsys):
+        prog = tmp_path / "huge.iqp"
+        prog.write_text(f"version 1\nn 2\nm 1\nrow 11\nangle {10**400}/{10**400 + 1}\n")
+        assert run_cli("eval", "--program", prog, "--secret", "10") == 3
+        assert "line 5: angle fraction is too large" in capsys.readouterr().err
+
 
 class TestModuleInvocation:
     def test_help_via_module(self):

@@ -43,6 +43,11 @@ class TestAngle:
         with pytest.raises(ValidationError):
             Angle(1, 0)
 
+    def test_fraction_past_float_range_rejected(self):
+        with pytest.raises(ValidationError, match="too large for a float"):
+            Angle(10**400, 10**400 + 1)
+        assert Angle(10**300, 10**300 + 1).radians == pytest.approx(math.pi)
+
     def test_multiple_of_pi8(self):
         assert Angle(1, 8).multiple_of_pi8() == 1
         assert Angle(1, 4).multiple_of_pi8() == 2
@@ -162,6 +167,10 @@ class TestProgramFormat:
             parse_program("version 1\nn 2\nm 1\nrow 10\nangle 1|8\n")
         with pytest.raises(ParseError):
             parse_program("version 1\nn 2\nm 1\nrow 10\nangle 1/0\n")
+        huge = f"angle {10**400}/{10**400 + 1}"
+        with pytest.raises(ParseError, match="too large for a float") as err:
+            parse_program(f"version 1\nn 2\nm 2\nrow 10\nrow 01\nangle 1/8\n{huge}\n")
+        assert err.value.line == 7
 
 
 class TestKeyFormat:

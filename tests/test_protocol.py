@@ -13,7 +13,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iqpverify import protocol
-from iqpverify.bitlin import BitMatrix, BitVector, pack_bits, pack_rows, rank, words_per_row
+from iqpverify.bitlin import (
+    BitMatrix,
+    BitVector,
+    pack_bits,
+    pack_ints,
+    pack_rows,
+    rank,
+    words_per_row,
+)
 from iqpverify.errors import ProtocolError, ValidationError
 from iqpverify.keygen import ConstructionSpec, build_challenge
 from iqpverify.evaluators import STATEVECTOR_CAP
@@ -63,6 +71,29 @@ class FakeSock:
 
     def sendall(self, data):
         pass
+
+
+def serve_one_reply(reply):
+    """A one-shot loopback prover that answers the first challenge line with ``reply``."""
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def serve():
+        with listener:
+            conn, _ = listener.accept()
+            with conn:
+                _recv_line(conn)
+                conn.sendall(reply)
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    return listener.getsockname(), thread
+
+
+def ask_server(server, line):
+    """Send one raw line to a running server and return its decoded reply."""
+    with socket.create_connection(server.address, timeout=5) as sock:
+        sock.sendall(line)
+        return json.loads(_recv_line(sock))
 
 
 def json_outcome(line, challenge):
@@ -183,6 +214,18 @@ class TestCodec:
         with pytest.raises(ProtocolError) as err:
             ChallengeMsg.from_payload(payload)
         assert err.value.code == "bad-angle"
+
+    def test_angle_too_large_for_a_float(self):
+        payload = challenge_payload()
+        payload["angles"][-1] = [10**400, 10**400 + 1]
+        with pytest.raises(ProtocolError) as err:
+            ChallengeMsg.from_payload(payload)
+        assert err.value.code == "bad-angle"
+        # a huge fraction that still fits a float is stored as sent
+        payload["angles"][-1] = [10**300, 10**300 + 1]
+        msg = ChallengeMsg.from_payload(payload)
+        assert msg.angles[-1] == (10**300, 10**300 + 1)
+        assert msg.to_payload() == payload
 
     def test_samples_rejections(self):
         challenge = ChallengeMsg.from_program(small_program(), 2, session="s1")
@@ -332,6 +375,13 @@ class TestCodec:
         with pytest.raises(ProtocolError) as err:
             _decode_line(b'["a", "list"]')
         assert err.value.code == "bad-json"
+        with pytest.raises(ProtocolError) as err:  # past int()'s digit limit
+            _decode_line(b'{"n":' + b"1" * 5000 + b"}")
+        assert err.value.code == "bad-json"
+        for deep in (b"[" * 100_000, b'{"a":' * 100_000):  # past the recursion limit
+            with pytest.raises(ProtocolError) as err:
+                _decode_line(deep)
+            assert err.value.code == "bad-json"
 
 
 class TestRecvLine:
@@ -396,6 +446,18 @@ class TestJudging:
             judge(self.key(), pack_rows(["1100"], 4).astype(np.int64), epsilon=0.1)
         with pytest.raises(ValidationError):
             judge(self.key(), pack_rows(["1100"], 4), epsilon=0.0)
+
+    @pytest.mark.parametrize("n", [63, 64, 65, 128])
+    def test_bits_above_n_rejected_at_word_edges(self, n):
+        key = SecretKey((BitVector(n, 1),), (-1.0,))
+        full = pack_ints([(1 << n) - 1], n)  # every coordinate set: a full word at n = 64
+        assert judge(key, full, epsilon=0.1).accept
+        # bit n is padding, or at n = 64 and 128 the first bit of a word too many
+        with pytest.raises(ValidationError, match="above key n" if n % 64 else "does not hold"):
+            judge(key, pack_ints([1 << n], n + 1), epsilon=0.1)
+        if n % 64:  # the last padding bit of the row
+            with pytest.raises(ValidationError, match="above key n"):
+                judge(key, pack_ints([1 << (64 * words_per_row(n) - 1)], n), epsilon=0.1)
 
     def test_threshold_value(self):
         key = self.key(expected=0.7)
@@ -570,6 +632,32 @@ class TestLoopback:
                 reply = json.loads(_recv_line(sock))
         assert reply["type"] == "error"
         assert reply["code"] == "bad-json"
+
+    def test_overlong_int_gets_bad_json_on_both_sides(self):
+        digits = b"1" * 5000  # Python refuses int literals over 4300 digits
+        with ProverServer(seed=0) as server:
+            reply = ask_server(server, b'{"type":"challenge","session":"s","n":' + digits + b"}\n")
+        assert reply["code"] == "bad-json"
+        address, thread = serve_one_reply(
+            b'{"type":"samples","session":"s","bits":' + digits + b"}\n"
+        )
+        key = SecretKey((BitVector(5, 1),), (0.5,))
+        with pytest.raises(ProtocolError) as err:
+            run_verification(address, small_program(), key, 2000, session="s", timeout=5)
+        thread.join(timeout=5)
+        assert err.value.code == "bad-json"
+
+    def test_deep_nesting_gets_bad_json_reply(self):
+        with ProverServer(seed=0) as server:
+            reply = ask_server(server, b"[" * 100_000 + b"\n")
+        assert reply["type"] == "error" and reply["code"] == "bad-json"
+
+    def test_overflowing_angle_gets_bad_angle_reply(self):
+        payload = challenge_payload()
+        payload["angles"][0] = [10**400, 10**400 + 1]
+        with ProverServer(seed=0) as server:
+            reply = ask_server(server, json.dumps(payload).encode() + b"\n")
+        assert reply["type"] == "error" and reply["code"] == "bad-angle"
 
     def test_wrong_type_gets_error_reply(self):
         with ProverServer(seed=0) as server:

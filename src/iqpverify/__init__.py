@@ -7,7 +7,6 @@ them from samples alone, and the secrets stay off the wire.
 """
 
 from .bitlin import (
-    SPAN_CAP,
     BitMatrix,
     BitVector,
     dot,

@@ -16,12 +16,11 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import CapacityError, DimensionError, ValidationError
+from .errors import DimensionError, ValidationError
 
 __all__ = [
     "BitVector",
     "BitMatrix",
-    "SPAN_CAP",
     "dot",
     "echelon",
     "rank",
@@ -39,11 +38,6 @@ __all__ = [
     "random_rows",
     "combine_rows",
 ]
-
-# Spans larger than 2**SPAN_CAP elements are refused outright: enumerating
-# 2**26 vectors is seconds of work, 2**32 is not.
-SPAN_CAP = 26
-
 
 class BitVector:
     """Immutable GF(2) vector of fixed length."""
@@ -112,7 +106,7 @@ class BitVector:
         return tuple(i for i in range(self._length) if (self._bits >> i) & 1)
 
     def to01(self) -> str:
-        return "".join("1" if (self._bits >> i) & 1 else "0" for i in range(self._length))
+        return bin(self._bits | 1 << self._length)[:2:-1]  # reversed, less the marker bit
 
     def __repr__(self) -> str:
         return f"BitVector('{self.to01()}')"
@@ -245,13 +239,11 @@ def span_weights(basis: Sequence[BitVector], *, length: int | None = None) -> np
     """Hamming weights of all 2**d span elements of a basis, order unspecified.
 
     The span is built as word-packed numpy columns in chunks of 2**16 and
-    popcounted in bulk, so dimensions near the cap stay in the seconds range.
+    popcounted in bulk.  It holds 2**d int64s, so the caller caps d.
     ``length`` is only needed when ``basis`` is empty.
     """
     vecs = list(basis)
     d = len(vecs)
-    if d > SPAN_CAP:
-        raise CapacityError(f"span dimension {d} exceeds cap {SPAN_CAP}")
     if vecs:
         length = len(vecs[0])
         if any(len(v) != length for v in vecs):

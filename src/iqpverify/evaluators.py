@@ -17,8 +17,8 @@ cos(2 * table), the amplitudes are a second transform of exp(i * table).  An
 exact correlation simulates only the secret's main rows, rewritten on
 d = rank(main rows) qubits, so it costs 2**d.  Sampling simulates all rows on
 rank(chi) qubits, as the output lies in chi's row space.  Only the 2**n tables
-of output_distribution and all_correlations are n-wide.  The dense cap
-applies to the simulated width.
+of output_distribution and all_correlations are n-wide.  One dense cap
+applies to the simulated width, and to the subspace backend's 2**d span.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ __all__ = [
     "evaluate",
 ]
 
-# Dense 2**d arrays above this many simulated qubits d are refused.
+# Dense 2**d arrays and subspace spans above this many simulated qubits d are refused.
 STATEVECTOR_CAP = 24
 
 
@@ -142,11 +142,15 @@ def _reduce(program: IqpProgram, s: BitVector | None = None):
     return IqpProgram(BitMatrix(rows, cols=d), angles), s, basis
 
 
+def _check_cap(d: int) -> None:
+    if d > STATEVECTOR_CAP:
+        raise CapacityError(f"dimension {d} exceeds dense cap {STATEVECTOR_CAP}")
+
+
 def _phase_table(program: IqpProgram) -> np.ndarray:
     """sum_j theta_j (-1)^(chi_j . x) at every x: one transform of the row angles."""
     n, m = program.n, program.m
-    if n > STATEVECTOR_CAP:
-        raise CapacityError(f"dimension {n} exceeds dense cap {STATEVECTOR_CAP}")
+    _check_cap(n)
     bits = np.fromiter((row.bits for row in program.chi.rows), np.int64, m)
     radians = np.fromiter((a.radians for a in program.angles), np.float64, m)
     return walsh_hadamard(np.bincount(bits, radians, minlength=1 << n))  # duplicates add
@@ -251,6 +255,7 @@ def correlation_subspace(program: IqpProgram, s: BitVector) -> CorrelationResult
     """
     program, s, basis = _reduce(program, s)
     q, d = program.m, len(basis)
+    _check_cap(d)
     if q == 0:
         return CorrelationResult(1.0, Backend.SUBSPACE, reduced_dim=d)
     theta = program.uniform_angle()

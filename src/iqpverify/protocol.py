@@ -4,11 +4,13 @@ One exchange per connection, newline-delimited JSON.  The verifier connects,
 sends a challenge (matrix rows, angles, sample count), reads back sample bit
 strings and judges them locally against its secret key.  No secret string or
 expected value ever goes on the wire; a verdict is only sent back when the
-verifier explicitly opts in.  A reply is one packed batch on both sides
-(:mod:`iqpverify.bitlin`): written straight from it, packed once when read.
-A reply line in :meth:`SamplesMsg.encode`'s exact layout is read in one
-``np.frombuffer`` pass; any other line goes through ``json.loads`` and
-:meth:`SamplesMsg.from_payload`, so it gets the same batch or error code.
+verifier explicitly opts in.  A challenge is one :class:`IqpProgram` on both
+sides: written from it, validated and built once when read.  A reply is one
+packed batch on both sides (:mod:`iqpverify.bitlin`): written straight from
+it, packed once when read.  A reply line in :meth:`SamplesMsg.encode`'s
+exact layout is read in one ``np.frombuffer`` pass; any other line goes
+through ``json.loads`` and :meth:`SamplesMsg.from_payload`, so it gets the
+same batch or error code.
 
 Message shapes::
 
@@ -139,10 +141,12 @@ class ChallengeMsg:
     """Verifier-to-prover challenge: the program plus a sample count."""
 
     session: str
-    n: int
-    rows: tuple[str, ...]
-    angles: tuple[tuple[int, int], ...]
+    program: IqpProgram
     samples_requested: int
+
+    @property
+    def n(self) -> int:
+        return self.program.n
 
     @classmethod
     def from_program(
@@ -156,16 +160,11 @@ class ChallengeMsg:
             raise ValidationError(
                 f"{samples} samples of n={program.n} exceed the reply limit of {limit}"
             )
-        return cls(
-            session=session,
-            n=program.n,
-            rows=tuple(row.to01() for row in program.chi.rows),
-            angles=tuple((a.num, a.den) for a in program.angles),
-            samples_requested=samples,
-        )
+        return cls(session, program, samples)
 
     @classmethod
     def from_payload(cls, payload: dict) -> "ChallengeMsg":
+        """Validate a decoded challenge and build its program, each row and angle once."""
         if payload.get("type") != "challenge":
             raise ProtocolError("bad-type", f"expected challenge, got {payload.get('type')!r}")
         session = _require_session(payload)
@@ -175,14 +174,17 @@ class ChallengeMsg:
         rows = payload.get("rows")
         if not isinstance(rows, list) or not rows:
             raise ProtocolError("bad-row", "rows must be a non-empty list")
+        chi = []
         for r in rows:
-            if not isinstance(r, str) or len(r) != n or set(r) - {"0", "1"}:
+            if not isinstance(r, str) or len(r) != n or r.strip("01"):
                 raise ProtocolError("bad-row", f"bad row {r!r} for n={n}")
             if "1" not in r:
                 raise ProtocolError("bad-row", "all-zero row")
+            chi.append(BitVector(n, int(r[::-1], 2)))
         angles = payload.get("angles")
         if not isinstance(angles, list) or len(angles) != len(rows):
             raise ProtocolError("bad-angle", "need one [num, den] pair per row")
+        thetas = []
         for a in angles:
             if (
                 not isinstance(a, list)
@@ -193,7 +195,7 @@ class ChallengeMsg:
             if a[1] <= 0:
                 raise ProtocolError("bad-angle", f"denominator {a[1]} not positive")
             try:
-                Angle(*a)
+                thetas.append(Angle(*a))
             except ValidationError as exc:
                 raise ProtocolError("bad-angle", str(exc))
         t = payload.get("t")
@@ -204,25 +206,20 @@ class ChallengeMsg:
             raise ProtocolError(
                 "capacity", f"t={t} at n={n} exceeds the reply limit of {limit}"
             )
-        return cls(session, n, tuple(rows), tuple(tuple(a) for a in angles), t)
+        return cls(session, IqpProgram(BitMatrix(chi, cols=n), tuple(thetas)), t)
 
     def to_payload(self) -> dict:
         return {
             "type": "challenge",
             "session": self.session,
             "n": self.n,
-            "rows": list(self.rows),
-            "angles": [[num, den] for num, den in self.angles],
+            "rows": [row.to01() for row in self.program.chi.rows],
+            "angles": [[a.num, a.den] for a in self.program.angles],
             "t": self.samples_requested,
         }
 
     def encode(self) -> bytes:
         return _encode(self.to_payload())
-
-    def to_program(self) -> IqpProgram:
-        rows = [BitVector.from_string(r) for r in self.rows]
-        angles = tuple(Angle(num, den) for num, den in self.angles)
-        return IqpProgram(BitMatrix(rows, cols=self.n), angles)
 
 
 @dataclass(frozen=True, eq=False)
@@ -284,7 +281,7 @@ def _read_encoded_reply(line: bytes, challenge: ChallengeMsg) -> np.ndarray | No
     """
     n, t, session = challenge.n, challenge.samples_requested, challenge.session
     head = _reply_head(session)
-    if not session or n < 1 or t < 1 or len(line) != len(head) + t * (n + 3) + 1:
+    if not session or t < 1 or len(line) != len(head) + t * (n + 3) + 1:
         return None
     if not line.startswith(head) or line[-1:] != b"}":
         return None
@@ -410,7 +407,7 @@ def judge(key: SecretKey, samples: np.ndarray, epsilon: float) -> VerdictReport:
 def prover_honest(challenge: ChallengeMsg, rng: np.random.Generator) -> SamplesMsg:
     """Sample the program exactly on rank(chi) qubits; a rank above the cap is ``capacity``."""
     try:
-        draws = sample_outputs(challenge.to_program(), challenge.samples_requested, rng)
+        draws = sample_outputs(challenge.program, challenge.samples_requested, rng)
     except CapacityError as exc:
         raise ProtocolError("capacity", f"cannot simulate: {exc}")
     return SamplesMsg(challenge.session, challenge.n, draws)

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iqpverify.bitlin import (
-    SPAN_CAP,
     BitMatrix,
     BitVector,
     combine_rows,
@@ -25,13 +24,13 @@ from iqpverify.bitlin import (
     unpack_bits,
     walsh_hadamard,
 )
-from iqpverify.errors import CapacityError, DimensionError, ValidationError
+from iqpverify.errors import DimensionError, ValidationError
 
 from oracles import brute_force_span, direct_walsh_hadamard, radix2_walsh_hadamard
 
 
-def bitvectors(max_n=24):
-    return st.integers(1, max_n).flatmap(
+def bitvectors(lengths=st.integers(1, 24)):
+    return lengths.flatmap(
         lambda n: st.builds(
             BitVector, st.just(n), st.integers(0, (1 << n) - 1)
         )
@@ -86,6 +85,11 @@ class TestBitVector:
     @given(bitvectors())
     def test_round_trip_string(self, v):
         assert BitVector.from_string(v.to01()) == v
+
+    @given(bitvectors(st.sampled_from([0, 1, 63, 64, 65, 200])))
+    def test_to01_is_per_coordinate(self, v):
+        # character i is coordinate i, at every length including 0
+        assert v.to01() == "".join(str(v[i]) for i in range(len(v)))
 
     @given(st.integers(1, 20), st.data())
     def test_dot_is_bilinear(self, n, data):
@@ -212,11 +216,6 @@ class TestSpans:
         weights = span_weights(basis, length=m.num_rows)
         expect = sorted(bin(v).count("1") for v in brute_force_span(basis))
         assert sorted(weights.tolist()) == expect
-
-    def test_span_cap_enforced(self):
-        basis = [BitVector(SPAN_CAP + 1, 1 << i) for i in range(SPAN_CAP + 1)]
-        with pytest.raises(CapacityError):
-            span_weights(basis)
 
     def test_span_weights_empty_basis(self):
         assert span_weights([], length=4).tolist() == [0]

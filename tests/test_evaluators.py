@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from iqpverify import evaluators
 from iqpverify.bitlin import BitMatrix, BitVector, echelon, rank
 from iqpverify.errors import AngleError, CapacityError, DimensionError, ValidationError
 from iqpverify.evaluators import (
@@ -356,12 +357,22 @@ class TestGuards:
         with pytest.raises(AngleError):
             correlation_subspace(program, BitVector.from_string("11"))
 
-    def test_subspace_dimension_cap(self):
-        n = 28
+    def test_subspace_dimension_cap(self, monkeypatch):
+        # the one dense cap, on the reduced dimension, before any span is built
+        n = STATEVECTOR_CAP + 1
         rows = [BitVector(n, 1 << i) for i in range(n)]
         program = IqpProgram(BitMatrix(rows, cols=n), (PI_OVER_8,) * n)
-        with pytest.raises(CapacityError):
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("span built above the cap")
+
+        monkeypatch.setattr(evaluators, "span_weights", refuse)
+        with pytest.raises(CapacityError, match=f"dimension {n} exceeds dense cap"):
             correlation_subspace(program, BitVector(n, (1 << n) - 1))
+        # d = rank(main rows), not n: one main row is far below the cap
+        monkeypatch.undo()
+        value = correlation_subspace(program, BitVector(n, 1)).value
+        assert value == pytest.approx(SQRT_HALF, abs=1e-12)
 
     def test_clifford_needs_eighth_multiples(self):
         program = program_of(["11"], angle=Angle(1, 3))

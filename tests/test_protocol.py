@@ -25,7 +25,7 @@ from iqpverify.bitlin import (
 from iqpverify.errors import ProtocolError, ValidationError
 from iqpverify.keygen import ConstructionSpec, build_challenge
 from iqpverify.evaluators import STATEVECTOR_CAP
-from iqpverify.model import PI_OVER_8, IqpProgram, SecretKey
+from iqpverify.model import PI_OVER_8, Angle, IqpProgram, SecretKey
 from iqpverify.protocol import (
     MAX_MESSAGE_BYTES,
     ChallengeMsg,
@@ -60,6 +60,47 @@ def challenge_payload(**overrides):
     base = ChallengeMsg.from_program(small_program(), 10, session="abc").to_payload()
     base.update(overrides)
     return base
+
+
+# (overrides of a valid n=5, m=6 challenge, code, detail), in from_payload's check order
+CHALLENGE_REJECTIONS = [
+    ({"type": "smaples"}, "bad-type", "expected challenge, got 'smaples'"),
+    ({"session": ""}, "bad-session", "session must be a non-empty string"),
+    ({"session": 7}, "bad-session", "session must be a non-empty string"),
+    ({"n": 0}, "bad-n", "n must be a positive integer"),
+    ({"n": "5"}, "bad-n", "n must be a positive integer"),
+    ({"rows": []}, "bad-row", "rows must be a non-empty list"),
+    ({"rows": ["11x01"]}, "bad-row", "bad row '11x01' for n=5"),
+    ({"rows": ["110"]}, "bad-row", "bad row '110' for n=5"),
+    ({"rows": ["00000"]}, "bad-row", "all-zero row"),
+    ({"angles": [[1, 8]]}, "bad-angle", "need one [num, den] pair per row"),
+    ({"angles": "x"}, "bad-angle", "need one [num, den] pair per row"),
+    ({"t": 0}, "bad-count", "t must be a positive integer"),
+    ({"t": 2.5}, "bad-count", "t must be a positive integer"),
+    ({"t": 10**12}, "capacity", "t=1000000000000 at n=5 exceeds the reply limit of 8388602"),
+    ({"n": True}, "bad-n", "n must be a positive integer"),
+    ({"rows": "11011"}, "bad-row", "rows must be a non-empty list"),
+    ({"rows": [11011]}, "bad-row", "bad row 11011 for n=5"),
+    ({"rows": [" 1101"]}, "bad-row", "bad row ' 1101' for n=5"),
+    ({"rows": ["1_101"]}, "bad-row", "bad row '1_101' for n=5"),
+    # each row is checked whole, in order, and every row before any angle
+    ({"rows": ["00000", "11x01"]}, "bad-row", "all-zero row"),
+    ({"rows": ["11x01", "00000"]}, "bad-row", "bad row '11x01' for n=5"),
+    ({"rows": ["00000"], "angles": "x"}, "bad-row", "all-zero row"),
+    ({"angles": [[1, 8]] * 5 + [[1, 8, 1]]}, "bad-angle", "bad angle entry [1, 8, 1]"),
+    ({"angles": [[1, 8]] * 5 + [[1, 8.0]]}, "bad-angle", "bad angle entry [1, 8.0]"),
+    ({"angles": [[1, 8]] * 5 + [[True, 8]]}, "bad-angle", "bad angle entry [True, 8]"),
+    ({"angles": [[1, 8]] * 5 + [(1, 8)]}, "bad-angle", "bad angle entry (1, 8)"),
+    ({"angles": [[1, 8]] * 5 + [[1, -8]]}, "bad-angle", "denominator -8 not positive"),
+    (
+        {"angles": [[1, 8]] * 5 + [[10**400, 10**400 + 1]]},
+        "bad-angle",
+        "angle fraction is too large for a float",
+    ),
+    # every angle before the count
+    ({"angles": [[1, 0]] * 6, "t": 0}, "bad-angle", "denominator 0 not positive"),
+    ({"t": False}, "bad-count", "t must be a positive integer"),
+]
 
 
 class FakeSock:
@@ -131,7 +172,7 @@ class TestCodec:
         msg = ChallengeMsg.from_program(program, 25)
         back = ChallengeMsg.from_payload(_decode_line(msg.encode()))
         assert back == msg
-        assert back.to_program() == program
+        assert back.program == program
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(1, 8), st.integers(1, 6), st.integers(0, 2**32 - 1))
@@ -139,7 +180,32 @@ class TestCodec:
         program = random_program(n, m, "uniform-pi8", np.random.default_rng(seed))
         msg = ChallengeMsg.from_program(program, 3)
         back = ChallengeMsg.from_payload(_decode_line(msg.encode()))
-        assert back.to_program() == program
+        assert back.program == program
+
+    def test_decoded_program_across_word_boundaries(self):
+        for n in (1, 63, 64, 65, 200):
+            program = random_program(n, 2 * n + 3, "uniform-pi8", np.random.default_rng(n))
+            msg = ChallengeMsg.from_program(program, 3)
+            assert msg.n == n
+            back = ChallengeMsg.from_payload(_decode_line(msg.encode()))
+            assert back.program == program
+            assert back.encode() == msg.encode()
+
+    def test_noncanonical_angles_decode_to_canonical(self):
+        # angles fold mod 2 pi and reduce: 25/8, 41/8 and -7/8 are 9/8; 2/16 and 17/8 are 1/8
+        rows = ["11000", "00110", "01011"]
+        canonical = challenge_payload(rows=rows, angles=[[9, 8], [1, 8], [9, 8]])
+        msg = ChallengeMsg.from_payload(canonical)
+        assert msg.program.angles == (Angle(9, 8), PI_OVER_8, Angle(9, 8))
+        assert msg.to_payload() == canonical
+        replies = {prover_honest(msg, np.random.default_rng(7)).encode()}
+        for angles in ([[25, 8], [2, 16], [-7, 8]], [[9, 8], [17, 8], [41, 8]]):
+            other = ChallengeMsg.from_payload(challenge_payload(rows=rows, angles=angles))
+            assert other == msg
+            assert other.to_payload() == canonical
+            # every spelling of one program gets a byte-identical reply
+            replies.add(prover_honest(other, np.random.default_rng(7)).encode())
+        assert len(replies) == 1
 
     def test_samples_round_trip(self):
         program = IqpProgram(BitMatrix.from_strings(["11"]), (PI_OVER_8,))
@@ -158,28 +224,14 @@ class TestCodec:
             assert line == json.dumps(payload, separators=(",", ":")).encode() + b"\n"
 
     @pytest.mark.parametrize(
-        "overrides, code",
-        [
-            ({"type": "smaples"}, "bad-type"),
-            ({"session": ""}, "bad-session"),
-            ({"session": 7}, "bad-session"),
-            ({"n": 0}, "bad-n"),
-            ({"n": "5"}, "bad-n"),
-            ({"rows": []}, "bad-row"),
-            ({"rows": ["11x01"]}, "bad-row"),
-            ({"rows": ["110"]}, "bad-row"),
-            ({"rows": ["00000"]}, "bad-row"),
-            ({"angles": [[1, 8]]}, "bad-angle"),
-            ({"angles": "x"}, "bad-angle"),
-            ({"t": 0}, "bad-count"),
-            ({"t": 2.5}, "bad-count"),
-            ({"t": 10**12}, "capacity"),
-        ],
+        "overrides, code, detail",
+        CHALLENGE_REJECTIONS,
+        ids=[f"overrides{i}-{code}" for i, (_, code, _) in enumerate(CHALLENGE_REJECTIONS)],
     )
-    def test_challenge_rejections(self, overrides, code):
+    def test_challenge_rejections(self, overrides, code, detail):
         with pytest.raises(ProtocolError) as err:
             ChallengeMsg.from_payload(challenge_payload(**overrides))
-        assert err.value.code == code
+        assert (err.value.code, err.value.detail) == (code, detail)
 
     def test_sample_count_bounded_by_reply_limit(self, monkeypatch):
         # a reply line is its head, n + 3 bytes per sample less one comma, and
@@ -221,10 +273,14 @@ class TestCodec:
         with pytest.raises(ProtocolError) as err:
             ChallengeMsg.from_payload(payload)
         assert err.value.code == "bad-angle"
-        # a huge fraction that still fits a float is stored as sent
-        payload["angles"][-1] = [10**300, 10**300 + 1]
+        # a huge fraction that still fits a float is kept exactly, and sent back as it came
+        program = small_program()
+        angles = program.angles[:-1] + (Angle(10**300, 10**300 + 1),)
+        program = IqpProgram(program.chi, angles)
+        payload = ChallengeMsg.from_program(program, 10, session="abc").to_payload()
+        assert payload["angles"][-1] == [10**300, 10**300 + 1]
         msg = ChallengeMsg.from_payload(payload)
-        assert msg.angles[-1] == (10**300, 10**300 + 1)
+        assert msg.program == program
         assert msg.to_payload() == payload
 
     def test_samples_rejections(self):
@@ -356,14 +412,14 @@ class TestCodec:
         assert assert_read_as_json_path(line, challenge)[0].tobytes() == batch
 
     def test_degenerate_challenges_left_to_json_path(self):
-        # challenges from_program never builds: empty session, n=0, t=0
-        for session, n, t, body, code in (
-            ("", 4, 1, b'"0110"]}', "bad-session"),
-            ("s1", 0, 2, b'"",""]}', "bad-bits"),
-            ("s1", 4, 0, b"}", "bad-json"),
-            ("s1", 4, 0, b"]}", "bad-bits"),
+        # challenges from_program never builds: empty session, t=0
+        program = small_program(n=4)
+        for session, t, body, code in (
+            ("", 1, b'"0110"]}', "bad-session"),
+            ("s1", 0, b"}", "bad-json"),
+            ("s1", 0, b"]}", "bad-bits"),
         ):
-            challenge = ChallengeMsg(session, n, (), (), t)
+            challenge = ChallengeMsg(session, program, t)
             line = protocol._reply_head(session) + body
             got, want = assert_read_as_json_path(line, challenge)
             assert got is None and want[0] == code

@@ -357,7 +357,7 @@ class TestGuards:
         with pytest.raises(AngleError):
             correlation_subspace(program, BitVector.from_string("11"))
 
-    def test_subspace_dimension_cap(self, monkeypatch):
+    def test_span_cap_enforced(self, monkeypatch):
         # the one dense cap, on the reduced dimension, before any span is built
         n = STATEVECTOR_CAP + 1
         rows = [BitVector(n, 1 << i) for i in range(n)]
@@ -369,8 +369,14 @@ class TestGuards:
         monkeypatch.setattr(evaluators, "span_weights", refuse)
         with pytest.raises(CapacityError, match=f"dimension {n} exceeds dense cap"):
             correlation_subspace(program, BitVector(n, (1 << n) - 1))
+
+    def test_subspace_dimension_cap(self):
+        n = STATEVECTOR_CAP + 1
+        rows = [BitVector(n, 1 << i) for i in range(n)]
+        program = IqpProgram(BitMatrix(rows, cols=n), (PI_OVER_8,) * n)
+        with pytest.raises(CapacityError):
+            correlation_subspace(program, BitVector(n, (1 << n) - 1))
         # d = rank(main rows), not n: one main row is far below the cap
-        monkeypatch.undo()
         value = correlation_subspace(program, BitVector(n, 1)).value
         assert value == pytest.approx(SQRT_HALF, abs=1e-12)
 

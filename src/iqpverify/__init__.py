@@ -51,7 +51,6 @@ from .experiments import (
 )
 from .keygen import (
     ConstructionSpec,
-    ScrambleOp,
     SearchOutcome,
     add_redundant_rows,
     build_challenge,

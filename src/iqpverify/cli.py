@@ -26,7 +26,7 @@ from .keygen import (
     scramble,
 )
 from .model import parse_key, parse_program, serialize_key, serialize_program
-from .protocol import ProverServer, run_verification
+from .protocol import PROVER_BUILTINS, ProverServer, run_verification
 
 # The short CLI names ("diagonal", "mc") predate the Backend values and stay,
 # so existing command lines keep working; each Backend has exactly one name.
@@ -305,9 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("serve", help="run a prover server")
     p.add_argument("--bind", default="127.0.0.1:0", help="host:port (port 0 = any)")
-    p.add_argument(
-        "--prover", choices=["honest", "uniform", "leak"], default="honest"
-    )
+    p.add_argument("--prover", choices=PROVER_BUILTINS, default="honest")
     p.add_argument("--leak-key", default=None, help="key file for the leak prover")
     p.add_argument("--timeout", type=float, default=30.0)
     _add_seed(p)
@@ -327,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(fn=_cmd_verify)
 
-    p = sub.add_parser("exp-fig1a", help="level fractions vs n (pi/8 ensemble)")
+    p = sub.add_parser("exp-fig1a", help="correlation level shares vs n (pi/8 ensemble)")
     p.add_argument("--n", required=True, help="list, e.g. '2,3,4' or '2 3 4'")
     p.add_argument("--count", type=int, default=1000)
     _add_seed(p)

@@ -5,26 +5,27 @@ secret string s: the expectation of the Z-product observable picked out by s
 over the program's output distribution.  The redundant rows (even parity
 against s) never contribute, which is what the faster backends exploit:
 
-* statevector      exact, any angles, 2**d work
+* statevector      exact, any angles, 2**d work (the diagonal exact value)
 * diagonal exact   exact, any angles, 2**d work
 * diagonal mc      unbiased estimate over uniform n-bit strings, polynomial work
 * subspace         exact closed form when all main angles are equal
 * clifford         exact Z4 exponential sum when main angles are w*pi/8
 
 The dense paths share one phase table sum_j theta_j (-1)^(chi_j . x), one
-Walsh-Hadamard transform of the row angles: exact diagonal averages
-cos(2 * table), the amplitudes are a second transform of exp(i * table).  An
-exact correlation simulates only the secret's main rows, rewritten on
-d = rank(main rows) qubits, so it costs 2**d.  Sampling simulates all rows on
-rank(chi) qubits, as the output lies in chi's row space.  Only the 2**n tables
-of output_distribution and all_correlations are n-wide.  One dense cap
-applies to the simulated width, and to the subspace backend's 2**d span.
+Walsh-Hadamard transform of the row angles: exact diagonal and statevector
+average cos(2 * table), the amplitudes are a second transform of
+exp(i * table).  An exact correlation simulates only the secret's main rows,
+rewritten on d = rank(main rows) qubits, so it costs 2**d.  Sampling
+simulates all rows on rank(chi) qubits, as the output lies in chi's row
+space.  Only the 2**n tables of output_distribution and all_correlations are
+n-wide.  One dense cap applies to the simulated width, and to the subspace
+backend's 2**d span.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -168,12 +169,13 @@ def output_distribution(program: IqpProgram) -> DistributionTable:
 
 
 def correlation_statevector(program: IqpProgram, s: BitVector) -> CorrelationResult:
-    """Exact correlation from the main part's output distribution on d qubits."""
-    program, s, basis = _reduce(program, s)
-    table = output_distribution(program)
-    parities = np.bitwise_count(np.arange(1 << program.n) & s.bits) & 1
-    value = float(table.probs @ (1.0 - 2.0 * parities))
-    return CorrelationResult(value, Backend.STATEVECTOR, reduced_dim=len(basis))
+    """Exact correlation, equal to exact :func:`correlation_diagonal`'s value.
+
+    sum_x p(x) (-1)^(s.x) over the main part's output distribution is the
+    average of cos(2 * phase table) over its 2**d strings, so the value is
+    that one average, reported under this backend.
+    """
+    return replace(correlation_diagonal(program, s), backend=Backend.STATEVECTOR)
 
 
 def all_correlations(program: IqpProgram) -> np.ndarray:

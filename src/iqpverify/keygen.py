@@ -28,7 +28,6 @@ from .evaluators import CorrelationResult, correlation_clifford
 from .model import Angle, IqpProgram, PI_OVER_8, SecretKey
 
 __all__ = [
-    "ScrambleOp",
     "ConstructionSpec",
     "SearchOutcome",
     "random_nonzero_bits",
@@ -43,21 +42,6 @@ __all__ = [
 
 _SEARCH_WEIGHT_CAP = 16
 DEFAULT_SCRAMBLE_FACTOR = 20
-
-
-@dataclass(frozen=True)
-class ScrambleOp:
-    """One column addition: column dst ^= column src (secret: src ^= dst)."""
-
-    src: int
-    dst: int
-
-    def __post_init__(self):
-        if self.src == self.dst or self.src < 0 or self.dst < 0:
-            raise ValidationError(f"op ({self.src}, {self.dst}) needs two distinct columns >= 0")
-
-    def __iter__(self):
-        return iter((self.src, self.dst))
 
 
 @dataclass(frozen=True)
@@ -226,28 +210,16 @@ def add_redundant_rows(
 
 
 def random_scramble_ops(n: int, count: int, rng: np.random.Generator) -> list[tuple[int, int]]:
-    """``count`` uniform random column pairs (src, dst), src != dst, in O(count) numpy work.
+    """``count`` uniform random column pairs (src, dst), src != dst, in one rng call.
 
-    Equal, with the final ``rng`` state, to the scalar loop src = rng.integers(0, n),
-    dst = rng.integers(0, n - 1) moved past src: one call draws 32-bit words x,
-    mapped as numpy does to x*r >> 32 (r = n, then n - 1, none at n = 2); x is
-    dropped when x*r mod 2**32 < 2**32 mod r and the stream topped up.
+    numpy draws an array of bounds n, n - 1, n, n - 1, ... one element at a
+    time (a bound of 1 draws nothing), so the pairs and the final ``rng``
+    state equal the scalar loop src = rng.integers(0, n),
+    dst = rng.integers(0, n - 1) moved past src.
     """
     if not 2 <= n <= 1 << 32 or count < 0:
         raise ValidationError(f"{count} ops on {n} columns: need 2 <= n <= 2**32, count >= 0")
-    ranges = np.array([n, n - 1] if n > 2 else [n], dtype=np.uint64)
-    picks, done, need = [np.empty(0, dtype=np.uint64)], 0, count * len(ranges)
-    while done < need:
-        words = rng.integers(0, 1 << 32, size=need - done, dtype=np.uint32)
-        while words.size:
-            r = ranges[(done + np.arange(words.size)) % len(ranges)]
-            scaled = words * r
-            bad = np.flatnonzero((scaled & 0xFFFFFFFF) < (1 << 32) % r)
-            keep = int(bad[0]) if bad.size else words.size
-            picks.append(scaled[:keep] >> 32)
-            done, words = done + keep, words[keep + 1 :]
-    values = np.concatenate(picks).astype(np.int64).reshape(count, len(ranges))
-    src, dst = values[:, 0], values[:, -1] * (n > 2)  # dst = 0 at n = 2
+    src, dst = rng.integers(0, np.tile([n, n - 1], count)).reshape(count, 2).T
     return list(zip(src.tolist(), (dst + (dst >= src)).tolist()))
 
 
@@ -259,9 +231,9 @@ def scramble(
     Op (src, dst) adds column src into column dst and adds secret entry dst
     into entry src, which preserves every row-secret parity -- and therefore
     every correlation value.  Applying the same ops twice is the identity.
-    Ops are (src, dst) pairs or ScrambleOps.  Chi and the secrets are
-    transposed once into column ints, so each op is two int XORs: the cost
-    is O(len(ops) + n*(m + K)), not O(len(ops) * (m + K)).
+    A pair with src == dst or a negative entry is refused.  Chi and the
+    secrets are transposed once into column ints, so each op is two int
+    XORs: the cost is O(len(ops) + n*(m + K)), not O(len(ops) * (m + K)).
     """
     n = program.n
     if any(len(s) != n for s in secrets):

@@ -9,8 +9,7 @@ expected for each.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-from math import pi
+from math import gcd, pi
 
 from .bitlin import BitMatrix, BitVector, dot
 from .errors import ParseError, ValidationError
@@ -46,9 +45,11 @@ class Angle:
     def __post_init__(self):
         if self.den == 0:
             raise ValidationError("angle denominator must be nonzero")
-        f = Fraction(self.num % (2 * self.den), self.den)  # folded mod 2, then reduced
-        object.__setattr__(self, "num", f.numerator)
-        object.__setattr__(self, "den", f.denominator)
+        num, den = (self.num, self.den) if self.den > 0 else (-self.num, -self.den)
+        num %= 2 * den  # folded mod 2, then reduced
+        g = gcd(num, den)
+        object.__setattr__(self, "num", num // g)
+        object.__setattr__(self, "den", den // g)
         try:
             self.radians
         except OverflowError:

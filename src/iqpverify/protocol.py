@@ -457,7 +457,7 @@ def prover_leak(
 # ---------------------------------------------------------------------------
 # transport
 
-_PROVER_BUILTINS = {"honest", "uniform", "leak"}
+PROVER_BUILTINS = ("honest", "uniform", "leak")
 
 
 class ProverServer:
@@ -478,7 +478,7 @@ class ProverServer:
         seed: int = 0,
         timeout: float = 30.0,
     ):
-        if prover not in _PROVER_BUILTINS:
+        if prover not in PROVER_BUILTINS:
             raise ValidationError(f"unknown prover {prover!r}")
         if prover == "leak" and leaked_key is None:
             raise ValidationError("leak prover needs a leaked key")

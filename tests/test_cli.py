@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 from iqpverify.bitlin import rank
-from iqpverify.cli import _BACKENDS, main
+from iqpverify.cli import _BACKENDS, build_parser, main
 from iqpverify.evaluators import Backend
 from iqpverify.experiments import parse_report
 from iqpverify.model import parse_key, parse_program
-from iqpverify.protocol import ProverServer
+from iqpverify.protocol import PROVER_BUILTINS, ProverServer
 
 
 def run_cli(*args):
@@ -248,6 +248,17 @@ class TestExperimentsCli:
 
 def test_backend_names_map_onto_every_backend_once():
     assert sorted(_BACKENDS.values()) == sorted(Backend)
+
+
+def test_serve_choices_are_the_server_provers(challenge_files):
+    (serve,) = [
+        a.choices["serve"] for a in build_parser()._actions if a.dest == "command"
+    ]
+    (choices,) = [a.choices for a in serve._actions if a.dest == "prover"]
+    assert tuple(choices) == PROVER_BUILTINS  # the tuple ProverServer checks against
+    key = parse_key(challenge_files[1].read_text())
+    for name in choices:
+        ProverServer(prover=name, leaked_key=key).close()
 
 
 class TestUsageErrors:

@@ -159,6 +159,24 @@ class TestAgainstDenseOracle:
         got = correlation_statevector(program, s).value
         assert got == pytest.approx(dense_correlation(program, s), abs=1e-10)
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 8), st.integers(0, 12), st.integers(0, 2**32 - 1))
+    def test_statevector_is_diagonal_average(self, n, m, seed):
+        rng = np.random.default_rng(seed)
+        rows = [BitVector(n, int(rng.integers(1, 1 << n))) for _ in range(m)]
+        angles = tuple(
+            Angle(int(rng.integers(0, 32)), int(rng.integers(1, 16)))
+            for _ in range(m)
+        )
+        program = IqpProgram(BitMatrix(rows, cols=n), angles)
+        s = BitVector(n, int(rng.integers(0, 1 << n)))
+        sv = correlation_statevector(program, s)
+        diag = correlation_diagonal(program, s)
+        assert sv.value == diag.value  # bitwise: one average of one phase table
+        main = BitMatrix([rows[i] for i in partition(program, s).main_rows], cols=n)
+        assert sv.reduced_dim == diag.reduced_dim == rank(main)
+        assert (sv.backend, diag.backend) == (Backend.STATEVECTOR, Backend.DIAGONAL_EXACT)
+
     @settings(max_examples=30, deadline=None)
     @given(st.integers(1, 6), st.integers(1, 8), st.integers(0, 2**32 - 1))
     def test_all_correlations_match_per_secret(self, n, m, seed):

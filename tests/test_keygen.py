@@ -10,7 +10,6 @@ from iqpverify.errors import ConstructionError, DimensionError, ValidationError
 from iqpverify.evaluators import correlation_clifford, correlation_statevector
 from iqpverify.keygen import (
     ConstructionSpec,
-    ScrambleOp,
     add_redundant_rows,
     build_challenge,
     random_2local,
@@ -179,16 +178,10 @@ class TestScramble:
             BitMatrix.from_strings(["1100", "0101"]), (PI_OVER_8,) * 2
         )
         scrambled, secrets = scramble(
-            program, [BitVector.from_string("0010")], [ScrambleOp(0, 2)]
+            program, [BitVector.from_string("0010")], [(0, 2)]
         )
         assert scrambled.chi == BitMatrix.from_strings(["1110", "0101"])
         assert secrets == (BitVector.from_string("1010"),)
-
-    def test_op_validation(self):
-        with pytest.raises(ValidationError):
-            ScrambleOp(1, 1)
-        with pytest.raises(ValidationError):
-            ScrambleOp(-1, 0)
 
     @pytest.mark.parametrize("op", [(1, 1), (-1, 0), (0, -2)])
     def test_bad_pair_refused(self, op):
@@ -196,19 +189,11 @@ class TestScramble:
         with pytest.raises(ValidationError):
             scramble(program, [BitVector(3, 1)], [(0, 1), op])
 
-    @pytest.mark.parametrize("op", [(0, 3), ScrambleOp(3, 1)])
+    @pytest.mark.parametrize("op", [(0, 3), (3, 1)])
     def test_pair_outside_columns_refused(self, op):
         program = IqpProgram(BitMatrix.from_strings(["110"]), (PI_OVER_8,))
         with pytest.raises(DimensionError):
             scramble(program, [BitVector(3, 1)], [op])
-
-    def test_tuples_and_ops_agree(self):
-        program = random_program(6, 5, "pi8", np.random.default_rng(4))
-        s = [BitVector(6, 0b101101), BitVector(6, 0b000011)]
-        pairs = random_scramble_ops(6, 30, np.random.default_rng(5))
-        assert scramble(program, s, pairs) == scramble(
-            program, s, [ScrambleOp(a, b) for a, b in pairs]
-        )
 
     def test_empty_program_and_no_secrets(self):
         program = IqpProgram(BitMatrix([], cols=4), ())

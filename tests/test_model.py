@@ -1,6 +1,7 @@
 """Angles, programs, keys and their text formats."""
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -34,6 +35,7 @@ class TestAngle:
         assert Angle(-1, 8) == Angle(15, 8)  # reduced modulo 2*pi
         assert Angle(4, 2) == Angle(0, 1)
         assert Angle(0, 7) == Angle(0, 1)
+        assert Angle(1, -8) == Angle(15, 8)  # the sign moves to the numerator
 
     def test_radians(self):
         assert Angle(1, 8).radians == pytest.approx(math.pi / 8)
@@ -65,6 +67,12 @@ class TestAngle:
         expected = (num / den) % 2.0
         assert a.num / a.den == pytest.approx(expected)
         assert 0 <= a.num / a.den < 2
+
+    @given(st.integers(-(2**100), 2**100), st.integers(-(2**100), 2**100).filter(bool))
+    def test_canonical_form_is_the_folded_fraction(self, num, den):
+        folded = Fraction(num % (2 * den), den)  # folded mod 2, then reduced
+        a = Angle(num, den)
+        assert (a.num, a.den) == (folded.numerator, folded.denominator)
 
     @given(st.integers(-64, 64), st.integers(1, 32))
     def test_equal_angles_hash_equal(self, num, den):

@@ -175,12 +175,10 @@ def _cmd_serve(args) -> int:
         seed=_seed_or_random(args.seed),
         timeout=args.timeout,
     )
-    bound_host, bound_port = server.address
-    print(f"serving {args.prover} prover on {bound_host}:{bound_port}", flush=True)
-    server.start()
-    try:
-        while True:
-            server._thread.join(timeout=1.0)
+    try:  # a Ctrl-C right after the line below still closes the socket
+        host, port = server.address
+        print(f"serving {args.prover} prover on {host}:{port}", flush=True)
+        server.serve_forever()
     except KeyboardInterrupt:
         pass
     finally:

@@ -199,8 +199,9 @@ def mc_sample_count(epsilon: float, delta: float) -> int:
     return math.ceil(2.0 / (epsilon * epsilon) * math.log(2.0 / delta))
 
 
-def _mc_error_bound(samples: int, delta: float) -> float:
-    return math.sqrt(2.0 * math.log(2.0 / delta) / samples)
+def _hoeffding_radius(samples: int, delta: float, count: int = 1) -> float:
+    """sqrt(2 ln(2 count/delta) / samples): a union bound over ``count`` means of ±1 draws."""
+    return math.sqrt(2.0 * math.log(2.0 * count / delta) / samples)
 
 
 def correlation_diagonal(
@@ -241,7 +242,7 @@ def correlation_diagonal(
     return CorrelationResult(
         value,
         Backend.DIAGONAL_MC,
-        error_bound=_mc_error_bound(samples, delta),
+        error_bound=_hoeffding_radius(samples, delta),
         samples_used=samples,
     )
 

@@ -26,13 +26,12 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import math
 import socket
 import socketserver
 import threading
 import uuid
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -48,8 +47,8 @@ from .bitlin import (
     words_per_row,
 )
 from .errors import CapacityError, DimensionError, ProtocolError, ValidationError
-from .evaluators import sample_outputs
-from .model import Angle, IqpProgram, SecretKey
+from .evaluators import _hoeffding_radius, sample_outputs
+from .model import Angle, IqpProgram, SecretKey, bias_from_correlation
 
 __all__ = [
     "MAX_MESSAGE_BYTES",
@@ -331,15 +330,7 @@ class VerdictReport:
             "accept": self.accept,
             "epsilon": self.epsilon,
             "samples": self.samples_used,
-            "per_secret": [
-                {
-                    "expected": v.expected,
-                    "observed": v.observed,
-                    "deviation": v.deviation,
-                    "passed": v.passed,
-                }
-                for v in self.per_secret
-            ],
+            "per_secret": [asdict(v) for v in self.per_secret],
         }
 
 
@@ -354,7 +345,7 @@ def acceptance_threshold(key: SecretKey, delta: float, samples: int) -> float:
         raise ValidationError(f"delta {delta} outside (0, 1)")
     if samples < 1:
         raise ValidationError("need at least one sample")
-    eps = math.sqrt(2.0 * math.log(2.0 * key.count / delta) / samples)
+    eps = _hoeffding_radius(samples, delta, key.count)
     for k, e in enumerate(key.expected):
         if abs(e) < 2.0 * eps:
             warnings.warn(
@@ -444,7 +435,7 @@ def prover_leak(
         raise ProtocolError("bad-n", f"leaked secret has {len(s)} bits, challenge n={challenge.n}")
     if s.is_zero():
         raise ProtocolError("unsupported", "leaked secret has empty support")
-    p_orth = (1.0 + leaked.expected[0]) / 2.0
+    p_orth = bias_from_correlation(leaked.expected[0])
     flip = s.support()[0]
     want_orth = rng.random(size=challenge.samples_requested) < p_orth
     draws = random_rows(challenge.n, challenge.samples_requested, rng)
@@ -460,15 +451,18 @@ def prover_leak(
 PROVER_BUILTINS = ("honest", "uniform", "leak")
 
 
-class ProverServer:
+class ProverServer(socketserver.ThreadingTCPServer):
     """Threaded TCP prover.  One challenge per connection, stateless.
 
     Each challenge gets its own rng stream derived from (seed, sha256 of its
     session), so a fixed seed gives every session the same batch regardless
-    of arrival order.  After replying, the handler waits briefly for an optional
-    verdict line (sent only by verifiers running with verdict reveal switched
-    on) and records it.
+    of arrival order.  After replying, the connection waits briefly for an
+    optional verdict line (sent only by verifiers running with verdict reveal
+    switched on) and records it.  :meth:`start` serves from a background
+    thread; ``serve_forever()`` serves from the calling one.
     """
+
+    daemon_threads = True
 
     def __init__(
         self,
@@ -485,40 +479,33 @@ class ProverServer:
         self._prover_name = prover
         self._leaked_key = leaked_key
         self._seed = seed
-        self._timeout = timeout
+        self._timeout = timeout  # not ``timeout``: BaseServer.timeout is handle_request's
         self._lock = threading.Lock()
         self.verdicts: list[dict] = []
-        outer = self
-
-        class Handler(socketserver.BaseRequestHandler):
-            def handle(self):
-                outer._handle(self.request, "%s:%s" % self.client_address[:2])
-
-        self._tcp = socketserver.ThreadingTCPServer(address, Handler)
-        self._tcp.daemon_threads = True
         self._thread: threading.Thread | None = None
+        super().__init__(address, None)  # finish_request serves; no handler class
 
     @property
     def address(self) -> tuple[str, int]:
-        host, port = self._tcp.server_address[:2]
+        host, port = self.server_address[:2]
         return host, port
 
-    def _run_prover(self, challenge: ChallengeMsg) -> SamplesMsg:
-        digest = hashlib.sha256(challenge.session.encode("utf-8", "surrogatepass")).digest()
-        rng = np.random.default_rng([self._seed, int.from_bytes(digest, "little")])
-        if self._prover_name == "honest":
-            return prover_honest(challenge, rng)
-        if self._prover_name == "uniform":
-            return prover_uniform(challenge, rng)
-        return prover_leak(challenge, self._leaked_key, rng)
-
-    def _handle(self, sock: socket.socket, peer: str) -> None:
+    def finish_request(self, sock: socket.socket, client_address) -> None:
+        """Serve one connection: challenge in, samples or error out, then an optional verdict."""
+        peer = "%s:%s" % client_address[:2]
         sock.settimeout(self._timeout)
         try:
             try:
-                payload = _decode_line(_recv_line(sock))
-                challenge = ChallengeMsg.from_payload(payload)
-                reply = self._run_prover(challenge)
+                challenge = ChallengeMsg.from_payload(_decode_line(_recv_line(sock)))
+                session = challenge.session.encode("utf-8", "surrogatepass")
+                tag = int.from_bytes(hashlib.sha256(session).digest(), "little")
+                rng = np.random.default_rng([self._seed, tag])
+                if self._prover_name == "honest":
+                    reply = prover_honest(challenge, rng)
+                elif self._prover_name == "uniform":
+                    reply = prover_uniform(challenge, rng)
+                else:
+                    reply = prover_leak(challenge, self._leaked_key, rng)
             except ProtocolError as exc:
                 log.info("connection %s: %s (%s)", peer, exc.code, exc.detail)
                 sock.sendall(_encode_error(exc))
@@ -528,14 +515,10 @@ class ProverServer:
                 sock.sendall(_encode_error(ProtocolError("internal", str(exc))))
                 return
             sock.sendall(reply.encode())
-            log.info(
-                "connection %s: served %d samples (n=%d)", peer, len(reply.batch), challenge.n
-            )
-            self._await_verdict(sock, peer)
         except OSError:
             log.info("connection %s: transport dropped", peer)
-
-    def _await_verdict(self, sock: socket.socket, peer: str) -> None:
+            return
+        log.info("connection %s: served %d samples (n=%d)", peer, len(reply.batch), challenge.n)
         try:
             payload = _decode_line(_recv_line(sock))
         except (ProtocolError, OSError):
@@ -548,16 +531,16 @@ class ProverServer:
 
     def start(self) -> "ProverServer":
         self._thread = threading.Thread(
-            target=self._tcp.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+            target=self.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
         )
         self._thread.start()
         return self
 
     def close(self) -> None:
         if self._thread is not None:  # shutdown() waits for serve_forever to return
-            self._tcp.shutdown()
+            self.shutdown()
             self._thread.join(timeout=5.0)
-        self._tcp.server_close()
+        self.server_close()
 
     def __enter__(self) -> "ProverServer":
         return self.start()

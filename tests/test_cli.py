@@ -1,5 +1,6 @@
 """Command-line interface: workflows, exit codes, file handling."""
 
+import signal
 import subprocess
 import sys
 import time
@@ -310,3 +311,23 @@ class TestModuleInvocation:
         finally:
             proc.terminate()
             proc.wait(timeout=10)
+            proc.stdout.close()
+
+    def test_serve_exits_cleanly_on_ctrl_c(self):
+        # SIGINT as soon as the "serving" line is read; repeated, because a
+        # signal that lands between the line and the serve loop is a narrow race
+        for _ in range(10):
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "iqpverify", "serve", "--bind", "127.0.0.1:0"],
+                stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+            )
+            try:
+                assert "serving honest prover on " in proc.stdout.readline()
+                proc.send_signal(signal.SIGINT)
+                rest = proc.communicate(timeout=30)[0]
+            finally:
+                proc.kill()
+                proc.wait(timeout=10)
+                proc.stdout.close()
+            assert proc.returncode == 0
+            assert "Traceback" not in rest

@@ -31,8 +31,11 @@ from iqpverify.protocol import (
     ChallengeMsg,
     ProverServer,
     SamplesMsg,
+    SecretVerdict,
+    VerdictReport,
     WeakSignalWarning,
     _decode_line,
+    _encode,
     _recv_line,
     acceptance_threshold,
     judge,
@@ -529,6 +532,27 @@ class TestJudging:
         assert acceptance_threshold(two, 0.05, 600) > acceptance_threshold(
             one, 0.05, 600
         )
+        assert acceptance_threshold(two, 0.05, 600) == math.sqrt(
+            2.0 * math.log(2.0 * 2 / 0.05) / 600
+        )
+
+    def test_verdict_payload_bytes(self):
+        report = VerdictReport(
+            (
+                SecretVerdict(0.7071067811865476, 0.6951219512195121, 0.011984829967035487, True),
+                SecretVerdict(-0.5, 0.1, 0.6, False),
+            ),
+            accept=False,
+            samples_used=2952,
+            epsilon=0.05004460290541427,
+        )
+        assert _encode(report.to_payload("s")) == (
+            b'{"type":"verdict","session":"s","accept":false,'
+            b'"epsilon":0.05004460290541427,"samples":2952,"per_secret":['
+            b'{"expected":0.7071067811865476,"observed":0.6951219512195121,'
+            b'"deviation":0.011984829967035487,"passed":true},'
+            b'{"expected":-0.5,"observed":0.1,"deviation":0.6,"passed":false}]}\n'
+        )
 
     def test_weak_signal_warning(self):
         key = self.key(expected=0.01)
@@ -757,7 +781,7 @@ class TestLoopback:
         closer.start()
         closer.join(timeout=10)
         assert not closer.is_alive()
-        assert server._tcp.socket.fileno() == -1
+        assert server.socket.fileno() == -1
 
     def test_leak_server_needs_key(self):
         with pytest.raises(ValidationError):

@@ -235,32 +235,25 @@ def nullspace_basis(matrix: BitMatrix) -> list[BitVector]:
 _CHUNK = 16  # doubling table size; offsets iterate over the remaining dims
 
 
-def span_weights(basis: Sequence[BitVector], *, length: int | None = None) -> np.ndarray:
-    """Hamming weights of all 2**d span elements of a basis, order unspecified.
+def span_weights(basis: Sequence[int], length: int) -> np.ndarray:
+    """Hamming weights of all 2**d span elements of d ``length``-bit basis ints.
 
-    The span is built as word-packed numpy columns in chunks of 2**16 and
-    popcounted in bulk.  It holds 2**d int64s, so the caller caps d.
-    ``length`` is only needed when ``basis`` is empty.
+    The order is unspecified.  The span is built as word-packed numpy columns
+    in chunks of 2**16 and popcounted in bulk.  It holds 2**d int64s, so the
+    caller caps d.
     """
-    vecs = list(basis)
-    d = len(vecs)
-    if vecs:
-        length = len(vecs[0])
-        if any(len(v) != length for v in vecs):
-            raise DimensionError("span basis vectors differ in length")
-    elif length is None:
-        raise DimensionError("empty basis needs an explicit length")
+    d = len(basis)
     base_d = min(d, _CHUNK)
     table = np.zeros((1 << base_d, words_per_row(length)), dtype=np.uint64)
-    for k, v in enumerate(vecs[:base_d]):
-        table[1 << k : 2 << k] = table[: 1 << k] ^ pack_ints([v.bits], length)
+    for k, v in enumerate(basis[:base_d]):
+        table[1 << k : 2 << k] = table[: 1 << k] ^ pack_ints([v], length)
 
     out = np.empty(1 << d, dtype=np.int64)
-    rest = vecs[base_d:]
+    rest = basis[base_d:]
     offset_bits = 0
     for k in range(1 << len(rest)):
         if k:  # Gray code: offset k differs from k-1 in basis vector ctz(k)
-            offset_bits ^= rest[(k & -k).bit_length() - 1].bits
+            offset_bits ^= rest[(k & -k).bit_length() - 1]
         chunk = np.bitwise_count(table ^ pack_ints([offset_bits], length))
         out[k << base_d : (k + 1) << base_d] = chunk.sum(axis=1, dtype=np.int64)
     return out
@@ -363,13 +356,13 @@ def random_rows(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
     return np.stack(columns, axis=1)
 
 
-def combine_rows(picks: np.ndarray, basis: Sequence[BitVector], n: int) -> np.ndarray:
-    """The batch whose row t is the XOR of the basis vectors k with bit k of picks[t] set.
+def combine_rows(picks: np.ndarray, basis: Sequence[int], n: int) -> np.ndarray:
+    """The batch whose row t is the XOR of the n-bit basis ints k with bit k of picks[t] set.
 
     ``picks`` is a batch of len(basis)-bit rows.  Its byte g picks among vectors
     8g..8g+7, and each such group gets a table of its 256 XORs: one lookup each.
     """
-    words = pack_ints([b.bits for b in basis] + [0] * (-len(basis) % 8), n)  # whole groups
+    words = pack_ints(list(basis) + [0] * (-len(basis) % 8), n)  # whole groups
     groups, nwords = len(words) // 8, words_per_row(n)
     octets = np.ascontiguousarray(picks, dtype="<u8").view(np.uint8)[:, :groups]
     table = np.zeros((groups, 256, nwords), dtype=np.uint64)

@@ -11,15 +11,16 @@ against s) never contribute, which is what the faster backends exploit:
 * subspace         exact closed form when all main angles are equal
 * clifford         exact Z4 exponential sum when main angles are w*pi/8
 
-The dense paths share one phase table sum_j theta_j (-1)^(chi_j . x), one
-Walsh-Hadamard transform of the row angles: exact diagonal and statevector
-average cos(2 * table), the amplitudes are a second transform of
-exp(i * table).  An exact correlation simulates only the secret's main rows,
-rewritten on d = rank(main rows) qubits, so it costs 2**d.  Sampling
-simulates all rows on rank(chi) qubits, as the output lies in chi's row
-space.  Only the 2**n tables of output_distribution and all_correlations are
-n-wide.  One dense cap applies to the simulated width, and to the subspace
-backend's 2**d span.
+An exact correlation simulates only the secret's main rows, rewritten as
+d-bit ints on d = rank(main rows) qubits, so it costs 2**d; sampling keeps
+all rows on rank(chi) qubits, as the output lies in chi's row space.  That
+one reduction works on plain ints, and the phase table, the Z4 sum and the
+subspace span read its row ints directly.  The dense paths share one phase
+table sum_j theta_j (-1)^(chi_j . x), one Walsh-Hadamard transform of the row
+angles: exact diagonal and statevector average cos(2 * table), the amplitudes
+are a second transform of exp(i * table).  Only the 2**n tables of
+output_distribution and all_correlations are n-wide.  One dense cap applies
+to the simulated width, and to the subspace backend's 2**d span.
 """
 
 from __future__ import annotations
@@ -32,17 +33,17 @@ import numpy as np
 
 from .bitlin import (
     BitVector,
-    BitMatrix,
     combine_rows,
     dot,
     echelon,
     random_rows,
     row_parities,
     span_weights,
+    transpose_ints,
     walsh_hadamard,
 )
 from .errors import AngleError, CapacityError, DimensionError, ValidationError
-from .model import IqpProgram, partition
+from .model import IqpProgram
 
 __all__ = [
     "Backend",
@@ -116,31 +117,28 @@ def _check_secret(program: IqpProgram, s: BitVector):
 
 
 def _reduce(program: IqpProgram, s: BitVector | None = None):
-    """(program on d qubits, reduced secret s', row-space basis B of d vectors).
+    """(reduced row ints, their angles, d, basis ints B), built on plain ints.
 
     Without a secret every row is kept and d = rank(chi).  With a secret only
-    its main rows are kept, as the redundant ones never move the value, and
-    d = rank(main rows).  Row j becomes its coordinates c_j at the echelon
-    pivots (chi_j = c_j . B) and s'_k = b_k . s, so p(y . B) = p'(y),
-    s . (y . B) = s' . y and chi_j . s = c_j . s': every value is unchanged.
-    The reduced rows have full column rank d; at full rank B is the identity.
-    A program without rows keeps one qubit, with an empty basis.
+    its main rows, (row & s) of odd weight, are kept, as the redundant ones
+    never move the value, and d = rank(main rows).  ``bitlin.echelon`` gives B;
+    row j becomes the d-bit int c_j of its bits at the pivots, so chi_j = c_j . B.
+    With s'_k = b_k . s, p(y . B) = p'(y), s . (y . B) = s' . y and
+    c_j . s' = chi_j . s = 1 on every main row, so no value needs s'.  The
+    reduced rows have full column rank d; at full rank B is the identity.  A
+    program without rows reduces to d = 0: a one-entry table, an empty sum.
     """
-    rows, angles = program.chi.rows, program.angles
+    rows, angles = [row.bits for row in program.chi.rows], program.angles
     if s is not None:
         _check_secret(program, s)
-        main = partition(program, s).main_rows
-        rows, angles = [rows[i] for i in main], [angles[i] for i in main]
-    pivots = echelon(row.bits for row in rows)
-    basis = [BitVector(program.n, row) for row in pivots.values()]
-    d = max(1, len(basis))
-    if s is not None:
-        s = BitVector(d, sum(dot(b, s) << k for k, b in enumerate(basis)))
-    rows = [
-        BitVector(d, sum(((row.bits >> p) & 1) << k for k, p in enumerate(pivots)))
-        for row in rows
-    ]
-    return IqpProgram(BitMatrix(rows, cols=d), angles), s, basis
+        main = [j for j, row in enumerate(rows) if (row & s.bits).bit_count() & 1]
+        rows, angles = [rows[j] for j in main], [angles[j] for j in main]
+    pivots = echelon(rows)
+    runs: dict[int, int] = {}  # p - k -> the pivots p that move to bit k: one shift per run
+    for k, p in enumerate(pivots):
+        runs[p - k] = runs.get(p - k, 0) | 1 << p
+    reduced = [sum((row & mask) >> shift for shift, mask in runs.items()) for row in rows]
+    return reduced, angles, len(pivots), list(pivots.values())
 
 
 def _check_cap(d: int) -> None:
@@ -148,13 +146,18 @@ def _check_cap(d: int) -> None:
         raise CapacityError(f"dimension {d} exceeds dense cap {STATEVECTOR_CAP}")
 
 
-def _phase_table(program: IqpProgram) -> np.ndarray:
+def _phase_table(rows: list[int], angles, n: int) -> np.ndarray:
     """sum_j theta_j (-1)^(chi_j . x) at every x: one transform of the row angles."""
-    n, m = program.n, program.m
     _check_cap(n)
-    bits = np.fromiter((row.bits for row in program.chi.rows), np.int64, m)
-    radians = np.fromiter((a.radians for a in program.angles), np.float64, m)
+    bits = np.fromiter(rows, np.int64, len(rows))
+    radians = np.fromiter((a.radians for a in angles), np.float64, len(rows))
     return walsh_hadamard(np.bincount(bits, radians, minlength=1 << n))  # duplicates add
+
+
+def _distribution(rows: list[int], angles, n: int) -> DistributionTable:
+    """The table of n-bit rows: the transform of exp(i * phase table), scaled by 2**-n."""
+    amplitudes = walsh_hadamard(np.exp(1j * _phase_table(rows, angles, n))) / (1 << n)
+    return DistributionTable(n, np.abs(amplitudes) ** 2)
 
 
 def output_distribution(program: IqpProgram) -> DistributionTable:
@@ -164,8 +167,7 @@ def output_distribution(program: IqpProgram) -> DistributionTable:
     each basis state, so the amplitudes are the transform of those phases,
     scaled by 2**-n.
     """
-    amplitudes = walsh_hadamard(np.exp(1j * _phase_table(program))) / (1 << program.n)
-    return DistributionTable(program.n, np.abs(amplitudes) ** 2)
+    return _distribution([row.bits for row in program.chi.rows], program.angles, program.n)
 
 
 def correlation_statevector(program: IqpProgram, s: BitVector) -> CorrelationResult:
@@ -222,11 +224,9 @@ def correlation_diagonal(
     at confidence 1-delta.
     """
     if samples is None:
-        program, s, basis = _reduce(program, s)
-        omega = 2.0 * _phase_table(program)
-        return CorrelationResult(
-            float(np.cos(omega).mean()), Backend.DIAGONAL_EXACT, reduced_dim=len(basis)
-        )
+        rows, angles, d, _ = _reduce(program, s)
+        value = float(np.cos(2.0 * _phase_table(rows, angles, d)).mean())
+        return CorrelationResult(value, Backend.DIAGONAL_EXACT, reduced_dim=d)
     _check_secret(program, s)
     if samples < 1:
         raise ValidationError(f"sample count must be positive, got {samples}")
@@ -256,15 +256,15 @@ def correlation_subspace(program: IqpProgram, s: BitVector) -> CorrelationResult
     basis of that space.  Exact, and independent of the basis: only the
     weight histogram enters.
     """
-    program, s, basis = _reduce(program, s)
-    q, d = program.m, len(basis)
+    rows, angles, d, _ = _reduce(program, s)
+    q = len(rows)
     _check_cap(d)
     if q == 0:
         return CorrelationResult(1.0, Backend.SUBSPACE, reduced_dim=d)
-    theta = program.uniform_angle()
-    if theta is None:
+    theta = angles[0]
+    if any(a != theta for a in angles):
         raise AngleError("subspace backend needs one shared main-part angle")
-    weights = span_weights(list(program.chi.columns()), length=q)
+    weights = span_weights(transpose_ints(rows, d), length=q)
     hist = np.bincount(weights, minlength=q + 1)
     two_theta = 2.0 * theta.radians
     total = sum(float(h) * math.cos(two_theta * (q - 2 * k)) for k, h in enumerate(hist) if h)
@@ -291,7 +291,7 @@ def _add_parity(lin: list[int], pairs: list[int], k: int, mask: int):
             pairs[i] ^= mask ^ (1 << i)
 
 
-def _z4_sum(program: IqpProgram) -> tuple[int, int] | None:
+def _z4_sum(rows: list[int], angles, d: int) -> tuple[int, int] | None:
     """The reduced main part's correlation as (phase8, r2), or None when it is 0.
 
     The value is omega**phase8 * 2**(r2/2), omega = e^(i*pi/4).  With
@@ -304,15 +304,14 @@ def _z4_sum(program: IqpProgram) -> tuple[int, int] | None:
     0 when also b = 0 and L_p = 2, or, when b != 0, fixes the lowest pivot r
     of b to x_r = L_p/2 xor (b minus r) . x.
     """
-    d = program.n
     lin, pairs = [0] * d, [0] * d
     phase8, r2 = 0, -2 * d
-    for row, angle in zip(program.chi.rows, program.angles):
+    for row, angle in zip(rows, angles):
         w = angle.multiple_of_pi8()
         if w is None:
             raise AngleError(f"main-part angle {angle} is not a multiple of pi/8")
         phase8 += w
-        _add_parity(lin, pairs, -w & 3, row.bits)
+        _add_parity(lin, pairs, -w & 3, row)
     live = (1 << d) - 1
     for p in range(d):
         if not (live >> p) & 1:
@@ -355,16 +354,15 @@ def correlation_clifford(program: IqpProgram, s: BitVector) -> CorrelationResult
     exactly in O(d**3) bit operations, so |value| is exactly 0 or 2**(-g/2)
     and g is reported.
     """
-    program, s, basis = _reduce(program, s)
-    exact = _z4_sum(program)
-    d = len(basis)
+    rows, angles, d, _ = _reduce(program, s)
+    exact = _z4_sum(rows, angles, d)
     if exact is None:
         return CorrelationResult(0.0, Backend.CLIFFORD, reduced_dim=d)
     phase8, r2 = exact
     if phase8 not in (0, 4):  # pragma: no cover - the value is a real expectation
         raise AssertionError(f"non-real phase {phase8}")
     g = -r2
-    assert 0 <= g <= program.n, g
+    assert 0 <= g <= d, g
     value = 2.0 ** (r2 / 2.0)
     return CorrelationResult(
         value if phase8 == 0 else -value, Backend.CLIFFORD, g=g, reduced_dim=d
@@ -372,13 +370,13 @@ def correlation_clifford(program: IqpProgram, s: BitVector) -> CorrelationResult
 
 
 def sample_outputs(program: IqpProgram, count: int, rng: np.random.Generator) -> np.ndarray:
-    """A packed batch of outputs x = y . B, y drawn from the reduced program's table."""
+    """A packed batch of outputs x = y . B, y drawn from the reduced rows' table."""
     if count < 1:
         raise ValidationError(f"sample count must be positive, got {count}")
-    reduced, _, basis = _reduce(program)
-    cumulative = np.cumsum(output_distribution(reduced).probs)
+    rows, angles, d, basis = _reduce(program)
+    cumulative = np.cumsum(_distribution(rows, angles, d).probs)
     ys = np.searchsorted(cumulative, rng.random(count), side="right")
-    np.clip(ys, 0, (1 << reduced.n) - 1, out=ys)
+    np.clip(ys, 0, (1 << d) - 1, out=ys)
     return combine_rows(ys.astype(np.uint64)[:, None], basis, program.n)  # ys < 2**24: one word
 
 

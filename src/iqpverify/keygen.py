@@ -113,7 +113,11 @@ def random_program(
         raise ValidationError("random_program needs an explicit rng")
     if n < 1 or m < 0:
         raise ValidationError(f"bad shape n={n}, m={m}")
-    rows = [BitVector(n, random_nonzero_bits(n, rng)) for _ in range(m)]
+    if n <= 63:  # one draw for all rows: the same values and stream as m scalar draws
+        bits = rng.integers(1, 1 << n, size=m, dtype=np.uint64).tolist()
+    else:
+        bits = [random_nonzero_bits(n, rng) for _ in range(m)]
+    rows = [BitVector(n, b) for b in bits]
     if angle_policy == "uniform-pi8":
         angles = tuple(_PI8_ANGLES[w] for w in rng.integers(0, 8, size=m).tolist())
     elif angle_policy == "pi8" or isinstance(angle_policy, Angle):
@@ -204,7 +208,8 @@ def add_redundant_rows(
         draw = rng.integers(0, 2, size=(need, len(basis)))
         coeffs.append(draw[draw.any(axis=1)])
         need -= len(coeffs[-1])
-    new = row_ints(combine_rows(pack_bits(np.concatenate(coeffs)), basis, program.n))
+    picks = pack_bits(np.concatenate(coeffs))
+    new = row_ints(combine_rows(picks, [v.bits for v in basis], program.n))
     rows = program.chi.rows + tuple(BitVector(program.n, bits) for bits in new)
     return IqpProgram(BitMatrix(rows, cols=program.n), program.angles + (angle,) * count)
 

@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import gcd, pi
 
-from .bitlin import BitMatrix, BitVector, dot
-from .errors import ParseError, ValidationError
+from .bitlin import BitMatrix, BitVector
+from .errors import DimensionError, ParseError, ValidationError
 
 __all__ = [
     "Angle",
@@ -157,9 +157,11 @@ def partition(program: IqpProgram, s: BitVector) -> Partition:
     The even-parity rows commute with the measured observable and never move
     its correlation value.
     """
+    if len(s) != program.n:  # up front, so a program without rows refuses it too
+        raise DimensionError(f"secret has {len(s)} bits, program has {program.n}")
     main, redundant = [], []
     for i, row in enumerate(program.chi.rows):
-        (main if dot(row, s) else redundant).append(i)
+        (main if (row.bits & s.bits).bit_count() & 1 else redundant).append(i)
     return Partition(tuple(main), tuple(redundant))
 
 

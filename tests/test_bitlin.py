@@ -213,7 +213,7 @@ class TestSpans:
     @given(matrices(max_n=8, max_m=6))
     def test_span_weights_histogram(self, m):
         basis = column_space_basis(m)
-        weights = span_weights(basis, length=m.num_rows)
+        weights = span_weights([b.bits for b in basis], length=m.num_rows)
         expect = sorted(bin(v).count("1") for v in brute_force_span(basis))
         assert sorted(weights.tolist()) == expect
 
@@ -353,14 +353,13 @@ class TestPackedBatch:
     def test_combine_rows_xors_the_picked_vectors(self, n, k):
         rng = np.random.default_rng([n, k])
         ints = [int.from_bytes(rng.bytes(32), "little") >> (256 - n) for _ in range(k)]
-        basis = [BitVector(n, bits) for bits in ints]
         coeffs = rng.integers(0, 2, size=(50, k))
-        got = combine_rows(pack_bits(coeffs), basis, n)
+        got = combine_rows(pack_bits(coeffs), ints, n)
         assert got.shape == (50, (n + 63) // 64) and got.dtype == np.uint64
         for row, c in zip(got, coeffs):
             want = 0
-            for b, bit in zip(basis, c):
-                want ^= b.bits if bit else 0
+            for b, bit in zip(ints, c):
+                want ^= b if bit else 0
             assert int.from_bytes(row.tobytes(), "little") == want
 
     @pytest.mark.parametrize("n", BOUNDARY_WIDTHS)

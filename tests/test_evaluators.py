@@ -39,7 +39,7 @@ from iqpverify.keygen import (
 )
 from iqpverify.model import PI_OVER_8, Angle, IqpProgram, partition
 
-from oracles import dense_correlation, dense_distribution
+from oracles import brute_force_span, dense_correlation, dense_distribution
 
 SQRT_HALF = 2**-0.5
 
@@ -250,6 +250,89 @@ class TestAgainstDenseOracle:
             assert result.reduced_dim == 1, backend
         with pytest.raises(CapacityError):
             sample_outputs(program, 5, np.random.default_rng(0))
+
+
+def main_rank(program, s):
+    """Rank of the secret's main rows, from the size of their brute-force span."""
+    main = [program.row(i) for i in partition(program, s).main_rows]
+    return len(brute_force_span(main)).bit_length() - 1
+
+
+class TestReductionEdges:
+    """The int-level reduction where it has nothing, or little, to keep."""
+
+    def check(self, program, s, want, dim, backends=ALL_EXACT):
+        for backend in backends:
+            result = evaluate(program, s, backend)
+            assert result.value == pytest.approx(want, abs=1e-10), backend
+            assert result.reduced_dim == dim, backend
+            if result.g is not None:
+                assert abs(result.value) == pytest.approx(2.0 ** (-result.g / 2), abs=1e-15)
+
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    def test_program_without_rows(self, n):
+        program = IqpProgram(BitMatrix([], cols=n), ())
+        for bits in range(1 << n):
+            s = BitVector(n, bits)
+            self.check(program, s, dense_correlation(program, s), 0)
+            assert evaluate(program, s, Backend.CLIFFORD).g == 0
+
+    def test_secret_with_no_main_rows(self):
+        program = program_of(["1001", "0110", "1111", "0100"], angle=Angle(3, 8))
+        s = BitVector.from_string("1001")  # every row meets it an even number of times
+        assert partition(program, s).main_rows == ()
+        self.check(program, s, dense_correlation(program, s), 0)
+        assert dense_correlation(program, s) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("rows", [["1"], ["110", "011", "101"], ["1010", "0101", "1111"]])
+    def test_secret_zero(self, rows):
+        program = program_of(rows, angle=Angle(5, 8))
+        s = BitVector(program.n, 0)
+        self.check(program, s, dense_correlation(program, s), 0)
+
+    @pytest.mark.parametrize("angle", [PI_OVER_8, Angle(3, 8), Angle(1, 4), Angle(1, 2)])
+    def test_duplicate_main_rows(self, angle):
+        # 110 twice and 111 three times are main against 100; 011 is redundant
+        program = program_of(["110", "011", "111", "110", "111", "111"], angle=angle)
+        s = BitVector.from_string("100")
+        assert partition(program, s).main_rows == (0, 2, 3, 4, 5)
+        self.check(program, s, dense_correlation(program, s), 2)
+
+    def test_mixed_angles_diagonal_and_statevector(self):
+        rng = np.random.default_rng(31)
+        dense = (Backend.STATEVECTOR, Backend.DIAGONAL_EXACT)
+        for _ in range(40):
+            n, m = int(rng.integers(1, 7)), int(rng.integers(1, 9))
+            rows = [BitVector(n, int(rng.integers(1, 1 << n))) for _ in range(m)]
+            rows += rows[: int(rng.integers(0, m + 1))]  # duplicates with their own angles
+            angles = tuple(
+                Angle(int(rng.integers(0, 40)), int(rng.integers(1, 13))) for _ in rows
+            )
+            program = IqpProgram(BitMatrix(rows, cols=n), angles)
+            for bits in range(1 << n):
+                s = BitVector(n, bits)
+                want = dense_correlation(program, s)
+                self.check(program, s, want, main_rank(program, s), dense)
+
+    @pytest.mark.parametrize("n", [63, 64, 65])
+    def test_word_edges_low_rank(self, n):
+        # a 4-qubit main part on basis vectors b_k = e_{pos_k} + free bits, so
+        # chi_j = c_j . B straddles the word edge; s sits on pos only, hence
+        # s . b_k = s'_k, and rows on free bits alone are redundant for every s
+        rng = np.random.default_rng(n)
+        pos = [0, 31, n - 2, n - 1]
+        free = [i for i in range(n) if i not in pos]
+        basis = [1 << p | sum(1 << i for i in free if rng.integers(0, 2)) for p in pos]
+        small = random_program(4, 6, Angle(3, 8), rng)
+        rows = [BitVector(n, xor_of(basis, row.bits)) for row in small.chi.rows]
+        rows += [BitVector(n, sum(1 << i for i in free if rng.integers(0, 2))) for _ in range(8)]
+        angles = small.angles + (Angle(1, 3),) * 8  # redundant rows: any angle
+        program = IqpProgram(BitMatrix(rows, cols=n), angles)
+        for bits in range(16):
+            s = BitVector(n, sum(((bits >> k) & 1) << p for k, p in enumerate(pos)))
+            small_s = BitVector(4, bits)
+            want = dense_correlation(small, small_s)
+            self.check(program, s, want, main_rank(small, small_s))
 
 
 class TestPhaseTable:

@@ -13,6 +13,7 @@ from iqpverify.keygen import (
     add_redundant_rows,
     build_challenge,
     random_2local,
+    random_nonzero_bits,
     random_program,
     random_scramble_ops,
     scramble,
@@ -30,6 +31,18 @@ class TestRandomEnsembles:
         assert a == b
         assert a.n == 6 and a.m == 9
         assert a.uniform_angle() == PI_OVER_8
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 12, 32, 33, 63, 64])
+    def test_rows_equal_scalar_draws(self, n):
+        # one batched draw up to n = 63: the rows and the final rng state of m
+        # scalar random_nonzero_bits calls, m = 0 included
+        for seed in range(20):
+            batch, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+            m = seed % 13
+            program = random_program(n, m, "pi8", batch)
+            expected = [random_nonzero_bits(n, scalar) for _ in range(m)]
+            assert [row.bits for row in program.chi.rows] == expected
+            assert batch.bit_generator.state == scalar.bit_generator.state
 
     def test_random_program_wide_rows(self):
         for n in (64, 65, 200):

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from iqpverify.bitlin import BitMatrix, BitVector
-from iqpverify.errors import ParseError, ValidationError
+from iqpverify.errors import DimensionError, ParseError, ValidationError
 from iqpverify.model import (
     PI_OVER_8,
     Angle,
@@ -107,6 +107,15 @@ class TestProgram:
         assert part.redundant_rows == (1,)
         part = partition(p, BitVector.from_string("1110"))
         assert part.main_rows == (1,)
+
+    @pytest.mark.parametrize("rows", [[], ["1100"]])
+    def test_partition_refuses_wrong_secret_length(self, rows):
+        # m = 0 included: no row is ever dotted with the secret there
+        chi = BitMatrix([BitVector.from_string(r) for r in rows], cols=4)
+        p = IqpProgram(chi, (PI_OVER_8,) * len(rows))
+        for bits in ("101", "10101"):
+            with pytest.raises(DimensionError, match="secret has"):
+                partition(p, BitVector.from_string(bits))
 
 
 class TestBias:

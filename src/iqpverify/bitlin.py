@@ -263,9 +263,10 @@ def walsh_hadamard(values: np.ndarray) -> np.ndarray:
     """Unnormalised Walsh-Hadamard transform g[s] = sum_x f[x] * (-1)^(s.x).
 
     Accepts any real or complex array of power-of-two length; applying it
-    twice multiplies the input by the length.  In-place radix-4 passes on a copy
-    (radix-2 last at odd log2 length) do the radix-2 butterfly's additions in
-    its order, so the result is bitwise the same on any host.
+    twice multiplies the input by the length.  Constant-geometry radix-2 passes
+    alternate between a copy and a second buffer: y[i], y[i + N/2] = x[2i] +- x[2i+1].
+    Pass k thus adds the entries that differ in bit k of the original index in
+    the radix-2 butterfly's order, and its sign ends in bit k: bitwise the same result.
     """
     a = np.array(values, copy=True)
     if a.ndim != 1:
@@ -273,22 +274,15 @@ def walsh_hadamard(values: np.ndarray) -> np.ndarray:
     size = a.shape[0]
     if size == 0 or size & (size - 1):
         raise DimensionError(f"length {size} is not a power of two")
-    h = 1
-    while 4 * h <= size:
-        v0, v1, v2, v3 = a.reshape(-1, 4, h).transpose(1, 0, 2)
-        diff01 = v0 - v1
-        v0 += v1
-        sum23 = v2 + v3
-        np.subtract(v2, v3, out=v3)
-        np.subtract(v0, sum23, out=v2)
-        v0 += sum23
-        np.add(diff01, v3, out=v1)
-        np.subtract(diff01, v3, out=v3)
-        h *= 4
-    if h < size:
-        top, bottom = a.reshape(2, h)
-        top[...], bottom[...] = top + bottom, top - bottom
-    return a
+    b = np.empty_like(a)
+    half = size // 2
+    views = ((a[0::2], a[1::2], b[:half], b[half:]), (b[0::2], b[1::2], a[:half], a[half:]))
+    passes = size.bit_length() - 1
+    for k in range(passes):
+        even, odd, top, bottom = views[k & 1]
+        np.add(even, odd, out=top)
+        np.subtract(even, odd, out=bottom)
+    return b if passes & 1 else a
 
 
 def words_per_row(n: int) -> int:

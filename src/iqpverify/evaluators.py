@@ -271,24 +271,20 @@ def correlation_subspace(program: IqpProgram, s: BitVector) -> CorrelationResult
     return CorrelationResult(total / (1 << d), Backend.SUBSPACE, reduced_dim=d)
 
 
-def _bits(mask: int):
-    """Indices of the set bits of ``mask``, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _add_parity(lin: list[int], pairs: list[int], k: int, mask: int):
     """q(x) += k * [mask . x] mod 4.
 
     [a . x] = sum_{i in a} x_i - 2 * sum_{i < i' in a} x_i x_i' (mod 4), so
     L_i += k on the mask and, for odd k, every pair inside the mask toggles.
     """
-    for i in _bits(mask):
+    rest = mask
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        i = low.bit_length() - 1
         lin[i] = (lin[i] + k) & 3
         if k & 1:
-            pairs[i] ^= mask ^ (1 << i)
+            pairs[i] ^= mask ^ low
 
 
 def _z4_sum(rows: list[int], angles, d: int) -> tuple[int, int] | None:
@@ -339,10 +335,16 @@ def _z4_sum(rows: list[int], angles, d: int) -> tuple[int, int] | None:
             else:
                 _add_parity(lin, pairs, lr, rest)
             # 2 y u.x with y = rest . x: the pairs rest x u, and 2 x_i for i in both
-            for i in _bits(rest):
-                pairs[i] ^= u
-            for j in _bits(u):
-                pairs[j] ^= rest
+            bits = rest
+            while bits:
+                low = bits & -bits
+                bits ^= low
+                pairs[low.bit_length() - 1] ^= u
+            bits = u
+            while bits:
+                low = bits & -bits
+                bits ^= low
+                pairs[low.bit_length() - 1] ^= rest
             _add_parity(lin, pairs, 2, rest & u)
     return phase8 % 8, r2
 
@@ -375,7 +377,10 @@ def sample_outputs(program: IqpProgram, count: int, rng: np.random.Generator) ->
         raise ValidationError(f"sample count must be positive, got {count}")
     rows, angles, d, basis = _reduce(program)
     cumulative = np.cumsum(_distribution(rows, angles, d).probs)
-    ys = np.searchsorted(cumulative, rng.random(count), side="right")
+    draws = rng.random(count)
+    order = np.argsort(draws)  # sorted keys: the binary searches stop mispredicting
+    ys = np.empty_like(order)
+    ys[order] = np.searchsorted(cumulative, draws[order], side="right")
     np.clip(ys, 0, (1 << d) - 1, out=ys)
     return combine_rows(ys.astype(np.uint64)[:, None], basis, program.n)  # ys < 2**24: one word
 

@@ -1,5 +1,7 @@
 """Packed GF(2) linear algebra."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -279,6 +281,28 @@ class TestWalshHadamard:
         out = walsh_hadamard(values)
         assert values.tobytes() == before.tobytes()
         assert not np.shares_memory(out, values)
+
+    @pytest.mark.parametrize("n", [0, 1, 4, 5, 10])
+    def test_strided_and_read_only_inputs(self, n):
+        backing = np.exp(1j * np.random.default_rng([19, n]).standard_normal(3 << n))
+        read_only = backing[: 1 << n].copy()
+        read_only.flags.writeable = False
+        for values in (backing[::3], backing[::-3], backing.real[1::3], read_only):
+            before = values.copy()  # contiguous
+            out = walsh_hadamard(values)
+            assert out.tobytes() == walsh_hadamard(before).tobytes()
+            assert values.tobytes() == before.tobytes()
+            assert not np.shares_memory(out, backing) and not np.shares_memory(out, read_only)
+
+    def test_peak_memory_is_two_buffers(self):
+        values = np.exp(1j * np.arange(1 << 16))
+        tracemalloc.start()
+        try:
+            walsh_hadamard(values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * values.nbytes + (64 << 10), peak
 
     @given(st.integers(0, 8), st.data())
     def test_self_inverse_up_to_size(self, n, data):

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iqpverify import evaluators
-from iqpverify.bitlin import BitMatrix, BitVector, echelon, rank
+from iqpverify.bitlin import BitMatrix, BitVector, combine_rows, echelon, rank
 from iqpverify.errors import AngleError, CapacityError, DimensionError, ValidationError
 from iqpverify.evaluators import (
     STATEVECTOR_CAP,
@@ -535,6 +535,60 @@ class TestSampling:
         program = program_of(["11"])
         with pytest.raises(ValidationError):
             sample_outputs(program, 0, np.random.default_rng(0))
+
+
+class _FixedDraws:
+    """An rng stand-in whose ``random(count)`` returns crafted draws."""
+
+    def __init__(self, draws):
+        self.draws = np.asarray(draws, dtype=np.float64)
+
+    def random(self, count):
+        assert count == len(self.draws)
+        return self.draws.copy()
+
+
+class TestSamplerLookup:
+    """The sampler's sorted-key lookup equals one plain search over the draws."""
+
+    # qubit 0 flips surely, qubit 1 half the time, qubit 2 never: two of the
+    # eight table entries hold all the mass, so the cumulative table has flat runs
+    PROGRAM = IqpProgram(
+        BitMatrix.from_strings(["100", "010", "001"]), (Angle(1, 2), Angle(1, 4), Angle(0))
+    )
+
+    def table(self):
+        rows, angles, d, basis = evaluators._reduce(self.PROGRAM)
+        return np.cumsum(evaluators._distribution(rows, angles, d).probs), d, basis
+
+    def crafted(self, case, cumulative):
+        top = cumulative[-1]
+        flat = [c for c, after in zip(cumulative, cumulative[1:]) if c == after]
+        assert len(cumulative) == 8 and len(flat) >= 4
+        return {
+            "on-entries": cumulative[::-1],  # each draw on the side="right" boundary
+            "repeated": [0.7, 0.2, 0.7, 0.7, 0.2, 0.0, 0.0, 0.7],
+            "flat-runs": flat
+            + [np.nextafter(c, 0) for c in flat]
+            + [np.nextafter(c, 2) for c in flat],
+            "clipped": [top, np.nextafter(top, 2), 1.0, 0.5, 2.0, top],
+            "sorted": np.sort(np.concatenate([cumulative, np.linspace(0, 1, 9)])),
+            "mixed": np.random.default_rng(3).choice(
+                np.concatenate([cumulative, [0.0, 0.25, top, 1.0]]), size=200
+            ),
+        }[case]
+
+    @pytest.mark.parametrize(
+        "case", ["on-entries", "repeated", "flat-runs", "clipped", "sorted", "mixed"]
+    )
+    def test_batch_equals_plain_search(self, case):
+        cumulative, d, basis = self.table()
+        draws = np.asarray(self.crafted(case, cumulative), dtype=np.float64)
+        batch = sample_outputs(self.PROGRAM, len(draws), _FixedDraws(draws))
+        ys = np.clip(np.searchsorted(cumulative, draws, side="right"), 0, (1 << d) - 1)
+        expect = combine_rows(ys.astype(np.uint64)[:, None], basis, self.PROGRAM.n)
+        assert batch.dtype == expect.dtype and batch.shape == expect.shape
+        assert batch.tobytes() == expect.tobytes()
 
 
 class TestDistributionTable:

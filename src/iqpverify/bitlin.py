@@ -338,16 +338,18 @@ def row_parities(words: np.ndarray, v: BitVector) -> np.ndarray:
     """GF(2) inner product of ``v`` with every row of the batch, as 0/1."""
     if words.ndim != 2 or words.shape[1] != words_per_row(len(v)):
         raise DimensionError(f"batch of shape {words.shape} is not {len(v)} bits wide")
-    return np.bitwise_count(words & pack_ints([v.bits], len(v))).sum(axis=1) & 1
+    folded = np.zeros(len(words), dtype=np.uint64)  # XOR of the word columns, each masked
+    for column, mask in zip(words.T, pack_ints([v.bits], len(v))[0]):
+        folded ^= column & mask
+    return np.bitwise_count(folded) & 1
 
 
 def random_rows(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """``count`` uniform n-bit rows, drawn one word column at a time, low words first."""
-    columns = [
-        rng.integers(0, 1 << min(64, n - 64 * k), size=count, dtype=np.uint64)
-        for k in range(words_per_row(n))
-    ]
-    return np.stack(columns, axis=1)
+    out = np.empty((count, words_per_row(n)), dtype=np.uint64)
+    for k in range(out.shape[1]):
+        out[:, k] = rng.integers(0, 1 << min(64, n - 64 * k), size=count, dtype=np.uint64)
+    return out
 
 
 def combine_rows(picks: np.ndarray, basis: Sequence[int], n: int) -> np.ndarray:

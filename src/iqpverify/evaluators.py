@@ -34,7 +34,6 @@ import numpy as np
 from .bitlin import (
     BitVector,
     combine_rows,
-    dot,
     echelon,
     random_rows,
     row_parities,
@@ -235,9 +234,9 @@ def correlation_diagonal(
     omega = np.zeros(samples, dtype=np.float64)
     xs = random_rows(program.n, samples, rng)
     for row, angle in zip(program.chi.rows, program.angles):
-        if dot(row, s):  # main rows only
-            par = row_parities(xs, row)
-            omega += 2.0 * angle.radians * (1.0 - 2.0 * par.astype(np.float64))
+        if (row.bits & s.bits).bit_count() & 1:  # main rows only
+            two_theta = 2.0 * angle.radians
+            omega += np.where(row_parities(xs, row), -two_theta, two_theta)
     value = float(np.cos(omega).mean())
     return CorrelationResult(
         value,

@@ -16,8 +16,7 @@ import numpy as np
 from .bitlin import (
     BitMatrix,
     BitVector,
-    combine_rows,
-    nullspace_basis,
+    echelon,
     pack_bits,
     random_rows,
     row_ints,
@@ -187,31 +186,49 @@ def add_redundant_rows(
 ) -> IqpProgram:
     """Append ``count`` random nonzero rows orthogonal to every secret.
 
-    Appended rows default to the program's shared angle (pi/8 when angles
-    are mixed); either way they cannot move any secret's correlation value.
+    Each row draws one coefficient bit per free column of the secrets'
+    reduced echelon form and equals the XOR of the ``nullspace_basis``
+    vectors those bits pick: the bits land on the free columns, and pivot p
+    takes the parity of its echelon row with them.  Appended rows default to
+    the program's shared angle (pi/8 when angles are mixed); either way they
+    cannot move any secret's correlation value.
     """
     if count < 0:
         raise ValidationError("count must be non-negative")
     if not secrets:
         raise ValidationError("need at least one secret")
-    if any(len(s) != program.n for s in secrets):
+    n = program.n
+    if any(len(s) != n for s in secrets):
         raise DimensionError("secret length differs from program width")
     if count == 0:
         return program
-    basis = nullspace_basis(BitMatrix(list(secrets), cols=program.n))
-    if not basis:
+    pivots = echelon(s.bits for s in secrets)
+    free = n - len(pivots)
+    if not free:
         raise ConstructionError("no nonzero row is orthogonal to every secret")
     if angle is None:
         angle = program.uniform_angle() or PI_OVER_8
     coeffs, need = [], count
     while need:  # nonzero draws in stream order, as a redraw-per-row loop keeps them
-        draw = rng.integers(0, 2, size=(need, len(basis)))
+        draw = rng.integers(0, 2, size=(need, free))
         coeffs.append(draw[draw.any(axis=1)])
         need -= len(coeffs[-1])
-    picks = pack_bits(np.concatenate(coeffs))
-    new = row_ints(combine_rows(picks, [v.bits for v in basis], program.n))
-    rows = program.chi.rows + tuple(BitVector(program.n, bits) for bits in new)
-    return IqpProgram(BitMatrix(rows, cols=program.n), program.angles + (angle,) * count)
+    runs, placed = [], 0  # coefficient bit k lands on free column k + (pivots below it)
+    for shift, p in enumerate([*pivots, n]):
+        if p - shift > placed:  # the free columns between the last pivot and p
+            runs.append(((1 << p - shift) - (1 << placed), shift))
+            placed = p - shift
+    new = []
+    for c in row_ints(pack_bits(np.concatenate(coeffs))):
+        bits = 0
+        for mask, shift in runs:
+            bits |= (c & mask) << shift
+        for p, row in pivots.items():  # row's only pivot bit is p, still clear in bits
+            if (row & bits).bit_count() & 1:
+                bits |= 1 << p
+        new.append(BitVector(n, bits))
+    rows = program.chi.rows + tuple(new)
+    return IqpProgram(BitMatrix(rows, cols=n), program.angles + (angle,) * count)
 
 
 def random_scramble_ops(n: int, count: int, rng: np.random.Generator) -> list[tuple[int, int]]:

@@ -416,6 +416,21 @@ class TestPackedBatch:
         b = np.random.default_rng(4).integers(0, 1 << 10, size=30, dtype=np.uint64)
         assert a[:, 0].tolist() == b.tolist()
 
+    @pytest.mark.parametrize("n", [64, 65, 128, 200])
+    def test_random_rows_wide_stream(self, n):
+        # one rng.integers call per word column, low words first
+        a = random_rows(n, 30, np.random.default_rng(4))
+        ref = np.random.default_rng(4)
+        columns = [
+            ref.integers(0, 1 << min(64, n - 64 * k), size=30, dtype=np.uint64)
+            for k in range((n + 63) // 64)
+        ]
+        assert np.array_equal(a, np.stack(columns, axis=1))
+
+    def test_parities_of_zero_width_rows(self):
+        words = np.zeros((7, 0), dtype=np.uint64)
+        assert row_parities(words, BitVector(0)).tolist() == [0] * 7
+
     def test_pack_rejects_bad_rows(self):
         with pytest.raises(ValidationError):
             pack_rows(["0120"], 4)

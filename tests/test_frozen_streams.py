@@ -11,7 +11,10 @@ ops one scalar ``rng.integers`` call at a time.  The reply digest was recorded
 while replies still held one Python str per sample and were written by
 ``json.dumps``.  The ensemble digest was recorded while ``random_2local``
 and the "uniform-pi8" policy still drew one scalar ``rng.integers`` per
-coefficient.
+coefficient.  The wide challenge texts and the word-edge Monte-Carlo values
+were recorded while padding rows were still XORs of ``nullspace_basis``
+vectors through ``combine_rows``, ``row_parities`` still summed one popcount
+per word and ``random_rows`` still stacked its word columns.
 """
 
 import hashlib
@@ -117,6 +120,50 @@ def test_monte_carlo_value():
     s = BitVector.from_string("1011001101")
     result = correlation_diagonal(program, s, samples=T, rng=np.random.default_rng(14))
     assert result.value == 0.023474412112561592
+
+
+@pytest.mark.parametrize(
+    "spec, expected",
+    [
+        (
+            ConstructionSpec(n=200, secrets=4, weight=3, seed=5, redundant_rows=400),
+            "bdc1e3404fe719be94dfb726dfeddeaa199847551a64ef9aaa649c52af2e55a5",
+        ),
+        (
+            ConstructionSpec(n=1000, secrets=4, weight=3, seed=7),
+            "b02e80745ada8397b1ff262d2b7b6732042abf4d89c2182f8d37d81fb6c6eb88",
+        ),
+        (
+            ConstructionSpec(n=64, secrets=8, weight=8, seed=2, redundant_rows=128),
+            "7a3bc19af13b3da9037b47d3f2a8f3867f1445b840259d42c2a7f73d7245f195",
+        ),
+    ],
+)
+def test_wide_challenge_text(spec, expected):
+    program, key = build_challenge(spec)
+    assert sha((serialize_program(program) + serialize_key(key)).encode()) == expected
+
+
+@pytest.mark.parametrize(
+    "n, expected",
+    [
+        (63, -0.015809297953357684),
+        (64, -0.009485094850948754),
+        (65, -0.024432551382461955),
+        (200, -0.020120924667909653),
+    ],
+)
+def test_monte_carlo_word_edges(n, expected):
+    # 12 uniform rows plus one main row on bits 0 and 62..65 (those below n)
+    rng = np.random.default_rng(n)
+    program = random_program(n, 12, "uniform-pi8", rng)
+    s = BitVector(n, random_nonzero_bits(n, rng))
+    edge = sum(1 << i for i in (0, 62, 63, 64, 65) if i < n)
+    edge ^= 0 if (edge & s.bits).bit_count() & 1 else s.bits & -s.bits
+    rows = program.chi.rows + (BitVector(n, edge),)
+    program = IqpProgram(BitMatrix(rows, cols=n), program.angles + (Angle(3, 8),))
+    result = correlation_diagonal(program, s, samples=T, rng=np.random.default_rng(n + 1))
+    assert repr(result.value) == repr(expected)
 
 
 def test_clifford_digest():

@@ -1,5 +1,7 @@
 """Challenge construction and scrambling."""
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -183,6 +185,53 @@ class TestRedundantRows:
         rng = np.random.default_rng(2)
         program = random_program(4, 2, "pi8", rng)
         assert add_redundant_rows(program, [BitVector(4, 3)], 0, rng) == program
+
+    @staticmethod
+    def secret_sets(n):
+        # a, b, c leave column n-1 free; at n = 2 two pivots fill every column
+        rng = np.random.default_rng(n)
+        a, b, c = (random_nonzero_bits(n - 1, rng) for _ in range(3))
+        f = n // 2
+        return {
+            "random": [a, b, c],
+            "dependent and repeated": [a, b, a ^ b, a, b],
+            "pivots at 0 and n-1": [1 << (n - 1), a | 1] if n > 2 else [1 << (n - 1)],
+            "one free column": [1 << i | (i % 2 == 0) << f for i in range(n) if i != f],
+        }
+
+    @pytest.mark.parametrize("n", [2, 63, 64, 65, 200])
+    @pytest.mark.parametrize(
+        "case", ["random", "dependent and repeated", "pivots at 0 and n-1", "one free column"]
+    )
+    def test_padding_is_the_xor_of_the_picked_basis_vectors(self, n, case):
+        secrets = [BitVector(n, bits) for bits in self.secret_sets(n)[case]]
+        program = random_program(n, 2, "pi8", np.random.default_rng(1))
+        basis = nullspace_basis(BitMatrix(secrets, cols=n))
+        if case == "one free column":
+            assert len(basis) == 1
+        rng = np.random.default_rng([n, 7])
+        ref = copy.deepcopy(rng)
+        count = 3 * n
+        grown = add_redundant_rows(program, secrets, count, rng)
+        rows = []
+        while len(rows) < count:  # the same draws, replayed
+            draw = ref.integers(0, 2, size=(count - len(rows), len(basis)))
+            for coeffs in draw[draw.any(axis=1)]:
+                bits = 0
+                for pick, v in zip(coeffs, basis):
+                    bits ^= v.bits if pick else 0
+                rows.append(BitVector(n, bits))
+        assert grown.chi.rows[2:] == tuple(rows)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("n", [2, 63, 64, 65, 200])
+    def test_secrets_spanning_every_column_rejected(self, n):
+        rng = np.random.default_rng(n)
+        program = random_program(n, 2, "pi8", rng)
+        # the unit vectors, each hidden behind an XOR with its successor
+        secrets = [BitVector(n, 3 << i & (1 << n) - 1) for i in range(n)]
+        with pytest.raises(ConstructionError):
+            add_redundant_rows(program, secrets, 1, rng)
 
 
 class TestScramble:

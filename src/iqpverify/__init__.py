@@ -64,12 +64,10 @@ from .model import (
     PI_OVER_8,
     Angle,
     IqpProgram,
-    Partition,
     SecretKey,
     bias_from_correlation,
     parse_key,
     parse_program,
-    partition,
     serialize_key,
     serialize_program,
 )

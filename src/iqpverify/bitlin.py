@@ -12,7 +12,7 @@ row_ints are the one bridge between ints and batches.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -21,6 +21,8 @@ from .errors import DimensionError, ValidationError
 __all__ = [
     "BitVector",
     "BitMatrix",
+    "from01",
+    "to01",
     "dot",
     "echelon",
     "rank",
@@ -39,6 +41,24 @@ __all__ = [
     "combine_rows",
 ]
 
+def _check_fits(bits: int, length: int) -> None:
+    if bits < 0 or bits >> length:
+        raise ValidationError(f"bits 0x{bits:x} do not fit in {length} coordinates")
+
+
+def from01(text: str) -> int:
+    """The int of '0'/'1' text, coordinate 0 leftmost: the inverse of :func:`to01`."""
+    bad = text.strip("01")  # starts at the first character that is not a bit
+    if bad:
+        raise ValidationError(f"invalid bit character {bad[0]!r} in {text!r}")
+    return int(text[::-1] or "0", 2)
+
+
+def to01(bits: int, length: int) -> str:
+    """The ``length``-bit int as '0'/'1' text, coordinate 0 leftmost."""
+    return bin(bits | 1 << length)[:2:-1]  # reversed, less the marker bit
+
+
 class BitVector:
     """Immutable GF(2) vector of fixed length."""
 
@@ -47,18 +67,14 @@ class BitVector:
     def __init__(self, length: int, bits: int = 0):
         if length < 0:
             raise DimensionError("vector length must be non-negative")
-        if bits < 0 or bits >> length:
-            raise ValidationError(f"bits 0x{bits:x} do not fit in {length} coordinates")
+        _check_fits(bits, length)
         self._length = length
         self._bits = bits
 
     @classmethod
     def from_string(cls, text: str) -> BitVector:
         """Parse '1100' (leftmost character is coordinate 0)."""
-        bad = text.strip("01")  # starts at the first character that is not a bit
-        if bad:
-            raise ValidationError(f"invalid bit character {bad[0]!r} in {text!r}")
-        return cls(len(text), int(text[::-1] or "0", 2))
+        return cls(len(text), from01(text))
 
     @classmethod
     def from_support(cls, length: int, positions: Iterable[int]) -> BitVector:
@@ -106,7 +122,7 @@ class BitVector:
         return tuple(i for i in range(self._length) if (self._bits >> i) & 1)
 
     def to01(self) -> str:
-        return bin(self._bits | 1 << self._length)[:2:-1]  # reversed, less the marker bit
+        return to01(self._bits, self._length)
 
     def __repr__(self) -> str:
         return f"BitVector('{self.to01()}')"
@@ -120,9 +136,13 @@ def dot(u: BitVector, v: BitVector) -> int:
 
 
 class BitMatrix:
-    """Immutable m-by-n GF(2) matrix stored as a tuple of row BitVectors."""
+    """Immutable m-by-n GF(2) matrix stored as a tuple of row ints.
 
-    __slots__ = ("_rows", "_cols")
+    Bit j of row int i is entry (i, j), as in :class:`BitVector`; ``ints``
+    is that tuple.  ``rows`` and ``row(i)`` build BitVectors on each read.
+    """
+
+    __slots__ = ("_ints", "_cols")
 
     def __init__(self, rows: Iterable[BitVector], cols: int | None = None):
         rows = tuple(rows)
@@ -135,16 +155,29 @@ class BitMatrix:
         for r in rows:
             if len(r) != cols:
                 raise DimensionError(f"row of length {len(r)} in matrix with {cols} columns")
-        self._rows = rows
+        self._ints = tuple(r.bits for r in rows)
         self._cols = cols
+
+    @classmethod
+    def from_ints(cls, rows: Iterable[int], cols: int) -> BitMatrix:
+        """The matrix of ``cols``-bit row ints, checked as :class:`BitVector` checks its bits."""
+        matrix = cls((), cols)  # refuses cols < 1
+        matrix._ints = tuple(rows)
+        for bits in matrix._ints:
+            _check_fits(bits, cols)
+        return matrix
 
     @classmethod
     def from_strings(cls, rows: Sequence[str]) -> BitMatrix:
         return cls([BitVector.from_string(r) for r in rows])
 
     @property
+    def ints(self) -> tuple[int, ...]:
+        return self._ints
+
+    @property
     def num_rows(self) -> int:
-        return len(self._rows)
+        return len(self._ints)
 
     @property
     def num_cols(self) -> int:
@@ -152,40 +185,27 @@ class BitMatrix:
 
     @property
     def shape(self) -> tuple[int, int]:
-        return (len(self._rows), self._cols)
+        return (len(self._ints), self._cols)
 
     @property
     def rows(self) -> tuple[BitVector, ...]:
-        return self._rows
+        return tuple(BitVector(self._cols, r) for r in self._ints)
 
     def row(self, i: int) -> BitVector:
-        return self._rows[i]
-
-    def column(self, j: int) -> BitVector:
-        if not 0 <= j < self._cols:
-            raise DimensionError(f"column {j} outside matrix with {self._cols} columns")
-        bits = sum(((r.bits >> j) & 1) << i for i, r in enumerate(self._rows))
-        return BitVector(len(self._rows), bits)
-
-    def columns(self) -> Iterator[BitVector]:
-        return (self.column(j) for j in range(self._cols))
-
-    def transpose(self) -> BitMatrix:
-        columns = transpose_ints([r.bits for r in self._rows], self._cols)
-        return BitMatrix([BitVector(len(self._rows), c) for c in columns], cols=len(self._rows))
+        return BitVector(self._cols, self._ints[i])
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, BitMatrix)
             and other._cols == self._cols
-            and other._rows == self._rows
+            and other._ints == self._ints
         )
 
     def __hash__(self) -> int:
-        return hash((self._rows, self._cols))
+        return hash((self._ints, self._cols))
 
     def __repr__(self) -> str:
-        body = ", ".join(f"'{r.to01()}'" for r in self._rows)
+        body = ", ".join(f"'{to01(r, self._cols)}'" for r in self._ints)
         return f"BitMatrix([{body}], cols={self._cols})"
 
 
@@ -215,7 +235,7 @@ def echelon(rows: Iterable[int]) -> dict[int, int]:
 
 def rank(matrix: BitMatrix) -> int:
     """Rank over GF(2): the number of pivots of :func:`echelon`."""
-    return len(echelon(r.bits for r in matrix.rows))
+    return len(echelon(matrix.ints))
 
 
 def nullspace_basis(matrix: BitMatrix) -> list[BitVector]:
@@ -224,7 +244,7 @@ def nullspace_basis(matrix: BitMatrix) -> list[BitVector]:
     Per free column f, in increasing f: e_f plus the pivots whose rows hold f.
     """
     n = matrix.num_cols
-    pivots = echelon(r.bits for r in matrix.rows)
+    pivots = echelon(matrix.ints)
     return [
         BitVector(n, (1 << f) | sum(1 << p for p, row in pivots.items() if (row >> f) & 1))
         for f in range(n)

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import experiments
 from .bitlin import BitVector, rank, unpack_bits
-from .errors import IqpError
+from .errors import IqpError, ParseError
 from .evaluators import Backend, evaluate, sample_outputs
 from .keygen import (
     DEFAULT_SCRAMBLE_FACTOR,
@@ -45,14 +45,16 @@ def _seed_or_random(seed: int | None) -> int:
     return int.from_bytes(os.urandom(8), "little")
 
 
-def _load_program(path: str):
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_program(fh.read())
-
-
-def _load_key(path: str):
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_key(fh.read())
+def _load(path: str, parse):
+    """Parse a program or key file; a byte outside ASCII is a ParseError naming its line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"byte 0x{data[exc.start]:02x} is not ASCII", line) from None
+    return parse(text)
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -68,9 +70,12 @@ def _parse_address(text: str) -> tuple[str, int]:
     if not sep or not host:
         raise IqpError(f"address {text!r} is not host:port")
     try:
-        return host, int(port)
+        number = int(port)
     except ValueError:
         raise IqpError(f"address {text!r} has a non-integer port")
+    if not 0 <= number <= 65535:
+        raise IqpError(f"address {text!r} has a port outside 0..65535")
+    return host, number
 
 
 def _parse_n_list(text: str) -> list[int]:
@@ -111,8 +116,8 @@ def _cmd_keygen(args) -> int:
 
 
 def _cmd_scramble(args) -> int:
-    program = _load_program(args.program)
-    key = _load_key(args.key)
+    program = _load(args.program, parse_program)
+    key = _load(args.key, parse_key)
     rng = np.random.default_rng(_seed_or_random(args.seed))
     count = args.ops if args.ops is not None else DEFAULT_SCRAMBLE_FACTOR * program.n
     ops = random_scramble_ops(program.n, count, rng)
@@ -125,13 +130,13 @@ def _cmd_scramble(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    program = _load_program(args.program)
+    program = _load(args.program, parse_program)
     if (args.secret is None) == (args.key is None):
         raise IqpError("give exactly one of --secret or --key")
     if args.secret is not None:
         secret = BitVector.from_string(args.secret)
     else:
-        key = _load_key(args.key)
+        key = _load(args.key, parse_key)
         if not 0 <= args.index < key.count:
             raise IqpError(f"--index {args.index} outside 0..{key.count - 1}")
         secret = key.secrets[args.index]
@@ -155,7 +160,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    program = _load_program(args.program)
+    program = _load(args.program, parse_program)
     rng = np.random.default_rng(_seed_or_random(args.seed))
     draws = sample_outputs(program, args.count, rng)
     table = np.full((len(draws), program.n + 1), ord("\n"), dtype=np.uint8)
@@ -165,9 +170,9 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
-    leaked = _load_key(args.leak_key) if args.leak_key else None
     host, port = _parse_address(args.bind)
+    logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
+    leaked = _load(args.leak_key, parse_key) if args.leak_key else None
     server = ProverServer(
         address=(host, port),
         prover=args.prover,
@@ -187,8 +192,8 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    program = _load_program(args.program)
-    key = _load_key(args.key)
+    program = _load(args.program, parse_program)
+    key = _load(args.key, parse_key)
     report = run_verification(
         _parse_address(args.address),
         program,

@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from typing import Sequence
 
 import numpy as np
 
@@ -127,7 +128,7 @@ def _reduce(program: IqpProgram, s: BitVector | None = None):
     reduced rows have full column rank d; at full rank B is the identity.  A
     program without rows reduces to d = 0: a one-entry table, an empty sum.
     """
-    rows, angles = [row.bits for row in program.chi.rows], program.angles
+    rows, angles = program.chi.ints, program.angles
     if s is not None:
         _check_secret(program, s)
         main = [j for j, row in enumerate(rows) if (row & s.bits).bit_count() & 1]
@@ -145,7 +146,7 @@ def _check_cap(d: int) -> None:
         raise CapacityError(f"dimension {d} exceeds dense cap {STATEVECTOR_CAP}")
 
 
-def _phase_table(rows: list[int], angles, n: int) -> np.ndarray:
+def _phase_table(rows: Sequence[int], angles, n: int) -> np.ndarray:
     """sum_j theta_j (-1)^(chi_j . x) at every x: one transform of the row angles."""
     _check_cap(n)
     bits = np.fromiter(rows, np.int64, len(rows))
@@ -153,7 +154,7 @@ def _phase_table(rows: list[int], angles, n: int) -> np.ndarray:
     return walsh_hadamard(np.bincount(bits, radians, minlength=1 << n))  # duplicates add
 
 
-def _distribution(rows: list[int], angles, n: int) -> DistributionTable:
+def _distribution(rows: Sequence[int], angles, n: int) -> DistributionTable:
     """The table of n-bit rows: the transform of exp(i * phase table), scaled by 2**-n."""
     amplitudes = walsh_hadamard(np.exp(1j * _phase_table(rows, angles, n))) / (1 << n)
     return DistributionTable(n, np.abs(amplitudes) ** 2)
@@ -166,7 +167,7 @@ def output_distribution(program: IqpProgram) -> DistributionTable:
     each basis state, so the amplitudes are the transform of those phases,
     scaled by 2**-n.
     """
-    return _distribution([row.bits for row in program.chi.rows], program.angles, program.n)
+    return _distribution(program.chi.ints, program.angles, program.n)
 
 
 def correlation_statevector(program: IqpProgram, s: BitVector) -> CorrelationResult:
@@ -233,10 +234,10 @@ def correlation_diagonal(
         raise ValidationError("monte-carlo mode needs an explicit rng")
     omega = np.zeros(samples, dtype=np.float64)
     xs = random_rows(program.n, samples, rng)
-    for row, angle in zip(program.chi.rows, program.angles):
-        if (row.bits & s.bits).bit_count() & 1:  # main rows only
+    for row, angle in zip(program.chi.ints, program.angles):
+        if (row & s.bits).bit_count() & 1:  # main rows only
             two_theta = 2.0 * angle.radians
-            omega += np.where(row_parities(xs, row), -two_theta, two_theta)
+            omega += np.where(row_parities(xs, BitVector(program.n, row)), -two_theta, two_theta)
     value = float(np.cos(omega).mean())
     return CorrelationResult(
         value,

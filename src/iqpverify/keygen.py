@@ -116,14 +116,13 @@ def random_program(
         bits = rng.integers(1, 1 << n, size=m, dtype=np.uint64).tolist()
     else:
         bits = [random_nonzero_bits(n, rng) for _ in range(m)]
-    rows = [BitVector(n, b) for b in bits]
     if angle_policy == "uniform-pi8":
         angles = tuple(_PI8_ANGLES[w] for w in rng.integers(0, 8, size=m).tolist())
     elif angle_policy == "pi8" or isinstance(angle_policy, Angle):
         angles = (PI_OVER_8 if angle_policy == "pi8" else angle_policy,) * m
     else:
         raise ValidationError(f"unknown angle policy {angle_policy!r}")
-    return IqpProgram(BitMatrix(rows, cols=n), angles)
+    return IqpProgram(BitMatrix.from_ints(bits, n), angles)
 
 
 def random_2local(n: int, rng: np.random.Generator) -> IqpProgram:
@@ -138,9 +137,9 @@ def random_2local(n: int, rng: np.random.Generator) -> IqpProgram:
     masks = [(1 << i) | (1 << j) for i in range(n) for j in range(i + 1, n)]
     masks += [1 << i for i in range(n)]
     ws = rng.integers(0, 8, size=len(masks)).tolist()
-    rows = [BitVector(n, bits) for bits, w in zip(masks, ws) if w]
+    rows = [bits for bits, w in zip(masks, ws) if w]
     angles = tuple(_PI8_ANGLES[w] for w in ws if w)
-    return IqpProgram(BitMatrix(rows, cols=n), angles)
+    return IqpProgram(BitMatrix.from_ints(rows, n), angles)
 
 
 def search_main_part(
@@ -167,11 +166,12 @@ def search_main_part(
     for _ in range(budget):
         size = int(rng.integers(1, len(pool) + 1))
         picks = sorted(rng.choice(len(pool), size=size, replace=False).tolist())
-        rows = tuple(BitVector(weight, pool[i]) for i in picks)
-        program = IqpProgram(BitMatrix(rows, cols=weight), (PI_OVER_8,) * len(rows))
+        rows = [pool[i] for i in picks]
+        program = IqpProgram(BitMatrix.from_ints(rows, weight), (PI_OVER_8,) * len(rows))
         result = correlation_clifford(program, secret)
         if best is None or abs(result.value) > abs(best.result.value):
-            best = SearchOutcome(rows, secret, result, abs(result.value) >= target)
+            vectors = tuple(BitVector(weight, r) for r in rows)
+            best = SearchOutcome(vectors, secret, result, abs(result.value) >= target)
         if abs(result.value) >= target:
             return best
     return best
@@ -226,9 +226,9 @@ def add_redundant_rows(
         for p, row in pivots.items():  # row's only pivot bit is p, still clear in bits
             if (row & bits).bit_count() & 1:
                 bits |= 1 << p
-        new.append(BitVector(n, bits))
-    rows = program.chi.rows + tuple(new)
-    return IqpProgram(BitMatrix(rows, cols=n), program.angles + (angle,) * count)
+        new.append(bits)
+    chi = BitMatrix.from_ints(program.chi.ints + tuple(new), n)
+    return IqpProgram(chi, program.angles + (angle,) * count)
 
 
 def random_scramble_ops(n: int, count: int, rng: np.random.Generator) -> list[tuple[int, int]]:
@@ -260,7 +260,7 @@ def scramble(
     n = program.n
     if any(len(s) != n for s in secrets):
         raise DimensionError("secret length differs from program width")
-    cols = transpose_ints([r.bits for r in program.chi.rows], n)
+    cols = transpose_ints(program.chi.ints, n)
     secret_cols = transpose_ints([s.bits for s in secrets], n)
     for src, dst in ops:
         if src == dst or src < 0 or dst < 0:
@@ -269,7 +269,7 @@ def scramble(
             raise DimensionError(f"op ({src}, {dst}) outside {n} columns")
         cols[dst] ^= cols[src]
         secret_cols[src] ^= secret_cols[dst]
-    chi = BitMatrix([BitVector(n, r) for r in transpose_ints(cols, program.m)], cols=n)
+    chi = BitMatrix.from_ints(transpose_ints(cols, program.m), n)
     secrets = tuple(BitVector(n, s) for s in transpose_ints(secret_cols, len(secrets)))
     return IqpProgram(chi, program.angles), secrets
 
@@ -288,7 +288,7 @@ def build_challenge(spec: ConstructionSpec) -> tuple[IqpProgram, SecretKey]:
             f"{spec.secrets} disjoint windows of weight {spec.weight} "
             f"do not fit in {spec.n} qubits"
         )
-    rows: list[BitVector] = []
+    rows: list[int] = []
     angles: list[Angle] = []
     secrets: list[BitVector] = []
     expected: list[float] = []
@@ -303,7 +303,7 @@ def build_challenge(spec: ConstructionSpec) -> tuple[IqpProgram, SecretKey]:
             )
         offset = k * spec.weight
         for row in outcome.rows:
-            rows.append(BitVector(spec.n, row.bits << offset))
+            rows.append(row.bits << offset)
             angles.append(PI_OVER_8)
         secrets.append(BitVector(spec.n, ((1 << spec.weight) - 1) << offset))
         expected.append(outcome.result.value)
@@ -311,12 +311,12 @@ def build_challenge(spec: ConstructionSpec) -> tuple[IqpProgram, SecretKey]:
             f"secret {k}: backend=clifford g={outcome.result.g} "
             f"dim={outcome.result.reduced_dim}"
         )
-    program = IqpProgram(BitMatrix(rows, cols=spec.n), tuple(angles))
+    program = IqpProgram(BitMatrix.from_ints(rows, spec.n), tuple(angles))
     program = add_redundant_rows(program, secrets, spec.redundant_rows, rng)
-    order = rng.permutation(program.m)
+    order = rng.permutation(program.m).tolist()
     program = IqpProgram(
-        BitMatrix([program.chi.row(int(i)) for i in order], cols=spec.n),
-        tuple(program.angles[int(i)] for i in order),
+        BitMatrix.from_ints([program.chi.ints[i] for i in order], spec.n),
+        tuple(program.angles[i] for i in order),
     )
     op_count = spec.scramble_ops
     if op_count is None:

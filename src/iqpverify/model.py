@@ -11,16 +11,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import gcd, pi
 
-from .bitlin import BitMatrix, BitVector
-from .errors import DimensionError, ParseError, ValidationError
+from .bitlin import BitMatrix, BitVector, from01, to01
+from .errors import ParseError, ValidationError
 
 __all__ = [
     "Angle",
     "PI_OVER_8",
     "IqpProgram",
     "SecretKey",
-    "Partition",
-    "partition",
     "bias_from_correlation",
     "serialize_program",
     "parse_program",
@@ -85,9 +83,8 @@ class IqpProgram:
             raise ValidationError(
                 f"{self.chi.num_rows} rows but {len(self.angles)} angles"
             )
-        for i, row in enumerate(self.chi.rows):
-            if row.is_zero():
-                raise ValidationError(f"row {i} acts on no qubit")
+        if 0 in self.chi.ints:
+            raise ValidationError(f"row {self.chi.ints.index(0)} acts on no qubit")
 
     @property
     def n(self) -> int:
@@ -96,9 +93,6 @@ class IqpProgram:
     @property
     def m(self) -> int:
         return self.chi.num_rows
-
-    def row(self, i: int) -> BitVector:
-        return self.chi.row(i)
 
     def uniform_angle(self) -> Angle | None:
         """The shared angle if every row uses the same one, else None."""
@@ -143,28 +137,6 @@ class SecretKey:
         return len(self.secrets)
 
 
-@dataclass(frozen=True)
-class Partition:
-    """Row indices split by their parity against one secret."""
-
-    main_rows: tuple[int, ...]
-    redundant_rows: tuple[int, ...]
-
-
-def partition(program: IqpProgram, s: BitVector) -> Partition:
-    """Split rows by dot(row, s): odd parity is main, even is redundant.
-
-    The even-parity rows commute with the measured observable and never move
-    its correlation value.
-    """
-    if len(s) != program.n:  # up front, so a program without rows refuses it too
-        raise DimensionError(f"secret has {len(s)} bits, program has {program.n}")
-    main, redundant = [], []
-    for i, row in enumerate(program.chi.rows):
-        (main if (row.bits & s.bits).bit_count() & 1 else redundant).append(i)
-    return Partition(tuple(main), tuple(redundant))
-
-
 def bias_from_correlation(value: float) -> float:
     """Map a correlation value in [-1, 1] to the matching probability bias.
 
@@ -177,7 +149,7 @@ def bias_from_correlation(value: float) -> float:
 
 
 # --------------------------------------------------------------------------
-# Text formats.  Both documents are UTF-8, one "<field> <value>" per line.
+# Text formats.  Both documents are ASCII, one "<field> <value>" per line.
 # Program (.iqp):   version, n, m, m row lines, m angle lines.
 # Key (.iqpkey):    version, n, then secret/expected pairs, optional meta.
 # --------------------------------------------------------------------------
@@ -189,7 +161,7 @@ def serialize_program(program: IqpProgram) -> str:
         f"n {program.n}",
         f"m {program.m}",
     ]
-    lines += [f"row {row.to01()}" for row in program.chi.rows]
+    lines += [f"row {to01(row, program.n)}" for row in program.chi.ints]
     lines += [f"angle {angle}" for angle in program.angles]
     return "\n".join(lines) + "\n"
 
@@ -254,17 +226,17 @@ def parse_program(text: str) -> IqpProgram:
             f"expected {m} row lines and {m} angle lines, found {len(body)} field lines",
             body[-1][0] if body else rest[0][0],
         )
-    rows: list[BitVector] = []
+    rows: list[int] = []
     for lineno, name, value in body[:m]:
         if name != "row":
             raise ParseError(f"expected 'row', found {name!r}", lineno)
         try:
-            row = BitVector.from_string(value)
+            row = from01(value)
         except ValidationError as exc:
             raise ParseError(str(exc), lineno) from None
-        if len(row) != n:
-            raise ParseError(f"row has {len(row)} bits, expected {n}", lineno)
-        if row.is_zero():
+        if len(value) != n:
+            raise ParseError(f"row has {len(value)} bits, expected {n}", lineno)
+        if not row:
             raise ParseError("row acts on no qubit", lineno)
         rows.append(row)
     angles: list[Angle] = []
@@ -282,7 +254,7 @@ def parse_program(text: str) -> IqpProgram:
             angles.append(Angle(num, den))
         except ValidationError as exc:
             raise ParseError(str(exc), lineno) from None
-    return IqpProgram(BitMatrix(rows, cols=n), tuple(angles))
+    return IqpProgram(BitMatrix.from_ints(rows, n), tuple(angles))
 
 
 def parse_key(text: str) -> SecretKey:

@@ -37,12 +37,12 @@ import numpy as np
 
 from .bitlin import (
     BitMatrix,
-    BitVector,
     pack_bits,
     pack_ints,
     pack_rows,
     random_rows,
     row_parities,
+    to01,
     unpack_bits,
     words_per_row,
 )
@@ -163,7 +163,7 @@ class ChallengeMsg:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "ChallengeMsg":
-        """Validate a decoded challenge and build its program, each row and angle once."""
+        """Validate a decoded challenge and build its program from row ints, each angle once."""
         if payload.get("type") != "challenge":
             raise ProtocolError("bad-type", f"expected challenge, got {payload.get('type')!r}")
         session = _require_session(payload)
@@ -179,7 +179,7 @@ class ChallengeMsg:
                 raise ProtocolError("bad-row", f"bad row {r!r} for n={n}")
             if "1" not in r:
                 raise ProtocolError("bad-row", "all-zero row")
-            chi.append(BitVector(n, int(r[::-1], 2)))
+            chi.append(int(r[::-1], 2))
         angles = payload.get("angles")
         if not isinstance(angles, list) or len(angles) != len(rows):
             raise ProtocolError("bad-angle", "need one [num, den] pair per row")
@@ -205,14 +205,14 @@ class ChallengeMsg:
             raise ProtocolError(
                 "capacity", f"t={t} at n={n} exceeds the reply limit of {limit}"
             )
-        return cls(session, IqpProgram(BitMatrix(chi, cols=n), tuple(thetas)), t)
+        return cls(session, IqpProgram(BitMatrix.from_ints(chi, n), tuple(thetas)), t)
 
     def to_payload(self) -> dict:
         return {
             "type": "challenge",
             "session": self.session,
             "n": self.n,
-            "rows": [row.to01() for row in self.program.chi.rows],
+            "rows": [to01(row, self.n) for row in self.program.chi.ints],
             "angles": [[a.num, a.den] for a in self.program.angles],
             "t": self.samples_requested,
         }

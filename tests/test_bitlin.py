@@ -113,26 +113,36 @@ class TestBitMatrix:
         m = BitMatrix.from_strings(["1100", "0101"])
         assert m.shape == (2, 4)
         assert m.row(1) == BitVector.from_string("0101")
-        assert m.column(0) == BitVector.from_string("10")
-        assert m.column(1) == BitVector.from_string("11")
+        assert m.ints == (0b0011, 0b1010)
 
-    def test_transpose_involution(self):
-        m = BitMatrix.from_strings(["110", "011", "101"])
-        assert m.transpose().transpose() == m
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 200])
+    def test_from_ints_equals_vector_build(self, n):
+        rng = np.random.default_rng([n, 7])
+        ints = [int.from_bytes(rng.bytes(32), "little") >> (256 - n) for _ in range(9)]
+        ints[-1] = (1 << n) - 1  # top coordinate set
+        vectors = [BitVector(n, r) for r in ints]
+        matrix = BitMatrix.from_ints(ints, n)
+        built = BitMatrix(vectors, cols=n)
+        assert matrix == built and hash(matrix) == hash(built) and repr(matrix) == repr(built)
+        assert matrix.ints == tuple(ints) and matrix.shape == (9, n)
+        assert BitMatrix.from_ints([], n) == BitMatrix([], cols=n)
+        # rows and row(i) wrap the ints, and the ints come back from them
+        assert matrix.rows == tuple(vectors) == tuple(matrix.row(i) for i in range(9))
+        assert BitMatrix.from_ints((r.bits for r in matrix.rows), n) == matrix
 
-    @pytest.mark.parametrize("n", [1, 7, 8, 9, 64, 65, 200])
-    def test_transpose_entries(self, n):
-        rng = np.random.default_rng(n)
-        for m in (1, 8, 13):
-            rows = [BitVector(n, int(b)) for b in rng.integers(0, 1 << min(n, 62), size=m)]
-            rows[-1] = BitVector(n, (1 << n) - 1)  # top coordinate set
-            t = BitMatrix(rows, cols=n).transpose()
-            assert t.shape == (n, m)
-            assert t.rows == tuple(BitMatrix(rows, cols=n).columns())
-
-    def test_transpose_without_rows_rejected(self):
-        with pytest.raises(DimensionError):
-            BitMatrix([], cols=3).transpose()
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 200])
+    def test_from_ints_refuses_what_vectors_refuse(self, n):
+        for bits in (-1, 1 << n, -(1 << n)):
+            with pytest.raises(ValidationError) as via_vector:
+                BitMatrix([BitVector(n, 1), BitVector(n, bits)], cols=n)
+            with pytest.raises(ValidationError) as via_ints:
+                BitMatrix.from_ints([1, bits], n)
+            assert str(via_ints.value) == str(via_vector.value)
+        with pytest.raises(DimensionError) as via_vector:
+            BitMatrix([BitVector(0)] * n, cols=0)
+        with pytest.raises(DimensionError) as via_ints:
+            BitMatrix.from_ints([0] * n, 0)
+        assert str(via_ints.value) == str(via_vector.value)
 
     def test_ragged_rows_rejected(self):
         with pytest.raises(DimensionError):
@@ -143,7 +153,8 @@ class TestBitMatrix:
 
     @given(matrices())
     def test_rank_equals_transpose_rank(self, m):
-        assert rank(m) == rank(m.transpose())
+        columns = transpose_ints(m.ints, m.num_cols)
+        assert rank(m) == rank(BitMatrix.from_ints(columns, m.num_rows))
 
     @given(matrices())
     def test_rank_bounds(self, m):
@@ -153,7 +164,8 @@ class TestBitMatrix:
 
 def column_space_basis(m):
     """A basis of the column space: the echelon form of the columns."""
-    return [BitVector(m.num_rows, c) for c in echelon(c.bits for c in m.columns()).values()]
+    columns = transpose_ints(m.ints, m.num_cols)
+    return [BitVector(m.num_rows, c) for c in echelon(columns).values()]
 
 
 class TestEchelon:
@@ -192,8 +204,8 @@ class TestSpans:
         basis = column_space_basis(m)
         assert len(basis) == rank(m)
         span = brute_force_span(basis)
-        for col in m.columns():
-            assert col.bits in span
+        for col in transpose_ints(m.ints, m.num_cols):
+            assert col in span
 
     @given(matrices(max_n=8, max_m=6))
     def test_nullspace_is_the_whole_kernel(self, m):
@@ -405,8 +417,9 @@ class TestPackedBatch:
         rng = np.random.default_rng([n, 6])
         for m in (1, 8, 13, 65):
             rows = [int.from_bytes(rng.bytes(32), "little") >> (256 - n) for _ in range(m)]
-            matrix = BitMatrix([BitVector(n, r) for r in rows], cols=n)
-            assert transpose_ints(rows, n) == [c.bits for c in matrix.columns()]
+            columns = [sum(((r >> j) & 1) << i for i, r in enumerate(rows)) for j in range(n)]
+            assert transpose_ints(rows, n) == columns
+            assert transpose_ints(columns, m) == rows
         assert transpose_ints([], n) == [0] * n  # no rows: every column is empty
         assert transpose_ints([0] * n, 0) == []  # zero width: no columns
 

@@ -213,6 +213,31 @@ class TestVerify:
             == 3
         )
 
+    @pytest.mark.parametrize("which", ["program", "key"])
+    def test_non_ascii_file_is_runtime_error(self, challenge_files, tmp_path, capsys, which):
+        files = dict(zip(("program", "key"), challenge_files))
+        text = files[which].read_bytes()
+        files[which] = tmp_path / "bad"
+        files[which].write_bytes(text + "meta café\n".encode())  # UTF-8, not ASCII
+        code = run_cli(
+            "verify", "--address", "127.0.0.1:1",
+            "--program", files["program"], "--key", files["key"], "--samples", 10,
+        )
+        assert code == 3
+        line = text.count(b"\n") + 1
+        assert f"error: line {line}: byte 0xc3 is not ASCII" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("port", ["70000", "65536", "-1"])
+    def test_port_out_of_range_is_runtime_error(self, challenge_files, capsys, port):
+        prog, key = challenge_files
+        assert run_cli("serve", "--bind", f"127.0.0.1:{port}") == 3
+        assert "port outside 0..65535" in capsys.readouterr().err
+        code = run_cli(
+            "verify", "--address", f"127.0.0.1:{port}",
+            "--program", prog, "--key", key, "--samples", 10,
+        )
+        assert code == 3
+
 
 class TestExperimentsCli:
     def test_parseval_csv(self, tmp_path):
@@ -312,6 +337,14 @@ class TestModuleInvocation:
             proc.terminate()
             proc.wait(timeout=10)
             proc.stdout.close()
+
+    def test_serve_port_out_of_range_exits_3(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "iqpverify", "serve", "--bind", "127.0.0.1:70000"],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
     def test_serve_exits_cleanly_on_ctrl_c(self):
         # SIGINT as soon as the "serving" line is read; repeated, because a

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from iqpverify.bitlin import BitMatrix, BitVector
-from iqpverify.errors import DimensionError, ParseError, ValidationError
+from iqpverify.errors import ParseError, ValidationError
 from iqpverify.model import (
     PI_OVER_8,
     Angle,
@@ -17,7 +17,6 @@ from iqpverify.model import (
     bias_from_correlation,
     parse_key,
     parse_program,
-    partition,
     serialize_key,
     serialize_program,
 )
@@ -83,7 +82,7 @@ class TestProgram:
     def test_shape_and_accessors(self):
         p = two_row_program()
         assert p.n == 4 and p.m == 2
-        assert p.row(0) == BitVector.from_string("1100")
+        assert p.chi.row(0) == BitVector.from_string("1100")
         assert p.uniform_angle() == PI_OVER_8
 
     def test_mixed_angles_have_no_uniform_angle(self):
@@ -100,22 +99,13 @@ class TestProgram:
         with pytest.raises(ValidationError):
             IqpProgram(BitMatrix.from_strings(["11"]), (PI_OVER_8, PI_OVER_8))
 
-    def test_partition_by_parity(self):
-        p = two_row_program()
-        part = partition(p, BitVector.from_string("1000"))
-        assert part.main_rows == (0,)
-        assert part.redundant_rows == (1,)
-        part = partition(p, BitVector.from_string("1110"))
-        assert part.main_rows == (1,)
-
-    @pytest.mark.parametrize("rows", [[], ["1100"]])
-    def test_partition_refuses_wrong_secret_length(self, rows):
-        # m = 0 included: no row is ever dotted with the secret there
-        chi = BitMatrix([BitVector.from_string(r) for r in rows], cols=4)
-        p = IqpProgram(chi, (PI_OVER_8,) * len(rows))
-        for bits in ("101", "10101"):
-            with pytest.raises(DimensionError, match="secret has"):
-                partition(p, BitVector.from_string(bits))
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 200])
+    def test_zero_row_from_ints_names_its_index(self, n):
+        for i in range(3):
+            rows = [(1 << n) - 1] * 4
+            rows[i] = rows[3] = 0  # the first zero row is named
+            with pytest.raises(ValidationError, match=f"^row {i} acts on no qubit$"):
+                IqpProgram(BitMatrix.from_ints(rows, n), (PI_OVER_8,) * 4)
 
 
 class TestBias:

@@ -311,15 +311,24 @@ def words_per_row(n: int) -> int:
 
 
 def pack_ints(values: Sequence[int], n: int) -> np.ndarray:
-    """Pack n-bit ints (bit i is coordinate i) into a batch, one row per int."""
+    """Pack n-bit ints (bit i is coordinate i) into a batch, one row per int.
+
+    A negative int, or one past the row's ceil(n/64) words, raises OverflowError.
+    """
+    if words_per_row(n) == 1:  # one numpy conversion, no bytes per row
+        return np.array(values, dtype=np.uint64).reshape(len(values), 1)
     data = b"".join(v.to_bytes(8 * words_per_row(n), "little") for v in values)
     return np.frombuffer(bytearray(data), dtype="<u8").reshape(len(values), words_per_row(n))
 
 
 def row_ints(words: np.ndarray) -> list[int]:
     """Inverse of :func:`pack_ints`: the rows of a batch as ints."""
-    data, width = np.ascontiguousarray(words, dtype="<u8").tobytes(), 8 * words.shape[1]
-    return [int.from_bytes(data[t * width : (t + 1) * width], "little") for t in range(len(words))]
+    words = np.ascontiguousarray(words, dtype="<u8")
+    count, nwords = words.shape
+    if nwords <= 1:  # one tolist, no bytes per row
+        return words[:, 0].tolist() if nwords else [0] * count
+    rows = words.view(f"V{8 * nwords}").reshape(count).tolist()  # one bytes object a row
+    return [int.from_bytes(row, "little") for row in rows]
 
 
 def transpose_ints(rows: Sequence[int], width: int) -> list[int]:

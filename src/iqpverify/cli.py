@@ -40,9 +40,11 @@ _BACKENDS = {
 
 
 def _seed_or_random(seed: int | None) -> int:
-    if seed is not None:
-        return seed
-    return int.from_bytes(os.urandom(8), "little")
+    if seed is None:
+        return int.from_bytes(os.urandom(8), "little")
+    if seed < 0:  # numpy's seeds are non-negative
+        raise IqpError(f"--seed {seed} is negative")
+    return seed
 
 
 def _load(path: str, parse):
@@ -141,9 +143,8 @@ def _cmd_eval(args) -> int:
             raise IqpError(f"--index {args.index} outside 0..{key.count - 1}")
         secret = key.secrets[args.index]
     backend = _BACKENDS[args.backend]
-    rng = None
-    if backend is Backend.DIAGONAL_MC:
-        rng = np.random.default_rng(_seed_or_random(args.seed))
+    seed = _seed_or_random(args.seed)  # checked even when the backend draws nothing
+    rng = np.random.default_rng(seed) if backend is Backend.DIAGONAL_MC else None
     result = evaluate(
         program, secret, backend, samples=args.samples, rng=rng, delta=args.delta
     )

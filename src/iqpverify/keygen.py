@@ -9,7 +9,7 @@ secrets together without moving any correlation value.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -71,6 +71,8 @@ class ConstructionSpec:
             raise ValidationError("redundant row count must be non-negative")
         if self.scramble_ops is not None and self.scramble_ops < 0:
             raise ValidationError("scramble op count must be non-negative")
+        if self.seed < 0:
+            raise ValidationError(f"seed {self.seed} is negative")
 
 
 @dataclass(frozen=True)
@@ -231,8 +233,8 @@ def add_redundant_rows(
     return IqpProgram(chi, program.angles + (angle,) * count)
 
 
-def random_scramble_ops(n: int, count: int, rng: np.random.Generator) -> list[tuple[int, int]]:
-    """``count`` uniform random column pairs (src, dst), src != dst, in one rng call.
+def random_scramble_ops(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` uniform random column pairs (src, dst), src != dst, as a count x 2 array.
 
     numpy draws an array of bounds n, n - 1, n, n - 1, ... one element at a
     time (a bound of 1 draws nothing), so the pairs and the final ``rng``
@@ -241,32 +243,45 @@ def random_scramble_ops(n: int, count: int, rng: np.random.Generator) -> list[tu
     """
     if not 2 <= n <= 1 << 32 or count < 0:
         raise ValidationError(f"{count} ops on {n} columns: need 2 <= n <= 2**32, count >= 0")
-    src, dst = rng.integers(0, np.tile([n, n - 1], count)).reshape(count, 2).T
-    return list(zip(src.tolist(), (dst + (dst >= src)).tolist()))
+    ops = rng.integers(0, np.tile([n, n - 1], count)).reshape(count, 2)
+    ops[:, 1] += ops[:, 1] >= ops[:, 0]
+    return ops
 
 
 def scramble(
-    program: IqpProgram, secrets: Sequence[BitVector], ops: Iterable[tuple[int, int]]
+    program: IqpProgram, secrets: Sequence[BitVector], ops: np.ndarray | Sequence[Sequence[int]]
 ) -> tuple[IqpProgram, tuple[BitVector, ...]]:
     """Apply column additions to the program and the matched secret updates.
 
     Op (src, dst) adds column src into column dst and adds secret entry dst
     into entry src, which preserves every row-secret parity -- and therefore
     every correlation value.  Applying the same ops twice is the identity.
-    A pair with src == dst or a negative entry is refused.  Chi and the
-    secrets are transposed once into column ints, so each op is two int
-    XORs: the cost is O(len(ops) + n*(m + K)), not O(len(ops) * (m + K)).
+    ``ops`` is k x 2 integer pairs, an array or a list, all checked before any
+    op runs: the first pair with src == dst or a negative entry raises
+    ValidationError, one past the columns DimensionError.  Chi and the secrets
+    are transposed once into column ints, so each op is two int XORs: the
+    cost is O(len(ops) + n*(m + K)), not O(len(ops) * (m + K)).
     """
     n = program.n
     if any(len(s) != n for s in secrets):
         raise DimensionError("secret length differs from program width")
+    pairs = np.asarray(ops)
+    if pairs.dtype.kind not in "iu":  # a list holding an int past int64 is float or object
+        pairs = np.array(ops, dtype=object)
+    ints = pairs.dtype != object or all(isinstance(v, (int, np.integer)) for v in pairs.flat)
+    if not ints or pairs.size and pairs.shape[1:] != (2,):
+        raise ValidationError("scramble ops must be k x 2 integer column pairs")
+    srcs, dsts = pairs.reshape(-1, 2).T
+    refused = (srcs == dsts) | (srcs < 0) | (dsts < 0)
+    bad = np.flatnonzero(refused | (srcs >= n) | (dsts >= n))
+    if bad.size:
+        op = f"op ({srcs[bad[0]]}, {dsts[bad[0]]})"
+        if refused[bad[0]]:
+            raise ValidationError(f"{op} needs two distinct columns >= 0")
+        raise DimensionError(f"{op} outside {n} columns")
     cols = transpose_ints(program.chi.ints, n)
     secret_cols = transpose_ints([s.bits for s in secrets], n)
-    for src, dst in ops:
-        if src == dst or src < 0 or dst < 0:
-            raise ValidationError(f"op ({src}, {dst}) needs two distinct columns >= 0")
-        if src >= n or dst >= n:
-            raise DimensionError(f"op ({src}, {dst}) outside {n} columns")
+    for src, dst in zip(srcs.tolist(), dsts.tolist()):
         cols[dst] ^= cols[src]
         secret_cols[src] ^= secret_cols[dst]
     chi = BitMatrix.from_ints(transpose_ints(cols, program.m), n)

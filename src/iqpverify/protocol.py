@@ -26,6 +26,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import socket
 import socketserver
 import threading
@@ -89,6 +90,11 @@ class WeakSignalWarning(UserWarning):
 
 # ---------------------------------------------------------------------------
 # messages
+
+
+def _check_timeout(timeout: float) -> None:
+    if not 0 < timeout < math.inf:  # NaN fails both comparisons
+        raise ValidationError(f"timeout {timeout!r} is not a finite number > 0")
 
 
 def _encode(payload: dict) -> bytes:
@@ -476,6 +482,7 @@ class ProverServer(socketserver.ThreadingTCPServer):
             raise ValidationError(f"unknown prover {prover!r}")
         if prover == "leak" and leaked_key is None:
             raise ValidationError("leak prover needs a leaked key")
+        _check_timeout(timeout)
         self._prover_name = prover
         self._leaked_key = leaked_key
         self._seed = seed
@@ -571,6 +578,7 @@ def request(
     session: str | None = None,
 ) -> SamplesMsg:
     """Fetch one batch of samples for ``program`` from a remote prover."""
+    _check_timeout(timeout)
     challenge = ChallengeMsg.from_program(program, samples, session)
     with socket.create_connection(address, timeout=timeout) as sock:
         return _exchange(sock, challenge)
@@ -593,6 +601,7 @@ def run_verification(
     unless ``reveal_verdict`` is set (a demo affordance: revealing verdicts
     hands a cheating prover a feedback bit per round).
     """
+    _check_timeout(timeout)
     if key.n != program.n:  # a packed batch does not record its row width
         raise ValidationError(f"program n={program.n} != key n={key.n}")
     challenge = ChallengeMsg.from_program(program, samples, session)

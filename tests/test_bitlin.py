@@ -413,6 +413,27 @@ class TestPackedBatch:
         assert empty.shape == (0, (n + 63) // 64) and row_ints(empty) == []
 
     @pytest.mark.parametrize("n", BOUNDARY_WIDTHS)
+    def test_pack_ints_matches_bytes_reference(self, n):
+        words = (n + 63) // 64
+        rng = np.random.default_rng([n, 7])
+        values = [(1 << n) - 1] + [
+            int.from_bytes(rng.bytes(32), "little") >> (256 - n) for _ in range(40)
+        ]
+        data = b"".join(v.to_bytes(8 * words, "little") for v in values)
+        want = np.frombuffer(data, dtype="<u8").reshape(len(values), words)
+        assert np.array_equal(pack_ints(values, n), want)
+        assert pack_ints(tuple(values), n).tolist() == want.tolist()
+        assert row_ints(want) == values
+        strided = np.repeat(want, 2, axis=0)[::2]
+        assert not strided.flags.c_contiguous
+        for batch in (strided, np.ascontiguousarray(want.T).T):  # and a transposed view
+            assert row_ints(batch) == values
+        assert pack_ints([], n).shape == (0, words) and row_ints(want[:0]) == []
+        for bad in (-1, 1 << 64 * words):
+            with pytest.raises(OverflowError):
+                pack_ints([0, bad], n)
+
+    @pytest.mark.parametrize("n", BOUNDARY_WIDTHS)
     def test_transpose_ints_matches_columns(self, n):
         rng = np.random.default_rng([n, 6])
         for m in (1, 8, 13, 65):

@@ -308,6 +308,57 @@ class TestUsageErrors:
         assert "line 5: angle fraction is too large" in capsys.readouterr().err
 
 
+def _seed_commands():
+    (commands,) = [a.choices for a in build_parser()._actions if a.dest == "command"]
+    return sorted(
+        name for name, p in commands.items() if any(a.dest == "seed" for a in p._actions)
+    )
+
+
+# every subcommand that takes --seed, with its other required arguments
+SEED_COMMANDS = {
+    "keygen": ["--n", 10, "--out", "{tmp}/o.iqp", "--key-out", "{tmp}/o.iqpkey"],
+    "scramble": [
+        "--program", "{prog}", "--key", "{key}",
+        "--out", "{tmp}/o.iqp", "--key-out", "{tmp}/o.iqpkey",
+    ],
+    "eval": ["--program", "{prog}", "--key", "{key}"],
+    "sample": ["--program", "{prog}", "--count", 3],
+    "serve": ["--bind", "127.0.0.1:0"],
+    "exp-fig1a": ["--n", "3", "--count", 2],
+    "exp-fig1b": ["--n", 3, "--count", 2],
+    "exp-anticoncentration": ["--n", "3", "--circuits", 2],
+    "exp-parseval": ["--n", 3, "--instances", 2],
+}
+
+
+class TestRefusedSettings:
+    def test_seed_command_table_is_complete(self):
+        assert sorted(SEED_COMMANDS) == _seed_commands()
+
+    @pytest.mark.parametrize("command", sorted(SEED_COMMANDS))
+    def test_negative_seed_exits_3(self, command, challenge_files, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(ProverServer, "serve_forever", lambda self: pytest.fail("served"))
+        prog, key = challenge_files
+        fill = {"tmp": tmp_path, "prog": prog, "key": key}
+        args = [str(a).format(**fill) for a in SEED_COMMANDS[command]]
+        assert run_cli(command, *args, "--seed", -1) == 3
+        out, err = capsys.readouterr()
+        assert err == "error: --seed -1 is negative\n" and out == ""
+        assert not (tmp_path / "o.iqp").exists()
+
+    @pytest.mark.parametrize("timeout", ["-1", "0", "nan", "inf"])
+    def test_timeout_not_finite_positive_exits_3(self, timeout, challenge_files, capsys, monkeypatch):
+        monkeypatch.setattr(ProverServer, "serve_forever", lambda self: pytest.fail("served"))
+        prog, key = challenge_files
+        assert run_cli("serve", "--timeout", timeout) == 3
+        verify = ["--address", "127.0.0.1:9", "--program", prog, "--key", key, "--samples", 10]
+        assert run_cli("verify", *verify, "--timeout", timeout) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count(f"error: timeout {float(timeout)!r} is not a finite number > 0\n") == 2
+
+
 class TestModuleInvocation:
     def test_help_via_module(self):
         proc = subprocess.run(

@@ -234,6 +234,16 @@ class TestRedundantRows:
             add_redundant_rows(program, secrets, 1, rng)
 
 
+def per_op_refusal(ops, n):
+    """Class and text of the first bad op, as a check inside the op loop finds it."""
+    for src, dst in ops:
+        if src == dst or src < 0 or dst < 0:
+            return ValidationError, f"op ({src}, {dst}) needs two distinct columns >= 0"
+        if src >= n or dst >= n:
+            return DimensionError, f"op ({src}, {dst}) outside {n} columns"
+    return None
+
+
 class TestScramble:
     def test_worked_example(self):
         program = IqpProgram(
@@ -256,6 +266,56 @@ class TestScramble:
         program = IqpProgram(BitMatrix.from_strings(["110"]), (PI_OVER_8,))
         with pytest.raises(DimensionError):
             scramble(program, [BitVector(3, 1)], [op])
+
+    def test_array_and_tuple_list_agree(self):
+        rng = np.random.default_rng(8)
+        program = random_program(70, 30, "pi8", rng)
+        secrets = [BitVector(70, random_nonzero_bits(70, rng)) for _ in range(3)]
+        ops = random_scramble_ops(70, 1400, rng)
+        as_tuples = [tuple(op) for op in ops.tolist()]
+        assert scramble(program, secrets, ops) == scramble(program, secrets, as_tuples)
+        assert scramble(program, secrets, []) == (program, tuple(secrets))
+
+    @pytest.mark.parametrize("index", [0, 2000, 3999])
+    @pytest.mark.parametrize("op", [(1, 1), (-1, 0), (0, 3), (3, 1)])
+    def test_first_bad_op_matches_per_op_check(self, op, index):
+        program = IqpProgram(BitMatrix.from_strings(["110", "011"]), (PI_OVER_8,) * 2)
+        ops = random_scramble_ops(3, 4000, np.random.default_rng(index))
+        ops[index] = op
+        if index < 3999:  # a later bad op of the other class must not win
+            ops[-1] = (0, 5) if op in [(1, 1), (-1, 0)] else (2, 2)
+        cls, text = per_op_refusal(ops.tolist(), 3)
+        for given_ops in (ops, ops.tolist()):
+            with pytest.raises((ValidationError, DimensionError)) as err:
+                scramble(program, [BitVector(3, 1)], given_ops)
+            assert type(err.value) is cls and str(err.value) == text
+
+    @pytest.mark.parametrize(
+        "ops",
+        [
+            [(0, 1.0)],  # float entries
+            [(0, 1), (2.5, 0)],
+            np.array([[0.0, 1.0]]),
+            [(0, 2**70), (0.5, 1)],
+            [(0, 1, 2)],  # not pairs
+            np.array([0, 1]),
+            np.zeros((2, 2, 2), int),
+        ],
+    )
+    def test_not_integer_pairs_refused(self, ops):
+        program = IqpProgram(BitMatrix.from_strings(["110"]), (PI_OVER_8,))
+        with pytest.raises(ValidationError, match="k x 2 integer column pairs"):
+            scramble(program, [BitVector(3, 1)], ops)
+
+    @pytest.mark.parametrize(
+        "ops", [[(0, 1), (0, 2**63)], [(2**70, 1)], [(-1, 2**64)], [(0, 1), (-(2**70), 1)]]
+    )
+    def test_int_past_int64_gets_per_op_refusal(self, ops):
+        program = IqpProgram(BitMatrix.from_strings(["110"]), (PI_OVER_8,))
+        cls, text = per_op_refusal(ops, 3)
+        with pytest.raises((ValidationError, DimensionError)) as err:
+            scramble(program, [BitVector(3, 1)], ops)
+        assert type(err.value) is cls and str(err.value) == text
 
     def test_empty_program_and_no_secrets(self):
         program = IqpProgram(BitMatrix([], cols=4), ())
@@ -286,7 +346,7 @@ class TestScramble:
         program = random_program(n, m, "pi8", rng)
         s = BitVector(n, int(rng.integers(0, 1 << n)))
         ops = random_scramble_ops(n, 15, rng)
-        undo = ops + list(reversed(ops))
+        undo = np.concatenate((ops, ops[::-1]))  # on arrays, + would add elementwise
         back, secrets = scramble(program, [s], undo)
         assert back == program and secrets == (s,)
 
@@ -314,7 +374,7 @@ class TestScramble:
                 src = int(scalar.integers(0, n))
                 dst = int(scalar.integers(0, n - 1))
                 expected.append((src, dst + (dst >= src)))
-            assert random_scramble_ops(n, count, batch) == expected
+            assert random_scramble_ops(n, count, batch).tolist() == [list(p) for p in expected]
             assert batch.bit_generator.state == scalar.bit_generator.state
 
 
@@ -375,3 +435,5 @@ class TestBuildChallenge:
             ConstructionSpec(n=4, target=1.5)
         with pytest.raises(ValidationError):
             ConstructionSpec(n=4, scramble_ops=-1)
+        with pytest.raises(ValidationError, match="seed -1 is negative"):
+            ConstructionSpec(n=4, seed=-1)

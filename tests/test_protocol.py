@@ -640,6 +640,19 @@ class TestProvers:
 
 
 class TestLoopback:
+    @pytest.mark.parametrize("timeout", [0, -1, -0.5, math.nan, math.inf, -math.inf])
+    def test_timeout_must_be_finite_and_positive(self, timeout):
+        # refused before any socket is made: no bind, no connect
+        program, key = build_challenge(ConstructionSpec(n=5, seed=1))
+        calls = (
+            lambda: ProverServer(timeout=timeout),
+            lambda: request(("127.0.0.1", 9), program, 10, timeout=timeout),
+            lambda: run_verification(("127.0.0.1", 9), program, key, 10, timeout=timeout),
+        )
+        for call in calls:
+            with pytest.raises(ValidationError, match="is not a finite number > 0"):
+                call()
+
     def test_honest_round_accepts(self):
         program, key = build_challenge(ConstructionSpec(n=8, seed=1))
         with ProverServer(seed=2) as server:

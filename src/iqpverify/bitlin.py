@@ -76,31 +76,12 @@ class BitVector:
         """Parse '1100' (leftmost character is coordinate 0)."""
         return cls(len(text), from01(text))
 
-    @classmethod
-    def from_support(cls, length: int, positions: Iterable[int]) -> BitVector:
-        bits = 0
-        for p in positions:
-            if not 0 <= p < length:
-                raise DimensionError(f"position {p} outside vector of length {length}")
-            bits |= 1 << p
-        return cls(length, bits)
-
     @property
     def bits(self) -> int:
         return self._bits
 
     def __len__(self) -> int:
         return self._length
-
-    def __getitem__(self, i: int) -> int:
-        if not 0 <= i < self._length:
-            raise IndexError(i)
-        return (self._bits >> i) & 1
-
-    def __xor__(self, other: BitVector) -> BitVector:
-        if self._length != len(other):
-            raise DimensionError("xor of vectors with different lengths")
-        return BitVector(self._length, self._bits ^ other.bits)
 
     def __eq__(self, other) -> bool:
         return (
@@ -111,15 +92,6 @@ class BitVector:
 
     def __hash__(self) -> int:
         return hash((self._length, self._bits))
-
-    def weight(self) -> int:
-        return self._bits.bit_count()
-
-    def is_zero(self) -> bool:
-        return self._bits == 0
-
-    def support(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self._length) if (self._bits >> i) & 1)
 
     def to01(self) -> str:
         return to01(self._bits, self._length)
@@ -139,7 +111,7 @@ class BitMatrix:
     """Immutable m-by-n GF(2) matrix stored as a tuple of row ints.
 
     Bit j of row int i is entry (i, j), as in :class:`BitVector`; ``ints``
-    is that tuple.  ``rows`` and ``row(i)`` build BitVectors on each read.
+    is that tuple.  ``rows`` builds BitVectors on each read.
     """
 
     __slots__ = ("_ints", "_cols")
@@ -184,15 +156,8 @@ class BitMatrix:
         return self._cols
 
     @property
-    def shape(self) -> tuple[int, int]:
-        return (len(self._ints), self._cols)
-
-    @property
     def rows(self) -> tuple[BitVector, ...]:
         return tuple(BitVector(self._cols, r) for r in self._ints)
-
-    def row(self, i: int) -> BitVector:
-        return BitVector(self._cols, self._ints[i])
 
     def __eq__(self, other) -> bool:
         return (

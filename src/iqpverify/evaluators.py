@@ -111,9 +111,10 @@ class DistributionTable:
             raise ValidationError(f"probabilities sum to {total}, not 1")
 
 
-def _check_secret(program: IqpProgram, s: BitVector):
-    if len(s) != program.n:
-        raise DimensionError(f"secret has {len(s)} bits, program has {program.n}")
+def _check_secret(program: IqpProgram, *secrets: BitVector) -> None:
+    for s in secrets:
+        if len(s) != program.n:
+            raise DimensionError(f"secret has {len(s)} bits, program has {program.n}")
 
 
 def _reduce(program: IqpProgram, s: BitVector | None = None):
@@ -194,15 +195,18 @@ def mc_sample_count(epsilon: float, delta: float) -> int:
 
     Hoeffding for terms in [-1, 1]: T = ceil((2/epsilon^2) * ln(2/delta)).
     """
-    if not 0 < epsilon:
-        raise ValidationError(f"epsilon must be positive, got {epsilon}")
-    if not 0 < delta < 1:
-        raise ValidationError(f"delta must be in (0, 1), got {delta}")
+    if not 0 < epsilon < math.inf:  # NaN fails both comparisons
+        raise ValidationError(f"epsilon {epsilon} is not a finite number > 0")
+    _hoeffding_radius(1, delta)  # refuses delta as every other budget does
     return math.ceil(2.0 / (epsilon * epsilon) * math.log(2.0 / delta))
 
 
 def _hoeffding_radius(samples: int, delta: float, count: int = 1) -> float:
     """sqrt(2 ln(2 count/delta) / samples): a union bound over ``count`` means of ±1 draws."""
+    if not 0.0 < delta < 1.0:  # every budget's one delta rule; NaN fails both comparisons
+        raise ValidationError(f"delta {delta} outside (0, 1)")
+    if samples < 1:
+        raise ValidationError(f"sample count must be positive, got {samples}")
     return math.sqrt(2.0 * math.log(2.0 * count / delta) / samples)
 
 
@@ -228,8 +232,7 @@ def correlation_diagonal(
         value = float(np.cos(2.0 * _phase_table(rows, angles, d)).mean())
         return CorrelationResult(value, Backend.DIAGONAL_EXACT, reduced_dim=d)
     _check_secret(program, s)
-    if samples < 1:
-        raise ValidationError(f"sample count must be positive, got {samples}")
+    radius = _hoeffding_radius(samples, delta)  # refused before the rng draws
     if rng is None:
         raise ValidationError("monte-carlo mode needs an explicit rng")
     omega = np.zeros(samples, dtype=np.float64)
@@ -242,7 +245,7 @@ def correlation_diagonal(
     return CorrelationResult(
         value,
         Backend.DIAGONAL_MC,
-        error_bound=_hoeffding_radius(samples, delta),
+        error_bound=radius,
         samples_used=samples,
     )
 

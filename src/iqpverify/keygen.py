@@ -23,7 +23,7 @@ from .bitlin import (
     transpose_ints,
 )
 from .errors import CapacityError, ConstructionError, DimensionError, ValidationError
-from .evaluators import CorrelationResult, correlation_clifford
+from .evaluators import CorrelationResult, _check_secret, correlation_clifford
 from .model import Angle, IqpProgram, PI_OVER_8, SecretKey
 
 __all__ = [
@@ -200,8 +200,7 @@ def add_redundant_rows(
     if not secrets:
         raise ValidationError("need at least one secret")
     n = program.n
-    if any(len(s) != n for s in secrets):
-        raise DimensionError("secret length differs from program width")
+    _check_secret(program, *secrets)
     if count == 0:
         return program
     pivots = echelon(s.bits for s in secrets)
@@ -263,8 +262,7 @@ def scramble(
     cost is O(len(ops) + n*(m + K)), not O(len(ops) * (m + K)).
     """
     n = program.n
-    if any(len(s) != n for s in secrets):
-        raise DimensionError("secret length differs from program width")
+    _check_secret(program, *secrets)
     pairs = np.asarray(ops)
     if pairs.dtype.kind not in "iu":  # a list holding an int past int64 is float or object
         pairs = np.array(ops, dtype=object)

@@ -38,6 +38,7 @@ import numpy as np
 
 from .bitlin import (
     BitMatrix,
+    from01,
     pack_bits,
     pack_ints,
     pack_rows,
@@ -181,11 +182,12 @@ class ChallengeMsg:
             raise ProtocolError("bad-row", "rows must be a non-empty list")
         chi = []
         for r in rows:
-            if not isinstance(r, str) or len(r) != n or r.strip("01"):
-                raise ProtocolError("bad-row", f"bad row {r!r} for n={n}")
-            if "1" not in r:
+            try:  # a non-str or wrong-length row is refused as a bad character is
+                chi.append(from01(r if isinstance(r, str) and len(r) == n else "?"))
+            except ValidationError:
+                raise ProtocolError("bad-row", f"bad row {r!r} for n={n}") from None
+            if not chi[-1]:
                 raise ProtocolError("bad-row", "all-zero row")
-            chi.append(int(r[::-1], 2))
         angles = payload.get("angles")
         if not isinstance(angles, list) or len(angles) != len(rows):
             raise ProtocolError("bad-angle", "need one [num, den] pair per row")
@@ -347,10 +349,6 @@ def acceptance_threshold(key: SecretKey, delta: float, samples: int) -> float:
     probability of an honest device below delta.  Warns when an expected
     value is so small that the pass band around it covers zero twice over.
     """
-    if not 0.0 < delta < 1.0:
-        raise ValidationError(f"delta {delta} outside (0, 1)")
-    if samples < 1:
-        raise ValidationError("need at least one sample")
     eps = _hoeffding_radius(samples, delta, key.count)
     for k, e in enumerate(key.expected):
         if abs(e) < 2.0 * eps:
@@ -439,22 +437,26 @@ def prover_leak(
     s = leaked.secrets[0]
     if len(s) != challenge.n:
         raise ProtocolError("bad-n", f"leaked secret has {len(s)} bits, challenge n={challenge.n}")
-    if s.is_zero():
+    if not s.bits:
         raise ProtocolError("unsupported", "leaked secret has empty support")
     p_orth = bias_from_correlation(leaked.expected[0])
-    flip = s.support()[0]
     want_orth = rng.random(size=challenge.samples_requested) < p_orth
     draws = random_rows(challenge.n, challenge.samples_requested, rng)
     # Parity 1 where orthogonal was drawn, or 0 where not: flip one support bit.
     fix = row_parities(draws, s) == want_orth
-    draws[fix] ^= pack_ints([1 << flip], challenge.n)
+    draws[fix] ^= pack_ints([s.bits & -s.bits], challenge.n)  # its lowest support bit
     return SamplesMsg(challenge.session, challenge.n, draws)
 
 
 # ---------------------------------------------------------------------------
 # transport
 
-PROVER_BUILTINS = ("honest", "uniform", "leak")
+_PROVERS = {  # name -> (needs a leaked key, (challenge, rng, key) -> reply), looked up per call
+    "honest": (False, lambda challenge, rng, key: prover_honest(challenge, rng)),
+    "uniform": (False, lambda challenge, rng, key: prover_uniform(challenge, rng)),
+    "leak": (True, lambda challenge, rng, key: prover_leak(challenge, key, rng)),
+}
+PROVER_BUILTINS = tuple(_PROVERS)
 
 
 class ProverServer(socketserver.ThreadingTCPServer):
@@ -464,8 +466,8 @@ class ProverServer(socketserver.ThreadingTCPServer):
     session), so a fixed seed gives every session the same batch regardless
     of arrival order.  After replying, the connection waits briefly for an
     optional verdict line (sent only by verifiers running with verdict reveal
-    switched on) and records it.  :meth:`start` serves from a background
-    thread; ``serve_forever()`` serves from the calling one.
+    switched on) and records its session and accept.  :meth:`start` serves
+    from a background thread; ``serve_forever()`` from the calling one.
     """
 
     daemon_threads = True
@@ -478,12 +480,14 @@ class ProverServer(socketserver.ThreadingTCPServer):
         seed: int = 0,
         timeout: float = 30.0,
     ):
-        if prover not in PROVER_BUILTINS:
+        if prover not in _PROVERS:
             raise ValidationError(f"unknown prover {prover!r}")
-        if prover == "leak" and leaked_key is None:
-            raise ValidationError("leak prover needs a leaked key")
+        needs_key, self._prover = _PROVERS[prover]
+        if needs_key and leaked_key is None:
+            raise ValidationError(f"{prover} prover needs a leaked key")
+        if seed < 0:  # numpy's seeds are non-negative
+            raise ValidationError(f"seed {seed} is negative")
         _check_timeout(timeout)
-        self._prover_name = prover
         self._leaked_key = leaked_key
         self._seed = seed
         self._timeout = timeout  # not ``timeout``: BaseServer.timeout is handle_request's
@@ -507,12 +511,7 @@ class ProverServer(socketserver.ThreadingTCPServer):
                 session = challenge.session.encode("utf-8", "surrogatepass")
                 tag = int.from_bytes(hashlib.sha256(session).digest(), "little")
                 rng = np.random.default_rng([self._seed, tag])
-                if self._prover_name == "honest":
-                    reply = prover_honest(challenge, rng)
-                elif self._prover_name == "uniform":
-                    reply = prover_uniform(challenge, rng)
-                else:
-                    reply = prover_leak(challenge, self._leaked_key, rng)
+                reply = self._prover(challenge, rng, self._leaked_key)
             except ProtocolError as exc:
                 log.info("connection %s: %s (%s)", peer, exc.code, exc.detail)
                 sock.sendall(_encode_error(exc))
@@ -530,10 +529,11 @@ class ProverServer(socketserver.ThreadingTCPServer):
             payload = _decode_line(_recv_line(sock))
         except (ProtocolError, OSError):
             return
-        if payload.get("type") == "verdict":
-            with self._lock:
-                self.verdicts.append(payload)
+        if payload.get("type") == "verdict":  # keep the session and a bool, never the line
             accept = payload.get("accept")
+            accept = accept if isinstance(accept, bool) else None
+            with self._lock:
+                self.verdicts.append({"session": challenge.session, "accept": accept})
             log.info("connection %s: verifier revealed verdict accept=%s", peer, accept)
 
     def start(self) -> "ProverServer":

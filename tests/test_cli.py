@@ -347,6 +347,14 @@ class TestRefusedSettings:
         assert err == "error: --seed -1 is negative\n" and out == ""
         assert not (tmp_path / "o.iqp").exists()
 
+    @pytest.mark.parametrize("delta", ["0", "2", "nan"])
+    def test_mc_delta_outside_unit_interval_exits_3(self, delta, challenge_files, capsys):
+        prog, key = challenge_files
+        args = ["--program", prog, "--key", key, "--backend", "mc", "--samples", 100]
+        assert run_cli("eval", *args, "--delta", delta) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: delta {float(delta)!r} outside (0, 1)\n"
+
     @pytest.mark.parametrize("timeout", ["-1", "0", "nan", "inf"])
     def test_timeout_not_finite_positive_exits_3(self, timeout, challenge_files, capsys, monkeypatch):
         monkeypatch.setattr(ProverServer, "serve_forever", lambda self: pytest.fail("served"))

@@ -37,7 +37,8 @@ from iqpverify.keygen import (
     random_nonzero_bits,
     random_program,
 )
-from iqpverify.model import PI_OVER_8, Angle, IqpProgram
+from iqpverify.model import PI_OVER_8, Angle, IqpProgram, SecretKey
+from iqpverify.protocol import acceptance_threshold
 
 from oracles import brute_force_span, dense_correlation, dense_distribution
 
@@ -231,8 +232,8 @@ class TestAgainstDenseOracle:
         )
         assert rank(program.chi) == 12
         for s, expected in zip(key.secrets, key.expected):
-            main = BitMatrix(
-                [program.chi.row(i) for i in main_rows(program, s)], cols=200
+            main = BitMatrix.from_ints(
+                [program.chi.ints[i] for i in main_rows(program, s)], 200
             )
             for backend in ALL_EXACT:
                 result = evaluate(program, s, backend)
@@ -259,7 +260,7 @@ class TestAgainstDenseOracle:
 
 def main_rank(program, s):
     """Rank of the secret's main rows, from the size of their brute-force span."""
-    main = [program.chi.row(i) for i in main_rows(program, s)]
+    main = [BitVector(program.n, program.chi.ints[i]) for i in main_rows(program, s)]
     return len(brute_force_span(main)).bit_length() - 1
 
 
@@ -380,6 +381,29 @@ class TestMonteCarlo:
         with pytest.raises(ValidationError):
             mc_sample_count(0.1, 1.5)
 
+    @pytest.mark.parametrize("epsilon", [0, math.inf, math.nan])
+    def test_sample_count_needs_finite_positive_epsilon(self, epsilon):
+        with pytest.raises(ValidationError, match="epsilon"):
+            mc_sample_count(epsilon, 0.05)
+
+    @pytest.mark.parametrize("delta", [0, 1, 2, 3, -1, math.nan])
+    def test_one_delta_rule_refused_before_any_draw(self, delta):
+        program, s = program_of(["11", "10"]), BitVector.from_string("10")
+        with pytest.raises(ValidationError, match="outside"):
+            mc_sample_count(0.05, delta)
+        with pytest.raises(ValidationError, match="outside"):
+            acceptance_threshold(SecretKey((s,), (0.5,)), delta, 100)
+        estimators = (
+            lambda rng: correlation_diagonal(program, s, samples=100, rng=rng, delta=delta),
+            lambda rng: evaluate(program, s, "diagonal_mc", samples=100, rng=rng, delta=delta),
+        )
+        for estimate in estimators:
+            rng = np.random.default_rng(0)
+            before = rng.bit_generator.state
+            with pytest.raises(ValidationError, match="outside"):
+                estimate(rng)
+            assert rng.bit_generator.state == before  # refused while the rng is untouched
+
     def test_mc_requires_rng(self):
         program = program_of(["11"])
         with pytest.raises(ValidationError):
@@ -416,9 +440,9 @@ class TestMonteCarlo:
     def test_mc_wide_program_path(self):
         # n of one full word and of two words: Monte-Carlo points span words
         for n in (64, 70):
-            rows = [BitVector.from_support(n, [i, i + 1]) for i in range(0, 20, 2)]
+            rows = [BitVector(n, 0b11 << i) for i in range(0, 20, 2)]
             program = IqpProgram(BitMatrix(rows, cols=n), (PI_OVER_8,) * len(rows))
-            s = BitVector.from_support(n, [0])
+            s = BitVector(n, 1)
             r = correlation_diagonal(
                 program, s, samples=400, rng=np.random.default_rng(3)
             )
@@ -426,7 +450,7 @@ class TestMonteCarlo:
             assert r.value == pytest.approx(SQRT_HALF, abs=1e-12)
             # several main rows over the whole width: lands near the exact value
             program = random_program(n, 10, "pi8", np.random.default_rng(0))
-            s = BitVector.from_support(n, [0, 5, 31, 62, 63, n - 1])
+            s = BitVector(n, sum(1 << i for i in {0, 5, 31, 62, 63, n - 1}))
             exact = correlation_clifford(program, s).value
             est = correlation_diagonal(
                 program, s, samples=2952, rng=np.random.default_rng(4)

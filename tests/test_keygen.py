@@ -50,8 +50,8 @@ class TestRandomEnsembles:
         for n in (64, 65, 200):
             p = random_program(n, 30, "pi8", np.random.default_rng(n))
             assert p.n == n
-            assert all(not row.is_zero() for row in p.chi.rows)
-            assert any(row[n - 1] for row in p.chi.rows)  # top coordinate drawn
+            assert all(p.chi.ints)
+            assert any(row >> (n - 1) for row in p.chi.ints)  # top coordinate drawn
 
     def test_uniform_pi8_policy(self):
         p = random_program(5, 40, "uniform-pi8", np.random.default_rng(0))
@@ -73,8 +73,8 @@ class TestRandomEnsembles:
     def test_two_local_rows(self):
         p = random_2local(6, np.random.default_rng(1))
         assert p.n == 6 and p.m >= 1
-        for row, angle in zip(p.chi.rows, p.angles):
-            assert row.weight() in (1, 2)
+        for row, angle in zip(p.chi.ints, p.angles):
+            assert row.bit_count() in (1, 2)
             assert angle.multiple_of_pi8() in range(1, 8)  # zero rows omitted
         assert p.m <= 6 * 7 // 2  # pairs plus singles
 
@@ -132,7 +132,7 @@ class TestRedundantRows:
         assert grown.m == 14
         assert grown.chi.rows[:4] == program.chi.rows
         for row in grown.chi.rows[4:]:
-            assert not row.is_zero()
+            assert row.bits
             assert all(dot(row, s) == 0 for s in secrets)
             # angle matches the program's shared angle
         assert grown.angles[4:] == (PI_OVER_8,) * 10
@@ -418,7 +418,7 @@ class TestBuildChallenge:
         _, key = build_challenge(spec)
         assert key.count == 3
         assert len(set(key.secrets)) == 3
-        assert all(not s.is_zero() for s in key.secrets)
+        assert all(s.bits for s in key.secrets)
 
     def test_meta_records_backend(self):
         program, key = build_challenge(ConstructionSpec(n=6, seed=2))

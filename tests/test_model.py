@@ -82,7 +82,7 @@ class TestProgram:
     def test_shape_and_accessors(self):
         p = two_row_program()
         assert p.n == 4 and p.m == 2
-        assert p.chi.row(0) == BitVector.from_string("1100")
+        assert p.chi.rows[0] == BitVector.from_string("1100")
         assert p.uniform_angle() == PI_OVER_8
 
     def test_mixed_angles_have_no_uniform_angle(self):

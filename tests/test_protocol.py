@@ -53,8 +53,8 @@ def small_program(seed=0, n=5, m=6):
 
 
 def rank_above_cap_program(n=30):
-    rows = [BitVector.from_support(n, range(i, n)) for i in range(n)]
-    program = IqpProgram(BitMatrix(rows, cols=n), (PI_OVER_8,) * n)
+    rows = [(1 << n) - (1 << i) for i in range(n)]  # coordinates i..n-1
+    program = IqpProgram(BitMatrix.from_ints(rows, n), (PI_OVER_8,) * n)
     assert rank(program.chi) == n > STATEVECTOR_CAP
     return program
 
@@ -339,7 +339,7 @@ class TestCodec:
     def test_encoded_reply_read_in_one_pass(self, prover):
         for n in (1, 63, 64, 65, 200):
             program = small_program(n=n, m=4)
-            key = SecretKey((BitVector.from_support(n, [n - 1]),), (0.5,))
+            key = SecretKey((BitVector(n, 1 << (n - 1)),), (0.5,))
             for t, session in ((1, "s"), (40, "s"), (40, 'é "x\\')):
                 challenge = ChallengeMsg.from_program(program, t, session=session)
                 rng = np.random.default_rng(n)
@@ -630,7 +630,7 @@ class TestProvers:
         # a full word, rows of two words, and a fix-up bit in the second word
         for n, support in ((64, [0, 63]), (70, [0, 65]), (70, [66])):
             program = random_program(n, 4, "pi8", np.random.default_rng(3))
-            secret = BitVector.from_support(n, support)
+            secret = BitVector(n, sum(1 << i for i in support))
             key = SecretKey((secret,), (0.6,))
             challenge = ChallengeMsg.from_program(program, 3000)
             msg = prover_leak(challenge, key, np.random.default_rng(2))
@@ -795,6 +795,36 @@ class TestLoopback:
         closer.join(timeout=10)
         assert not closer.is_alive()
         assert server.socket.fileno() == -1
+
+    def test_verdict_record_is_bounded(self):
+        # a revealed verdict leaves the connection's session and a bool or None, nothing else
+        program, _ = build_challenge(ConstructionSpec(n=5, seed=1))
+        challenge = ChallengeMsg.from_program(program, 10, session="s1")
+        verdicts = [
+            {"type": "verdict", "session": "other", "accept": "yes", "pad": "x" * (1 << 20)},
+            {"type": "verdict", "session": "s1", "accept": True, "per_secret": [1] * 1000},
+            {"type": "verdict", "session": "s1", "accept": 1},
+        ]
+        with ProverServer(seed=2) as server:
+            for verdict in verdicts:
+                with socket.create_connection(server.address, timeout=5) as sock:
+                    sock.sendall(challenge.encode())
+                    _recv_line(sock)
+                    sock.sendall(_encode(verdict))
+            deadline = time.time() + 5
+            while len(server.verdicts) < 3 and time.time() < deadline:
+                time.sleep(0.02)
+            recorded = sorted(server.verdicts, key=lambda v: str(v["accept"]))
+        assert recorded == [
+            {"session": "s1", "accept": None},
+            {"session": "s1", "accept": None},
+            {"session": "s1", "accept": True},
+        ]
+
+    def test_negative_seed_refused_before_bind(self, monkeypatch):
+        monkeypatch.setattr(ProverServer, "server_bind", lambda self: pytest.fail("bound"))
+        with pytest.raises(ValidationError, match="seed -1 is negative"):
+            ProverServer(seed=-1)
 
     def test_leak_server_needs_key(self):
         with pytest.raises(ValidationError):

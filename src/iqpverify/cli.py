@@ -18,14 +18,8 @@ from . import experiments
 from .bitlin import BitVector, rank, unpack_bits
 from .errors import IqpError, ParseError
 from .evaluators import Backend, evaluate, sample_outputs
-from .keygen import (
-    DEFAULT_SCRAMBLE_FACTOR,
-    ConstructionSpec,
-    build_challenge,
-    random_scramble_ops,
-    scramble,
-)
-from .model import parse_key, parse_program, serialize_key, serialize_program
+from .keygen import ConstructionSpec, build_challenge, random_scramble_ops, scramble
+from .model import parse_key, parse_program, seeded_rng, serialize_key, serialize_program
 from .protocol import PROVER_BUILTINS, ProverServer, run_verification
 
 # The short CLI names ("diagonal", "mc") predate the Backend values and stay,
@@ -40,11 +34,8 @@ _BACKENDS = {
 
 
 def _seed_or_random(seed: int | None) -> int:
-    if seed is None:
-        return int.from_bytes(os.urandom(8), "little")
-    if seed < 0:  # numpy's seeds are non-negative
-        raise IqpError(f"--seed {seed} is negative")
-    return seed
+    """The given seed, or a fresh one when none was given; seeded_rng checks it."""
+    return int.from_bytes(os.urandom(8), "little") if seed is None else seed
 
 
 def _load(path: str, parse):
@@ -120,9 +111,8 @@ def _cmd_keygen(args) -> int:
 def _cmd_scramble(args) -> int:
     program = _load(args.program, parse_program)
     key = _load(args.key, parse_key)
-    rng = np.random.default_rng(_seed_or_random(args.seed))
-    count = args.ops if args.ops is not None else DEFAULT_SCRAMBLE_FACTOR * program.n
-    ops = random_scramble_ops(program.n, count, rng)
+    rng = seeded_rng(_seed_or_random(args.seed))
+    ops = random_scramble_ops(program.n, args.ops, rng)
     scrambled, secrets = scramble(program, key.secrets, ops)
     new_key = type(key)(secrets, key.expected, key.meta)
     _write_text(args.out, serialize_program(scrambled))
@@ -143,10 +133,10 @@ def _cmd_eval(args) -> int:
             raise IqpError(f"--index {args.index} outside 0..{key.count - 1}")
         secret = key.secrets[args.index]
     backend = _BACKENDS[args.backend]
-    seed = _seed_or_random(args.seed)  # checked even when the backend draws nothing
-    rng = np.random.default_rng(seed) if backend is Backend.DIAGONAL_MC else None
+    rng = seeded_rng(_seed_or_random(args.seed))  # built, so checked, for every backend
     result = evaluate(
-        program, secret, backend, samples=args.samples, rng=rng, delta=args.delta
+        program, secret, backend, samples=args.samples, delta=args.delta,
+        rng=rng if backend is Backend.DIAGONAL_MC else None,
     )
     print(f"value {result.value!r}")
     print(f"backend {result.backend.value}")
@@ -162,7 +152,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_sample(args) -> int:
     program = _load(args.program, parse_program)
-    rng = np.random.default_rng(_seed_or_random(args.seed))
+    rng = seeded_rng(_seed_or_random(args.seed))
     draws = sample_outputs(program, args.count, rng)
     table = np.full((len(draws), program.n + 1), ord("\n"), dtype=np.uint8)
     np.add(unpack_bits(draws, program.n), ord("0"), out=table[:, :-1])
@@ -215,36 +205,8 @@ def _cmd_verify(args) -> int:
     return 0 if report.accept else 1
 
 
-def _cmd_exp_fig1a(args) -> int:
-    report = experiments.exp_fig1a(
-        _parse_n_list(args.n), args.count, _seed_or_random(args.seed)
-    )
-    _write_text(args.out, report.to_csv())
-    return 0
-
-
-def _cmd_exp_fig1b(args) -> int:
-    report = experiments.exp_fig1b(args.count, args.n, _seed_or_random(args.seed))
-    _write_text(args.out, report.to_csv())
-    return 0
-
-
-def _cmd_exp_anticoncentration(args) -> int:
-    report = experiments.exp_anticoncentration(
-        _parse_n_list(args.n),
-        args.circuits,
-        args.secrets_per_circuit,
-        _seed_or_random(args.seed),
-    )
-    _write_text(args.out, report.to_csv())
-    return 0
-
-
-def _cmd_exp_parseval(args) -> int:
-    report = experiments.exp_parseval(
-        args.n, args.instances, _seed_or_random(args.seed)
-    )
-    _write_text(args.out, report.to_csv())
+def _cmd_experiment(args) -> int:
+    _write_text(args.out, args.run(args, _seed_or_random(args.seed)).to_csv())
     return 0
 
 
@@ -254,6 +216,16 @@ def _cmd_exp_parseval(args) -> int:
 
 def _add_seed(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None, help="rng seed (default: random)")
+
+
+def _add_experiment(sub, name: str, help: str, run, *flags: tuple[str, dict]) -> None:
+    """An exp-* command: its own flags, then --seed and --out; it writes run(args, seed) as CSV."""
+    p = sub.add_parser(name, help=help)
+    for flag, options in flags:
+        p.add_argument(flag, **options)
+    _add_seed(p)
+    p.add_argument("--out", default=None)
+    p.set_defaults(fn=_cmd_experiment, run=run)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -329,37 +301,41 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(fn=_cmd_verify)
 
-    p = sub.add_parser("exp-fig1a", help="correlation level shares vs n (pi/8 ensemble)")
-    p.add_argument("--n", required=True, help="list, e.g. '2,3,4' or '2 3 4'")
-    p.add_argument("--count", type=int, default=1000)
-    _add_seed(p)
-    p.add_argument("--out", default=None)
-    p.set_defaults(fn=_cmd_exp_fig1a)
-
-    p = sub.add_parser("exp-fig1b", help="level histogram at fixed n")
-    p.add_argument("--n", type=int, default=6)
-    p.add_argument("--count", type=int, default=500)
-    _add_seed(p)
-    p.add_argument("--out", default=None)
-    p.set_defaults(fn=_cmd_exp_fig1b)
-
-    p = sub.add_parser(
-        "exp-anticoncentration", help="second moment and tails, two-local ensemble"
+    _add_experiment(
+        sub,
+        "exp-fig1a",
+        "correlation level shares vs n (pi/8 ensemble)",
+        lambda a, seed: experiments.exp_fig1a(_parse_n_list(a.n), a.count, seed),
+        ("--n", dict(required=True, help="list, e.g. '2,3,4' or '2 3 4'")),
+        ("--count", dict(type=int, default=1000)),
     )
-    p.add_argument("--n", required=True, help="list, e.g. '6,8,10'")
-    p.add_argument("--circuits", type=int, default=2000)
-    p.add_argument("--secrets-per-circuit", type=int, default=1)
-    _add_seed(p)
-    p.add_argument("--out", default=None)
-    p.set_defaults(fn=_cmd_exp_anticoncentration)
-
-    p = sub.add_parser("exp-parseval", help="collision identity check")
-    p.add_argument("--n", type=int, default=8)
-    p.add_argument("--instances", type=int, default=50)
-    _add_seed(p)
-    p.add_argument("--out", default=None)
-    p.set_defaults(fn=_cmd_exp_parseval)
-
+    _add_experiment(
+        sub,
+        "exp-fig1b",
+        "level histogram at fixed n",
+        lambda a, seed: experiments.exp_fig1b(a.count, a.n, seed),
+        ("--n", dict(type=int, default=6)),
+        ("--count", dict(type=int, default=500)),
+    )
+    _add_experiment(
+        sub,
+        "exp-anticoncentration",
+        "second moment and tails, two-local ensemble",
+        lambda a, seed: experiments.exp_anticoncentration(
+            _parse_n_list(a.n), a.circuits, a.secrets_per_circuit, seed
+        ),
+        ("--n", dict(required=True, help="list, e.g. '6,8,10'")),
+        ("--circuits", dict(type=int, default=2000)),
+        ("--secrets-per-circuit", dict(type=int, default=1)),
+    )
+    _add_experiment(
+        sub,
+        "exp-parseval",
+        "collision identity check",
+        lambda a, seed: experiments.exp_parseval(a.n, a.instances, seed),
+        ("--n", dict(type=int, default=8)),
+        ("--instances", dict(type=int, default=50)),
+    )
     return parser
 
 
@@ -368,10 +344,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except IqpError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (IqpError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

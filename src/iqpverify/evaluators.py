@@ -195,10 +195,15 @@ def mc_sample_count(epsilon: float, delta: float) -> int:
 
     Hoeffding for terms in [-1, 1]: T = ceil((2/epsilon^2) * ln(2/delta)).
     """
-    if not 0 < epsilon < math.inf:  # NaN fails both comparisons
-        raise ValidationError(f"epsilon {epsilon} is not a finite number > 0")
+    _finite_positive("epsilon", epsilon)
     _hoeffding_radius(1, delta)  # refuses delta as every other budget does
     return math.ceil(2.0 / (epsilon * epsilon) * math.log(2.0 / delta))
+
+
+def _finite_positive(name: str, value: float) -> None:
+    """The one rule for epsilon and timeouts: a finite number > 0."""
+    if not 0 < value < math.inf:  # NaN fails both comparisons
+        raise ValidationError(f"{name} {value} is not a finite number > 0")
 
 
 def _hoeffding_radius(samples: int, delta: float, count: int = 1) -> float:

@@ -13,6 +13,7 @@ from .bitlin import BitVector, walsh_hadamard
 from .errors import ParseError, ValidationError
 from .evaluators import all_correlations, correlation_clifford, output_distribution
 from .keygen import random_2local, random_nonzero_bits, random_program
+from .model import seeded_rng
 
 __all__ = [
     "ExperimentReport",
@@ -112,9 +113,9 @@ def parse_report(text: str) -> ExperimentReport:
     return ExperimentReport(experiment, params, columns, tuple(rows), wall_clock)
 
 
-def _quantized_one(seed: int, stream, n: int):
+def _quantized_one(n: int, seed: int, *stream: int):
     """One draw from the pi/8 ensemble: g level, or None for exact zero."""
-    rng = np.random.default_rng([seed, *np.atleast_1d(stream).tolist()])
+    rng = seeded_rng(seed, *stream)
     program = random_program(n, n, "pi8", rng)
     secret = BitVector(n, random_nonzero_bits(n, rng))
     return correlation_clifford(program, secret).g
@@ -137,7 +138,7 @@ def exp_fig1b(count: int, n: int, seed: int = 0) -> ExperimentReport:
     if count < 1 or n < 1:
         raise ValidationError("count and n must be positive")
     start = time.perf_counter()
-    rows = _levels(Counter(_quantized_one(seed, i, n) for i in range(count)))
+    rows = _levels(Counter(_quantized_one(n, seed, i) for i in range(count)))
     return ExperimentReport(
         experiment="fig1b",
         params={"count": count, "n": n, "seed": seed},
@@ -156,7 +157,7 @@ def exp_fig1a(
     start = time.perf_counter()
     rows: list[tuple[Cell, ...]] = []
     for n in n_values:
-        histogram = Counter(_quantized_one(seed, (n, i), n) for i in range(count))
+        histogram = Counter(_quantized_one(n, seed, n, i) for i in range(count))
         rows += [(n, g, value, k / count) for g, value, k in _levels(histogram)]
     return ExperimentReport(
         experiment="fig1a",
@@ -175,7 +176,7 @@ _TAIL_GRID = (0.05, 0.1, 0.2, 0.4)
 
 
 def _anticoncentration_one(seed: int, n: int, index: int, secrets: int) -> list[float]:
-    rng = np.random.default_rng([seed, n, index])
+    rng = seeded_rng(seed, n, index)
     program = random_2local(n, rng)
     correlations = all_correlations(program)
     picks = rng.integers(0, 1 << n, size=secrets)
@@ -234,7 +235,7 @@ def exp_parseval(n: int, instances: int, seed: int = 0) -> ExperimentReport:
     start = time.perf_counter()
     rows: list[tuple[Cell, ...]] = []
     for i in range(instances):
-        rng = np.random.default_rng([seed, i])
+        rng = seeded_rng(seed, i)
         program = random_program(n, 2 * n, "uniform-pi8", rng)
         probs = output_distribution(program).probs
         lhs = float(np.sum(probs**2))

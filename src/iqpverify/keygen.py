@@ -24,7 +24,7 @@ from .bitlin import (
 )
 from .errors import CapacityError, ConstructionError, DimensionError, ValidationError
 from .evaluators import CorrelationResult, _check_secret, correlation_clifford
-from .model import Angle, IqpProgram, PI_OVER_8, SecretKey
+from .model import Angle, IqpProgram, PI_OVER_8, SecretKey, seeded_rng
 
 __all__ = [
     "ConstructionSpec",
@@ -40,7 +40,6 @@ __all__ = [
 ]
 
 _SEARCH_WEIGHT_CAP = 16
-DEFAULT_SCRAMBLE_FACTOR = 20
 
 
 @dataclass(frozen=True)
@@ -71,8 +70,7 @@ class ConstructionSpec:
             raise ValidationError("redundant row count must be non-negative")
         if self.scramble_ops is not None and self.scramble_ops < 0:
             raise ValidationError("scramble op count must be non-negative")
-        if self.seed < 0:
-            raise ValidationError(f"seed {self.seed} is negative")
+        seeded_rng(self.seed)  # refuses a negative seed at construction
 
 
 @dataclass(frozen=True)
@@ -232,14 +230,17 @@ def add_redundant_rows(
     return IqpProgram(chi, program.angles + (angle,) * count)
 
 
-def random_scramble_ops(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
+def random_scramble_ops(n: int, count: int | None, rng: np.random.Generator) -> np.ndarray:
     """``count`` uniform random column pairs (src, dst), src != dst, as a count x 2 array.
+
+    A ``count`` of None means 20 * n, the default scramble depth of every challenge.
 
     numpy draws an array of bounds n, n - 1, n, n - 1, ... one element at a
     time (a bound of 1 draws nothing), so the pairs and the final ``rng``
     state equal the scalar loop src = rng.integers(0, n),
     dst = rng.integers(0, n - 1) moved past src.
     """
+    count = 20 * n if count is None else count
     if not 2 <= n <= 1 << 32 or count < 0:
         raise ValidationError(f"{count} ops on {n} columns: need 2 <= n <= 2**32, count >= 0")
     ops = rng.integers(0, np.tile([n, n - 1], count)).reshape(count, 2)
@@ -295,7 +296,7 @@ def build_challenge(spec: ConstructionSpec) -> tuple[IqpProgram, SecretKey]:
     a column scramble.  Expected values are recorded exactly before the
     shuffling and re-checked afterwards.
     """
-    rng = np.random.default_rng(spec.seed)
+    rng = seeded_rng(spec.seed)
     if spec.secrets * spec.weight > spec.n:
         raise ConstructionError(
             f"{spec.secrets} disjoint windows of weight {spec.weight} "
@@ -331,11 +332,8 @@ def build_challenge(spec: ConstructionSpec) -> tuple[IqpProgram, SecretKey]:
         BitMatrix.from_ints([program.chi.ints[i] for i in order], spec.n),
         tuple(program.angles[i] for i in order),
     )
-    op_count = spec.scramble_ops
-    if op_count is None:
-        op_count = DEFAULT_SCRAMBLE_FACTOR * spec.n
     if spec.n >= 2:
-        ops = random_scramble_ops(spec.n, op_count, rng)
+        ops = random_scramble_ops(spec.n, spec.scramble_ops, rng)
         program, secrets = scramble(program, secrets, ops)
     for k, (s, e) in enumerate(zip(secrets, expected)):
         check = correlation_clifford(program, s)

@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import gcd, pi
 
+import numpy as np
+
 from .bitlin import BitMatrix, BitVector, from01, to01
 from .errors import ParseError, ValidationError
 
@@ -20,6 +22,7 @@ __all__ = [
     "IqpProgram",
     "SecretKey",
     "bias_from_correlation",
+    "seeded_rng",
     "serialize_program",
     "parse_program",
     "serialize_key",
@@ -146,6 +149,17 @@ def bias_from_correlation(value: float) -> float:
     if not -1.0 <= value <= 1.0:
         raise ValidationError(f"correlation {value} outside [-1, 1]")
     return (1.0 + value) / 2.0
+
+
+def seeded_rng(seed: int, *stream: int) -> np.random.Generator:
+    """The one generator for ``seed`` and a stream path; a negative seed is refused.
+
+    Every seeded draw in the package starts here.  ``seeded_rng(s)`` equals
+    ``default_rng(s)``: numpy reads a seed and its one-element list alike.
+    """
+    if seed < 0:  # numpy's seeds are non-negative
+        raise ValidationError(f"seed {seed} is negative")
+    return np.random.default_rng([seed, *stream])
 
 
 # --------------------------------------------------------------------------

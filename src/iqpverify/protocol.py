@@ -26,7 +26,6 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import math
 import socket
 import socketserver
 import threading
@@ -49,8 +48,8 @@ from .bitlin import (
     words_per_row,
 )
 from .errors import CapacityError, DimensionError, ProtocolError, ValidationError
-from .evaluators import _hoeffding_radius, sample_outputs
-from .model import Angle, IqpProgram, SecretKey, bias_from_correlation
+from .evaluators import _finite_positive, _hoeffding_radius, sample_outputs
+from .model import Angle, IqpProgram, SecretKey, bias_from_correlation, seeded_rng
 
 __all__ = [
     "MAX_MESSAGE_BYTES",
@@ -91,11 +90,6 @@ class WeakSignalWarning(UserWarning):
 
 # ---------------------------------------------------------------------------
 # messages
-
-
-def _check_timeout(timeout: float) -> None:
-    if not 0 < timeout < math.inf:  # NaN fails both comparisons
-        raise ValidationError(f"timeout {timeout!r} is not a finite number > 0")
 
 
 def _encode(payload: dict) -> bytes:
@@ -371,8 +365,7 @@ def judge(key: SecretKey, samples: np.ndarray, epsilon: float) -> VerdictReport:
     """
     if len(samples) == 0:
         raise ValidationError("cannot judge an empty batch")
-    if epsilon <= 0.0:
-        raise ValidationError("epsilon must be positive")
+    _finite_positive("epsilon", epsilon)
     n = key.n
     if samples.dtype != np.uint64 or samples.shape[1:] != (words_per_row(n),):
         raise ValidationError(f"batch of shape {samples.shape} does not hold {n}-bit rows")
@@ -485,9 +478,8 @@ class ProverServer(socketserver.ThreadingTCPServer):
         needs_key, self._prover = _PROVERS[prover]
         if needs_key and leaked_key is None:
             raise ValidationError(f"{prover} prover needs a leaked key")
-        if seed < 0:  # numpy's seeds are non-negative
-            raise ValidationError(f"seed {seed} is negative")
-        _check_timeout(timeout)
+        seeded_rng(seed)  # refuses a negative seed before the socket binds
+        _finite_positive("timeout", timeout)
         self._leaked_key = leaked_key
         self._seed = seed
         self._timeout = timeout  # not ``timeout``: BaseServer.timeout is handle_request's
@@ -510,7 +502,7 @@ class ProverServer(socketserver.ThreadingTCPServer):
                 challenge = ChallengeMsg.from_payload(_decode_line(_recv_line(sock)))
                 session = challenge.session.encode("utf-8", "surrogatepass")
                 tag = int.from_bytes(hashlib.sha256(session).digest(), "little")
-                rng = np.random.default_rng([self._seed, tag])
+                rng = seeded_rng(self._seed, tag)
                 reply = self._prover(challenge, rng, self._leaked_key)
             except ProtocolError as exc:
                 log.info("connection %s: %s (%s)", peer, exc.code, exc.detail)
@@ -578,7 +570,7 @@ def request(
     session: str | None = None,
 ) -> SamplesMsg:
     """Fetch one batch of samples for ``program`` from a remote prover."""
-    _check_timeout(timeout)
+    _finite_positive("timeout", timeout)
     challenge = ChallengeMsg.from_program(program, samples, session)
     with socket.create_connection(address, timeout=timeout) as sock:
         return _exchange(sock, challenge)
@@ -601,7 +593,7 @@ def run_verification(
     unless ``reveal_verdict`` is set (a demo affordance: revealing verdicts
     hands a cheating prover a feedback bit per round).
     """
-    _check_timeout(timeout)
+    _finite_positive("timeout", timeout)
     if key.n != program.n:  # a packed batch does not record its row width
         raise ValidationError(f"program n={program.n} != key n={key.n}")
     challenge = ChallengeMsg.from_program(program, samples, session)

@@ -11,7 +11,13 @@ import pytest
 from iqpverify.bitlin import rank
 from iqpverify.cli import _BACKENDS, build_parser, main
 from iqpverify.evaluators import Backend
-from iqpverify.experiments import parse_report
+from iqpverify.experiments import (
+    exp_anticoncentration,
+    exp_fig1a,
+    exp_fig1b,
+    exp_parseval,
+    parse_report,
+)
 from iqpverify.model import parse_key, parse_program
 from iqpverify.protocol import PROVER_BUILTINS, ProverServer
 
@@ -271,6 +277,28 @@ class TestExperimentsCli:
         )
         assert "mean_sq" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "command, args, library",
+        [
+            ("exp-fig1a", ["--n", "3,4", "--count", 6], lambda: exp_fig1a([3, 4], 6, 9)),
+            ("exp-fig1b", ["--n", 4, "--count", 8], lambda: exp_fig1b(8, 4, 9)),
+            (
+                "exp-anticoncentration",
+                ["--n", "3 4", "--circuits", 5, "--secrets-per-circuit", 2],
+                lambda: exp_anticoncentration([3, 4], 5, 2, 9),
+            ),
+            ("exp-parseval", ["--n", 4, "--instances", 3], lambda: exp_parseval(4, 3, 9)),
+        ],
+    )
+    def test_csv_equals_library_report(self, command, args, library, tmp_path):
+        out = tmp_path / "r.csv"
+        assert run_cli(command, *args, "--seed", 9, "--out", out) == 0
+
+        def body(text):
+            return [line for line in text.splitlines() if not line.startswith("# wall_clock=")]
+
+        assert body(out.read_text()) == body(library().to_csv())
+
 
 def test_backend_names_map_onto_every_backend_once():
     assert sorted(_BACKENDS.values()) == sorted(Backend)
@@ -344,7 +372,7 @@ class TestRefusedSettings:
         args = [str(a).format(**fill) for a in SEED_COMMANDS[command]]
         assert run_cli(command, *args, "--seed", -1) == 3
         out, err = capsys.readouterr()
-        assert err == "error: --seed -1 is negative\n" and out == ""
+        assert err == "error: seed -1 is negative\n" and out == ""
         assert not (tmp_path / "o.iqp").exists()
 
     @pytest.mark.parametrize("delta", ["0", "2", "nan"])

@@ -127,6 +127,21 @@ class TestAnticoncentration:
             exp_anticoncentration([4], circuits=1)
 
 
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: exp_fig1a([3], 2, seed=-1),
+        lambda: exp_fig1b(3, 4, seed=-1),
+        lambda: exp_anticoncentration([3], 2, seed=-1),
+        lambda: exp_parseval(3, 2, seed=-1),
+    ],
+    ids=["fig1a", "fig1b", "anticoncentration", "parseval"],
+)
+def test_negative_seed_refused(run):
+    with pytest.raises(ValidationError, match="^seed -1 is negative$"):
+        run()
+
+
 class TestParseval:
     def test_identity_holds(self):
         report = exp_parseval(6, 8, seed=7)

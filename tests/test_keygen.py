@@ -354,6 +354,13 @@ class TestScramble:
         with pytest.raises(ValidationError):
             random_scramble_ops(1, 3, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("n", [2, 3, 70])
+    def test_default_count_is_twenty_n(self, n):
+        default, explicit = np.random.default_rng(n), np.random.default_rng(n)
+        ops = random_scramble_ops(n, None, default)
+        assert ops.tolist() == random_scramble_ops(n, 20 * n, explicit).tolist()
+        assert default.bit_generator.state == explicit.bit_generator.state
+
     @pytest.mark.parametrize("n, count", [(4, -5), (2**32 + 1, 1)])
     def test_bad_draw_refused(self, n, count):
         # past 2**32 columns numpy draws 64-bit words, which this map does not follow

@@ -506,6 +506,12 @@ class TestJudging:
         with pytest.raises(ValidationError):
             judge(self.key(), pack_rows(["1100"], 4), epsilon=0.0)
 
+    @pytest.mark.parametrize("epsilon", [math.inf, math.nan])
+    def test_epsilon_must_be_finite(self, epsilon):
+        # an infinite epsilon would accept any batch, a NaN one reject every batch
+        with pytest.raises(ValidationError, match="is not a finite number > 0"):
+            judge(self.key(), pack_rows(["1100"], 4), epsilon=epsilon)
+
     @pytest.mark.parametrize("n", [63, 64, 65, 128])
     def test_bits_above_n_rejected_at_word_edges(self, n):
         key = SecretKey((BitVector(n, 1),), (-1.0,))

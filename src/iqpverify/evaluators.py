@@ -26,6 +26,7 @@ to the simulated width, and to the subspace backend's 2**d span.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Sequence
@@ -379,18 +380,50 @@ def correlation_clifford(program: IqpProgram, s: BitVector) -> CorrelationResult
     )
 
 
+@dataclass(frozen=True, eq=False)
+class _SamplingTable:
+    """What sampling a program computes before its first draw; read-only, so threads share it.
+
+    ``cumulative`` holds the 2**d running sums of the reduced rows' output
+    table, d = rank(chi), and ``basis`` the d basis ints B of ``_reduce``.
+    """
+
+    n: int
+    cumulative: np.ndarray
+    basis: tuple[int, ...]
+
+    @property
+    def d(self) -> int:
+        return len(self.basis)
+
+    @property
+    def nbytes(self) -> int:
+        return self.cumulative.nbytes + sum(map(sys.getsizeof, self.basis))
+
+
+def _sampling_table(program: IqpProgram) -> _SamplingTable:
+    """The program's sampling table; a rank above the dense cap is a ``CapacityError``."""
+    rows, angles, d, basis = _reduce(program)
+    cumulative = np.cumsum(_distribution(rows, angles, d).probs)
+    cumulative.flags.writeable = False
+    return _SamplingTable(program.n, cumulative, tuple(basis))
+
+
+def _draw(table: _SamplingTable, count: int, rng: np.random.Generator) -> np.ndarray:
+    """A packed batch of ``count`` outputs x = y . B, y drawn from the table by ``rng.random``."""
+    draws = rng.random(count)
+    order = np.argsort(draws)  # sorted keys: the binary searches stop mispredicting
+    ys = np.empty_like(order)
+    ys[order] = np.searchsorted(table.cumulative, draws[order], side="right")
+    np.clip(ys, 0, len(table.cumulative) - 1, out=ys)
+    return combine_rows(ys.astype(np.uint64)[:, None], table.basis, table.n)  # ys < 2**24: one word
+
+
 def sample_outputs(program: IqpProgram, count: int, rng: np.random.Generator) -> np.ndarray:
     """A packed batch of outputs x = y . B, y drawn from the reduced rows' table."""
     if count < 1:
         raise ValidationError(f"sample count must be positive, got {count}")
-    rows, angles, d, basis = _reduce(program)
-    cumulative = np.cumsum(_distribution(rows, angles, d).probs)
-    draws = rng.random(count)
-    order = np.argsort(draws)  # sorted keys: the binary searches stop mispredicting
-    ys = np.empty_like(order)
-    ys[order] = np.searchsorted(cumulative, draws[order], side="right")
-    np.clip(ys, 0, (1 << d) - 1, out=ys)
-    return combine_rows(ys.astype(np.uint64)[:, None], basis, program.n)  # ys < 2**24: one word
+    return _draw(_sampling_table(program), count, rng)
 
 
 def evaluate(

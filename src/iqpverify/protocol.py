@@ -23,9 +23,11 @@ Message shapes::
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import logging
+import queue
 import socket
 import socketserver
 import threading
@@ -48,7 +50,13 @@ from .bitlin import (
     words_per_row,
 )
 from .errors import CapacityError, DimensionError, ProtocolError, ValidationError
-from .evaluators import _finite_positive, _hoeffding_radius, sample_outputs
+from .evaluators import (
+    _draw,
+    _finite_positive,
+    _hoeffding_radius,
+    _sampling_table,
+    _SamplingTable,
+)
 from .model import Angle, IqpProgram, SecretKey, bias_from_correlation, seeded_rng
 
 __all__ = [
@@ -392,13 +400,24 @@ def judge(key: SecretKey, samples: np.ndarray, epsilon: float) -> VerdictReport:
 # provers
 
 
-def prover_honest(challenge: ChallengeMsg, rng: np.random.Generator) -> SamplesMsg:
-    """Sample the program exactly on rank(chi) qubits; a rank above the cap is ``capacity``."""
+def _honest_table(program: IqpProgram) -> _SamplingTable:
+    """The program's sampling table; a rank above the dense cap is ``capacity``."""
     try:
-        draws = sample_outputs(challenge.program, challenge.samples_requested, rng)
+        return _sampling_table(program)
     except CapacityError as exc:
         raise ProtocolError("capacity", f"cannot simulate: {exc}")
+
+
+def _honest_reply(
+    challenge: ChallengeMsg, rng: np.random.Generator, table: _SamplingTable
+) -> SamplesMsg:
+    draws = _draw(table, challenge.samples_requested, rng)
     return SamplesMsg(challenge.session, challenge.n, draws)
+
+
+def prover_honest(challenge: ChallengeMsg, rng: np.random.Generator) -> SamplesMsg:
+    """Sample the program exactly on rank(chi) qubits; a rank above the cap is ``capacity``."""
+    return _honest_reply(challenge, rng, _honest_table(challenge.program))
 
 
 def prover_uniform(challenge: ChallengeMsg, rng: np.random.Generator) -> SamplesMsg:
@@ -445,25 +464,40 @@ def prover_leak(
 # transport
 
 _PROVERS = {  # name -> (needs a leaked key, (challenge, rng, key) -> reply), looked up per call
-    "honest": (False, lambda challenge, rng, key: prover_honest(challenge, rng)),
+    "honest": (False, None),  # ProverServer draws from its kept sampling table
     "uniform": (False, lambda challenge, rng, key: prover_uniform(challenge, rng)),
     "leak": (True, lambda challenge, rng, key: prover_leak(challenge, key, rng)),
 }
 PROVER_BUILTINS = tuple(_PROVERS)
 
+_WORKERS = 2  # threads that serve connections, fixed for the server's life
+_QUEUED = 16  # accepted connections waiting for a worker; past this, ``capacity``
+_CHALLENGE_WAIT = 1.0  # seconds a worker waits for each next chunk of the challenge
+_VERDICT_WAIT = 2.0  # seconds a worker waits for an optional verdict (the client's judge time)
+_VERDICT_RECORDS = 1024  # newest revealed verdicts kept in ``ProverServer.verdicts``
+_TABLE_BUDGET = 64 << 20  # bytes: a larger honest sampling table is used once, not kept
 
-class ProverServer(socketserver.ThreadingTCPServer):
-    """Threaded TCP prover.  One challenge per connection, stateless.
 
-    Each challenge gets its own rng stream derived from (seed, sha256 of its
-    session), so a fixed seed gives every session the same batch regardless
-    of arrival order.  After replying, the connection waits briefly for an
-    optional verdict line (sent only by verifiers running with verdict reveal
-    switched on) and records its session and accept.  :meth:`start` serves
-    from a background thread; ``serve_forever()`` from the calling one.
+class ProverServer(socketserver.TCPServer):
+    """TCP prover served by a fixed pool of worker threads.  One challenge per connection.
+
+    The accept loop queues each connection for one of ``_WORKERS`` threads,
+    started with the server; past ``_QUEUED`` waiting connections it answers
+    ``capacity`` and closes.  Each challenge gets its own rng stream derived
+    from (seed, sha256 of its session), so a fixed seed gives every session
+    the same batch regardless of arrival order.  The honest prover keeps the
+    sampling table of the last program it built one for, if the table fits in
+    ``_TABLE_BUDGET`` bytes, so repeated rounds of one challenge skip the
+    simulation.  A worker waits at most ``_CHALLENGE_WAIT`` seconds for each
+    next chunk of the challenge, so a silent client frees it quickly.  After
+    replying, it waits up to ``_VERDICT_WAIT`` seconds for an optional verdict
+    line (sent only by verifiers running with verdict reveal switched on) and
+    records its session and accept, keeping the newest ``_VERDICT_RECORDS``.
+    Both waits are capped at ``timeout``.
+    :meth:`start` serves from a background thread; ``serve_forever()`` from
+    the calling one.  :meth:`close` closes queued connections, wakes the
+    workers and joins them.
     """
-
-    daemon_threads = True
 
     def __init__(
         self,
@@ -483,27 +517,77 @@ class ProverServer(socketserver.ThreadingTCPServer):
         self._leaked_key = leaked_key
         self._seed = seed
         self._timeout = timeout  # not ``timeout``: BaseServer.timeout is handle_request's
-        self._lock = threading.Lock()
+        self._lock = threading.Lock()  # verdicts, active sockets, closing
         self.verdicts: list[dict] = []
+        self._kept: tuple[IqpProgram, _SamplingTable] | None = None  # replaced whole, never mutated
+        self._queue: queue.SimpleQueue = queue.SimpleQueue()
+        self._active: set[socket.socket] = set()
+        self._closing = False
         self._thread: threading.Thread | None = None
         super().__init__(address, None)  # finish_request serves; no handler class
+        self._workers = [threading.Thread(target=self._work, daemon=True) for _ in range(_WORKERS)]
+        for worker in self._workers:
+            worker.start()
 
     @property
     def address(self) -> tuple[str, int]:
         host, port = self.server_address[:2]
         return host, port
 
+    def process_request(self, sock: socket.socket, client_address) -> None:
+        """Queue the connection for a worker; a full queue gets ``capacity`` at once."""
+        if self._queue.qsize() < _QUEUED:  # only this thread puts, so the check holds
+            self._queue.put((sock, client_address))
+            return
+        log.info("connection %s:%s: refused, %d queued", *client_address[:2], _QUEUED)
+        with contextlib.suppress(OSError):
+            sock.sendall(_encode_error(ProtocolError("capacity", "every prover worker is busy")))
+        self.shutdown_request(sock)
+
+    def _work(self) -> None:
+        while (item := self._queue.get()) is not None:
+            sock, client_address = item
+            with self._lock:
+                if self._closing:  # queued before close(): closed unserved
+                    self.shutdown_request(sock)
+                    continue
+                self._active.add(sock)
+            try:
+                self.finish_request(sock, client_address)
+            except Exception:  # noqa: BLE001 - report, keep the worker
+                self.handle_error(sock, client_address)
+            finally:
+                with self._lock:
+                    self._active.discard(sock)
+                self.shutdown_request(sock)
+
+    def _table(self, program: IqpProgram) -> tuple[_SamplingTable, str]:
+        """The program's sampling table, and whether it was kept ("hit") or built ("miss")."""
+        kept = self._kept  # one read: another worker may replace the slot meanwhile
+        if kept is not None and kept[0] == program:
+            return kept[1], "hit"
+        table = _honest_table(program)  # a capacity refusal leaves the slot as it was
+        if table.nbytes <= _TABLE_BUDGET:
+            self._kept = (program, table)
+        return table, "miss"
+
     def finish_request(self, sock: socket.socket, client_address) -> None:
         """Serve one connection: challenge in, samples or error out, then an optional verdict."""
         peer = "%s:%s" % client_address[:2]
-        sock.settimeout(self._timeout)
+        sock.settimeout(min(_CHALLENGE_WAIT, self._timeout))  # per chunk: a long line still gets in
         try:
             try:
                 challenge = ChallengeMsg.from_payload(_decode_line(_recv_line(sock)))
+                sock.settimeout(self._timeout)  # sendall's limit is for the whole reply
                 session = challenge.session.encode("utf-8", "surrogatepass")
                 tag = int.from_bytes(hashlib.sha256(session).digest(), "little")
                 rng = seeded_rng(self._seed, tag)
-                reply = self._prover(challenge, rng, self._leaked_key)
+                table, found = None, "-"
+                if self._prover is None:
+                    table, found = self._table(challenge.program)
+                    reply = _honest_reply(challenge, rng, table)
+                else:
+                    reply = self._prover(challenge, rng, self._leaked_key)
             except ProtocolError as exc:
                 log.info("connection %s: %s (%s)", peer, exc.code, exc.detail)
                 sock.sendall(_encode_error(exc))
@@ -516,16 +600,25 @@ class ProverServer(socketserver.ThreadingTCPServer):
         except OSError:
             log.info("connection %s: transport dropped", peer)
             return
-        log.info("connection %s: served %d samples (n=%d)", peer, len(reply.batch), challenge.n)
+        log.info(
+            "connection %s: served %d samples (n=%d d=%s table=%s)",
+            peer, len(reply.batch), challenge.n, table.d if table else "-", found,
+        )
+        sock.settimeout(min(_VERDICT_WAIT, self._timeout))
         try:
             payload = _decode_line(_recv_line(sock))
-        except (ProtocolError, OSError):
+        except ProtocolError as exc:
+            if exc.code == "timeout":  # a verdict sent later than this is dropped
+                log.info("connection %s: no verdict within %s s", peer, sock.gettimeout())
+            return
+        except OSError:
             return
         if payload.get("type") == "verdict":  # keep the session and a bool, never the line
             accept = payload.get("accept")
             accept = accept if isinstance(accept, bool) else None
             with self._lock:
                 self.verdicts.append({"session": challenge.session, "accept": accept})
+                del self.verdicts[:-_VERDICT_RECORDS]
             log.info("connection %s: verifier revealed verdict accept=%s", peer, accept)
 
     def start(self) -> "ProverServer":
@@ -540,6 +633,15 @@ class ProverServer(socketserver.ThreadingTCPServer):
             self.shutdown()
             self._thread.join(timeout=5.0)
         self.server_close()
+        with self._lock:  # a worker closes its socket only after leaving ``_active``
+            self._closing = True
+            for sock in self._active:  # wakes a worker blocked in recv or send
+                with contextlib.suppress(OSError):
+                    sock.shutdown(socket.SHUT_RDWR)
+        for _ in self._workers:
+            self._queue.put(None)  # queued after every waiting connection
+        for worker in self._workers:
+            worker.join(timeout=5.0)
 
     def __enter__(self) -> "ProverServer":
         return self.start()

@@ -1,8 +1,11 @@
 """Wire codec, judging rules, provers, and live loopback exchanges."""
 
+import hashlib
 import json
+import logging
 import math
 import socket
+import sys
 import threading
 import time
 import tracemalloc
@@ -24,8 +27,8 @@ from iqpverify.bitlin import (
 )
 from iqpverify.errors import ProtocolError, ValidationError
 from iqpverify.keygen import ConstructionSpec, build_challenge
-from iqpverify.evaluators import STATEVECTOR_CAP
-from iqpverify.model import PI_OVER_8, Angle, IqpProgram, SecretKey
+from iqpverify.evaluators import STATEVECTOR_CAP, _sampling_table
+from iqpverify.model import PI_OVER_8, Angle, IqpProgram, SecretKey, seeded_rng
 from iqpverify.protocol import (
     MAX_MESSAGE_BYTES,
     ChallengeMsg,
@@ -839,3 +842,247 @@ class TestLoopback:
     def test_unknown_prover_rejected(self):
         with pytest.raises(ValidationError):
             ProverServer(prover="quantum")
+
+
+def server_rng(seed, session):
+    """The stream a ProverServer with ``seed`` draws a session's reply from."""
+    tag = int.from_bytes(hashlib.sha256(session.encode()).digest(), "little")
+    return seeded_rng(seed, tag)
+
+
+def wait_for(condition, seconds=5.0):
+    deadline = time.monotonic() + seconds
+    while not condition() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return condition()
+
+
+def served_lines(caplog):
+    return [r.getMessage() for r in caplog.records if ": served " in r.getMessage()]
+
+
+class TestServerPool:
+    def test_kept_tables_give_the_fresh_and_bare_replies(self):
+        programs = {"a": small_program(seed=1), "b": small_program(seed=2, n=7, m=9)}
+        sessions = "aabba"  # rounds 2 and 4 draw from the kept table
+        with ProverServer(seed=9) as server:
+            kept = [request(server.address, programs[s], 40, session=s).encode() for s in sessions]
+            assert server._kept[0] == programs["a"]
+        for session, line in zip(sessions, kept):
+            with ProverServer(seed=9) as server:
+                fresh = request(server.address, programs[session], 40, session=session)
+            challenge = ChallengeMsg.from_program(programs[session], 40, session=session)
+            bare = prover_honest(challenge, server_rng(9, session))
+            assert line == fresh.encode() == bare.encode()
+
+    def test_served_line_names_rank_and_table(self, monkeypatch, caplog):
+        monkeypatch.setattr(protocol, "_WORKERS", 1)  # one worker logs in request order
+        caplog.set_level(logging.INFO, logger=protocol.__name__)
+        program = small_program(seed=2, n=7, m=9)
+        d = rank(program.chi)
+        with ProverServer(seed=0) as server:
+            for _ in range(2):
+                request(server.address, program, 10)
+        with ProverServer(prover="uniform", seed=0) as server:
+            request(server.address, program, 10)
+        lines = served_lines(caplog)
+        assert [line.split("(", 1)[1] for line in lines] == [
+            f"n=7 d={d} table=miss)",
+            f"n=7 d={d} table=hit)",
+            "n=7 d=- table=-)",
+        ]
+
+    def test_one_table_kept_and_the_newest_replaces_it(self):
+        programs = [small_program(seed=s, n=6, m=14) for s in range(2)]
+        server = ProverServer(seed=0)
+        try:
+            found = [server._table(programs[k])[1] for k in (0, 0, 1, 1, 0)]
+            assert found == ["miss", "hit", "miss", "hit", "miss"]
+            # an equal program decoded afresh is a hit, not only the same object
+            again = IqpProgram(BitMatrix.from_ints(programs[0].chi.ints, 6), programs[0].angles)
+            assert server._table(again)[1] == "hit"
+        finally:
+            server.close()
+
+    def test_table_over_budget_is_served_not_kept(self, monkeypatch, caplog):
+        monkeypatch.setattr(protocol, "_WORKERS", 1)
+        program = small_program()
+        monkeypatch.setattr(protocol, "_TABLE_BUDGET", _sampling_table(program).nbytes - 1)
+        caplog.set_level(logging.INFO, logger=protocol.__name__)
+        with ProverServer(seed=9) as server:
+            replies = {request(server.address, program, 20, session="s").encode() for _ in range(2)}
+            assert server._kept is None
+        assert len(replies) == 1
+        assert [line.endswith("table=miss)") for line in served_lines(caplog)] == [True, True]
+
+    def test_capacity_build_is_not_kept(self):
+        with ProverServer(seed=0) as server:
+            for _ in range(2):
+                with pytest.raises(ProtocolError) as err:
+                    request(server.address, rank_above_cap_program(), 5)
+                assert err.value.code == "capacity"
+            assert server._kept is None
+
+    def test_workers_sharing_the_kept_table_reply_as_bare_provers(self, monkeypatch):
+        # more workers than cores and a short switch interval: a table of the
+        # other program, read from the slot mid-replacement, would show here
+        monkeypatch.setattr(protocol, "_WORKERS", 4)
+        programs = [small_program(seed=1, n=6, m=10), small_program(seed=2, n=6, m=10)]
+        sessions = [(f"s{i}", i % 2) for i in range(24)]
+        replies = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ProverServer(seed=5) as server:
+
+                def client(chunk):
+                    for session, k in chunk:
+                        replies[session] = request(server.address, programs[k], 50, session=session)
+
+                clients = [threading.Thread(target=client, args=(sessions[i::6],)) for i in range(6)]
+                for thread in clients:
+                    thread.start()
+                for thread in clients:
+                    thread.join(timeout=30)
+                    assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(replies) == len(sessions)
+        for session, k in sessions:
+            challenge = ChallengeMsg.from_program(programs[k], 50, session=session)
+            bare = prover_honest(challenge, server_rng(5, session))
+            assert replies[session].encode() == bare.encode()
+
+    def test_connections_are_served_on_the_fixed_workers(self, monkeypatch):
+        served_on = set()
+        finish = ProverServer.finish_request
+
+        def recording(self, sock, client_address):
+            served_on.add(threading.get_ident())
+            finish(self, sock, client_address)
+
+        monkeypatch.setattr(ProverServer, "finish_request", recording)
+        program = small_program()
+        results = []
+        with ProverServer(seed=0) as server:
+            clients = [
+                threading.Thread(target=lambda: results.append(request(server.address, program, 10)))
+                for _ in range(6)
+            ]
+            for client in clients:
+                client.start()
+            for client in clients:
+                client.join(timeout=10)
+                assert not client.is_alive()
+            workers = {worker.ident for worker in server._workers}
+        assert len(results) == 6 and all(len(msg.batch) == 10 for msg in results)
+        assert served_on <= workers and len(workers) == protocol._WORKERS
+
+    def test_overflow_past_the_queue_gets_capacity(self, monkeypatch):
+        monkeypatch.setattr(protocol, "_WORKERS", 1)
+        monkeypatch.setattr(protocol, "_QUEUED", 1)
+        monkeypatch.setattr(protocol, "_CHALLENGE_WAIT", 10.0)  # the silent client holds the worker
+        program = small_program()
+        first = ChallengeMsg.from_program(program, 10, session="first")
+        second = ChallengeMsg.from_program(program, 10, session="second")
+        with ProverServer(seed=0, timeout=10) as server:
+            with socket.create_connection(server.address, timeout=10) as held:
+                assert wait_for(lambda: server._active)  # the one worker waits on this line
+                with socket.create_connection(server.address, timeout=10) as queued:
+                    queued.sendall(second.encode())
+                    assert wait_for(lambda: server._queue.qsize() == 1)
+                    with pytest.raises(ProtocolError) as err:
+                        request(server.address, program, 10, timeout=10)
+                    assert err.value.code == "capacity"
+                    held.sendall(first.encode())
+                    replies = [json.loads(_recv_line(sock)) for sock in (held, queued)]
+        assert [(r["type"], r["session"]) for r in replies] == [
+            ("samples", "first"),
+            ("samples", "second"),
+        ]
+
+    def test_close_joins_workers_and_closes_queued_sockets_without_start(self, monkeypatch):
+        monkeypatch.setattr(protocol, "_WORKERS", 1)
+        monkeypatch.setattr(protocol, "_CHALLENGE_WAIT", 30.0)
+        server = ProverServer(seed=0, timeout=30)  # a worker left blocked would outlive the join
+        with socket.create_connection(server.address, timeout=5) as held, \
+                socket.create_connection(server.address, timeout=5) as queued:
+            server.handle_request()
+            assert wait_for(lambda: server._active)
+            server.handle_request()
+            closer = threading.Thread(target=server.close, daemon=True)
+            closer.start()
+            closer.join(timeout=10)
+            assert not closer.is_alive()
+            assert not any(worker.is_alive() for worker in server._workers)
+            assert held.recv(1) == b"" and queued.recv(1) == b""
+        assert server.socket.fileno() == -1
+
+    def test_silent_clients_free_the_workers_after_the_challenge_wait(self, monkeypatch, caplog):
+        monkeypatch.setattr(protocol, "_CHALLENGE_WAIT", 0.2)
+        caplog.set_level(logging.INFO, logger=protocol.__name__)
+        program = small_program()
+        with ProverServer(seed=0, timeout=30) as server:
+            silent = [socket.create_connection(server.address, timeout=5) for _ in range(2)]
+            try:
+                assert wait_for(lambda: len(server._active) == protocol._WORKERS)
+                start = time.monotonic()
+                msg = request(server.address, program, 10, timeout=5)
+                assert time.monotonic() - start < 3
+                for sock in silent:  # each got the timeout error line, then was closed
+                    assert json.loads(_recv_line(sock))["code"] == "timeout"
+                    assert sock.recv(1) == b""
+            finally:
+                for sock in silent:
+                    sock.close()
+        assert len(msg.batch) == 10
+        assert len(served_lines(caplog)) == 1
+
+    def test_slow_challenge_gets_in_while_bytes_keep_arriving(self, monkeypatch):
+        monkeypatch.setattr(protocol, "_CHALLENGE_WAIT", 0.3)
+        line = ChallengeMsg.from_program(small_program(), 10, session="slow").encode()
+        with ProverServer(seed=0, timeout=30) as server:
+            with socket.create_connection(server.address, timeout=5) as sock:
+                for k in range(0, len(line), len(line) // 4 + 1):  # longer in all than one wait
+                    sock.sendall(line[k : k + len(line) // 4 + 1])
+                    time.sleep(0.15)
+                reply = json.loads(_recv_line(sock))
+        assert (reply["type"], reply["session"]) == ("samples", "slow")
+
+    def test_slow_reader_gets_a_reply_longer_than_the_challenge_wait(self, monkeypatch):
+        monkeypatch.setattr(protocol, "_CHALLENGE_WAIT", 0.2)
+        challenge = ChallengeMsg.from_program(small_program(n=10, m=12), 1_500_000, session="big")
+        with ProverServer(seed=4, timeout=30) as server:
+            with socket.create_connection(server.address, timeout=10) as sock:
+                sock.sendall(challenge.encode())
+                time.sleep(0.6)  # ~20 MB: the server's sendall blocks past the challenge wait
+                line = _recv_line(sock)
+        assert line + b"\n" == prover_honest(challenge, server_rng(4, "big")).encode()
+
+    def test_silent_verifier_frees_its_worker_after_the_verdict_wait(self, monkeypatch, caplog):
+        monkeypatch.setattr(protocol, "_WORKERS", 1)
+        monkeypatch.setattr(protocol, "_VERDICT_WAIT", 0.2)
+        caplog.set_level(logging.INFO, logger=protocol.__name__)
+        program = small_program()
+        challenge = ChallengeMsg.from_program(program, 10, session="quiet")
+        with ProverServer(seed=0, timeout=30) as server:
+            with socket.create_connection(server.address, timeout=5) as quiet:
+                quiet.sendall(challenge.encode())
+                _recv_line(quiet)  # the reply; no verdict follows and the socket stays open
+                start = time.monotonic()
+                msg = request(server.address, program, 10, timeout=5)
+                assert time.monotonic() - start < 3
+        assert len(msg.batch) == 10
+        assert any("no verdict within 0.2 s" in r.getMessage() for r in caplog.records)
+
+    def test_verdict_records_keep_the_newest(self, monkeypatch):
+        monkeypatch.setattr(protocol, "_VERDICT_RECORDS", 2)
+        program = small_program()
+        with ProverServer(seed=2) as server:
+            for session in ("s1", "s2", "s3"):
+                with socket.create_connection(server.address, timeout=5) as sock:
+                    sock.sendall(ChallengeMsg.from_program(program, 10, session=session).encode())
+                    _recv_line(sock)
+                    sock.sendall(_encode({"type": "verdict", "accept": True}))
+                assert wait_for(lambda: server.verdicts[-1:] == [{"session": session, "accept": True}])
+            assert [v["session"] for v in server.verdicts] == ["s2", "s3"]

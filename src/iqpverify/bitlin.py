@@ -38,6 +38,7 @@ __all__ = [
     "unpack_bits",
     "row_parities",
     "random_rows",
+    "xor_tables",
     "combine_rows",
 ]
 
@@ -306,18 +307,19 @@ def pack_rows(rows: Sequence[str], n: int) -> np.ndarray:
     if any(len(r) != n for r in rows):
         raise DimensionError(f"every row must have {n} characters")
     text = "".join(rows).encode("ascii", "replace")  # non-ASCII becomes '?'
-    bits = np.frombuffer(text, dtype=np.uint8).reshape(len(rows), n) - ord("0")
-    if np.any(bits > 1):
-        raise ValidationError("rows hold characters other than '0' and '1'")
-    return pack_bits(bits)
+    return pack_bits(np.frombuffer(text, dtype=np.uint8).reshape(len(rows), n), text=True)
 
 
-def pack_bits(table: np.ndarray) -> np.ndarray:
-    """Pack a T x n table of 0/1 entries (column i is coordinate i) into a batch."""
+def pack_bits(table: np.ndarray, text: bool = False) -> np.ndarray:
+    """Pack a T x n table of 0/1, or with ``text`` of '0'/'1' bytes (column i is coordinate i)."""
     count, n = table.shape
     nwords = words_per_row(n)
-    padded = np.zeros((count, 64 * nwords), dtype=np.uint8)
+    padded = np.full((count, 64 * nwords), ord("0") if text else 0, dtype=np.uint8)
     padded[:, :n] = table
+    if text:  # checked; '0' off whole rows in place is far faster than off the n columns
+        np.subtract(padded, ord("0"), out=padded)
+        if padded.max(initial=0) > 1:  # bytes below '0' wrapped past 1 too
+            raise ValidationError("rows hold characters other than '0' and '1'")
     # rows are whole words, so one flat pass packs them; axis=1 is about 2x slower
     return np.packbits(padded.reshape(-1), bitorder="little").view("<u8").reshape(count, nwords)
 
@@ -332,9 +334,8 @@ def row_parities(words: np.ndarray, v: BitVector) -> np.ndarray:
     """GF(2) inner product of ``v`` with every row of the batch, as 0/1."""
     if words.ndim != 2 or words.shape[1] != words_per_row(len(v)):
         raise DimensionError(f"batch of shape {words.shape} is not {len(v)} bits wide")
-    folded = np.zeros(len(words), dtype=np.uint64)  # XOR of the word columns, each masked
-    for column, mask in zip(words.T, pack_ints([v.bits], len(v))[0]):
-        folded ^= column & mask
+    columns = np.bitwise_and(words.T, pack_ints([v.bits], len(v)).T, order="C")  # reduce along T
+    folded = np.bitwise_xor.reduce(columns, axis=0)
     return np.bitwise_count(folded) & 1
 
 
@@ -346,19 +347,23 @@ def random_rows(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
     return out
 
 
-def combine_rows(picks: np.ndarray, basis: Sequence[int], n: int) -> np.ndarray:
-    """The batch whose row t is the XOR of the n-bit basis ints k with bit k of picks[t] set.
-
-    ``picks`` is a batch of len(basis)-bit rows.  Its byte g picks among vectors
-    8g..8g+7, and each such group gets a table of its 256 XORs: one lookup each.
-    """
+def xor_tables(basis: Sequence[int], n: int) -> np.ndarray:
+    """:func:`combine_rows`' lookups: entry k of table g XORs the basis ints 8g + (bits of k)."""
     words = pack_ints(list(basis) + [0] * (-len(basis) % 8), n)  # whole groups
-    groups, nwords = len(words) // 8, words_per_row(n)
-    octets = np.ascontiguousarray(picks, dtype="<u8").view(np.uint8)[:, :groups]
-    table = np.zeros((groups, 256, nwords), dtype=np.uint64)
+    tables = np.zeros((len(words) // 8, 256, words_per_row(n)), dtype=np.uint64)
     for j in range(8):  # vector j of every group
-        table[:, 1 << j : 2 << j] = table[:, : 1 << j] ^ words[j::8, None]
-    out = np.zeros((len(picks), nwords), dtype=np.uint64)
+        tables[:, 1 << j : 2 << j] = tables[:, : 1 << j] ^ words[j::8, None]
+    return tables
+
+
+def combine_rows(picks: np.ndarray, tables: np.ndarray) -> np.ndarray:
+    """The batch whose row t is the XOR of the basis ints k with bit k of picks[t] set.
+
+    ``picks`` is a batch of len(basis)-bit rows and ``tables`` the basis's
+    :func:`xor_tables`: byte g of a pick is one lookup in table g.
+    """
+    octets = np.ascontiguousarray(picks, dtype="<u8").view(np.uint8)[:, : len(tables)]
+    out = np.zeros((len(picks), tables.shape[2]), dtype=np.uint64)
     for g, column in enumerate(octets.T):
-        out ^= table[g, column]
+        out ^= np.take(tables[g], column, axis=0)  # about 2x faster than tables[g, column]
     return out

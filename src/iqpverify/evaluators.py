@@ -26,7 +26,6 @@ to the simulated width, and to the subspace backend's 2**d span.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Sequence
@@ -42,6 +41,7 @@ from .bitlin import (
     span_weights,
     transpose_ints,
     walsh_hadamard,
+    xor_tables,
 )
 from .errors import AngleError, CapacityError, DimensionError, ValidationError
 from .model import IqpProgram
@@ -385,28 +385,28 @@ class _SamplingTable:
     """What sampling a program computes before its first draw; read-only, so threads share it.
 
     ``cumulative`` holds the 2**d running sums of the reduced rows' output
-    table, d = rank(chi), and ``basis`` the d basis ints B of ``_reduce``.
+    table, d = rank(chi), and ``xors`` the ``bitlin.xor_tables`` of the d
+    basis ints B of ``_reduce``, which map a drawn y to its output y . B.
     """
 
-    n: int
     cumulative: np.ndarray
-    basis: tuple[int, ...]
+    xors: np.ndarray
 
     @property
     def d(self) -> int:
-        return len(self.basis)
+        return len(self.cumulative).bit_length() - 1
 
     @property
     def nbytes(self) -> int:
-        return self.cumulative.nbytes + sum(map(sys.getsizeof, self.basis))
+        return self.cumulative.nbytes + self.xors.nbytes
 
 
 def _sampling_table(program: IqpProgram) -> _SamplingTable:
     """The program's sampling table; a rank above the dense cap is a ``CapacityError``."""
     rows, angles, d, basis = _reduce(program)
-    cumulative = np.cumsum(_distribution(rows, angles, d).probs)
-    cumulative.flags.writeable = False
-    return _SamplingTable(program.n, cumulative, tuple(basis))
+    cumulative, xors = np.cumsum(_distribution(rows, angles, d).probs), xor_tables(basis, program.n)
+    cumulative.flags.writeable = xors.flags.writeable = False
+    return _SamplingTable(cumulative, xors)
 
 
 def _draw(table: _SamplingTable, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -415,8 +415,8 @@ def _draw(table: _SamplingTable, count: int, rng: np.random.Generator) -> np.nda
     order = np.argsort(draws)  # sorted keys: the binary searches stop mispredicting
     ys = np.empty_like(order)
     ys[order] = np.searchsorted(table.cumulative, draws[order], side="right")
-    np.clip(ys, 0, len(table.cumulative) - 1, out=ys)
-    return combine_rows(ys.astype(np.uint64)[:, None], table.basis, table.n)  # ys < 2**24: one word
+    np.minimum(ys, len(table.cumulative) - 1, out=ys)  # a draw past the last running sum
+    return combine_rows(ys.view(np.uint64)[:, None], table.xors)  # ys < 2**24: one word
 
 
 def sample_outputs(program: IqpProgram, count: int, rng: np.random.Generator) -> np.ndarray:

@@ -25,6 +25,7 @@ from iqpverify.bitlin import (
     transpose_ints,
     unpack_bits,
     walsh_hadamard,
+    xor_tables,
 )
 from iqpverify.errors import DimensionError, ValidationError
 
@@ -372,12 +373,21 @@ class TestPackedBatch:
         assert 0 < int(top.sum()) < 500
 
     @pytest.mark.parametrize("n", BOUNDARY_WIDTHS)
-    @pytest.mark.parametrize("k", [0, 1, 8, 13])  # groups: none, partial, full, two
+    # groups: none, partial, full, two, and each side of the byte-group edges
+    @pytest.mark.parametrize("k", [0, 1, 7, 8, 9, 13, 16, 17])
     def test_combine_rows_xors_the_picked_vectors(self, n, k):
         rng = np.random.default_rng([n, k])
         ints = [int.from_bytes(rng.bytes(32), "little") >> (256 - n) for _ in range(k)]
         coeffs = rng.integers(0, 2, size=(50, k))
-        got = combine_rows(pack_bits(coeffs), ints, n)
+        tables = xor_tables(ints, n)
+        assert tables.shape == ((k + 7) // 8, 256, (n + 63) // 64)
+        for g, table in enumerate(tables):  # entries at the byte's edges, a missing vector as 0
+            for entry in (0, 1, 127, 128, 255):
+                want = 0
+                for j in range(8):
+                    want ^= ints[8 * g + j] if (entry >> j) & 1 and 8 * g + j < k else 0
+                assert row_ints(table[entry : entry + 1]) == [want]
+        got = combine_rows(pack_bits(coeffs), tables)
         assert got.shape == (50, (n + 63) // 64) and got.dtype == np.uint64
         for row, c in zip(got, coeffs):
             want = 0

@@ -7,6 +7,7 @@ secret; duplicating the row gives exactly zero; three disjoint X rows give
 two secrets used below.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iqpverify import evaluators
-from iqpverify.bitlin import BitMatrix, BitVector, combine_rows, dot, echelon, rank
+from iqpverify.bitlin import BitMatrix, BitVector, combine_rows, dot, echelon, rank, xor_tables
 from iqpverify.errors import AngleError, CapacityError, DimensionError, ValidationError
 from iqpverify.evaluators import (
     STATEVECTOR_CAP,
@@ -615,9 +616,19 @@ class TestSamplerLookup:
         draws = np.asarray(self.crafted(case, cumulative), dtype=np.float64)
         batch = sample_outputs(self.PROGRAM, len(draws), _FixedDraws(draws))
         ys = np.clip(np.searchsorted(cumulative, draws, side="right"), 0, (1 << d) - 1)
-        expect = combine_rows(ys.astype(np.uint64)[:, None], basis, self.PROGRAM.n)
+        expect = combine_rows(ys.astype(np.uint64)[:, None], xor_tables(basis, self.PROGRAM.n))
         assert batch.dtype == expect.dtype and batch.shape == expect.shape
         assert batch.tobytes() == expect.tobytes()
+
+
+class TestSamplingTable:
+    def test_nbytes_counts_every_array_it_holds(self):
+        # the server's keep-or-not budget reads nbytes, so a field it misses is unbudgeted memory
+        program = program_of(["110", "011", "101", "111"])
+        table = evaluators._sampling_table(program)
+        held = [getattr(table, field.name) for field in dataclasses.fields(table)]
+        assert all(isinstance(a, np.ndarray) and not a.flags.writeable for a in held)
+        assert table.nbytes == sum(a.nbytes for a in held) > 0
 
 
 class TestDistributionTable:

@@ -4,6 +4,7 @@ import hashlib
 import json
 import logging
 import math
+import select
 import socket
 import sys
 import threading
@@ -222,8 +223,10 @@ class TestCodec:
         # leftmost character is coordinate 0, the low bit of the packed word
         assert back.batch[:, 0].tolist() == [0b10, 0b11, 0b00]
         # the reply line is the compact json.dumps of its payload
-        for n, session in ((1, "s"), (63, "s"), (64, "s"), (65, "s"), (200, 'é "x\\')):
-            table = np.random.default_rng(n).integers(0, 2, size=(5, n))
+        # (one sample has no comma; no sample, a SamplesMsg built directly, writes "[]")
+        cases = [(1, "s", 5), (63, "s", 5), (64, "s", 5), (65, "s", 5), (200, 'é "x\\', 5)]
+        for n, session, count in cases + [(3, "s", 1), (3, "s", 0)]:
+            table = np.random.default_rng(n).integers(0, 2, size=(count, n))
             rows = ["".join(map(str, row)) for row in table]
             line = SamplesMsg(session, n, pack_rows(rows, n)).encode()
             payload = {"type": "samples", "session": session, "bits": rows}
@@ -1048,6 +1051,22 @@ class TestServerPool:
                     time.sleep(0.15)
                 reply = json.loads(_recv_line(sock))
         assert (reply["type"], reply["session"]) == ("samples", "slow")
+
+    def test_trickled_challenge_gets_the_timeout_at_the_total_deadline(self, monkeypatch):
+        monkeypatch.setattr(protocol, "_CHALLENGE_WAIT", 0.3)
+        line = ChallengeMsg.from_program(small_program(), 10, session="drip").encode()
+        with ProverServer(seed=0, timeout=1.0) as server:
+            with socket.create_connection(server.address, timeout=5) as sock:
+                start = time.monotonic()
+                time.sleep(0.1)  # the sends fall between the deadline's 0.2 s marks
+                for byte in line:  # one byte every 0.2 s: each well inside the chunk wait
+                    sock.sendall(bytes([byte]))
+                    if select.select([sock], [], [], 0.2)[0]:  # the reply, at the deadline
+                        break
+                reply = json.loads(_recv_line(sock))
+                elapsed = time.monotonic() - start
+        assert reply["code"] == "timeout"
+        assert 0.9 < elapsed < 2.5
 
     def test_slow_reader_gets_a_reply_longer_than_the_challenge_wait(self, monkeypatch):
         monkeypatch.setattr(protocol, "_CHALLENGE_WAIT", 0.2)

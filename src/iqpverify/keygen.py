@@ -9,6 +9,7 @@ secrets together without moving any correlation value.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -142,6 +143,27 @@ def random_2local(n: int, rng: np.random.Generator) -> IqpProgram:
     return IqpProgram(BitMatrix.from_ints(rows, n), angles)
 
 
+@lru_cache(maxsize=_SEARCH_WEIGHT_CAP)
+def _window(weight: int) -> tuple[tuple[int, ...], BitVector]:
+    """The odd-weight rows of a ``weight``-qubit window, ascending, and its all-ones secret."""
+    pool = tuple(bits for bits in range(1, 1 << weight) if bits.bit_count() & 1)
+    return pool, BitVector(weight, (1 << weight) - 1)
+
+
+@lru_cache(maxsize=1024)
+def _window_value(weight: int, mask: int) -> CorrelationResult:
+    """Exact value of the pool rows of ``_window(weight)`` that ``mask`` picks, at pi/8.
+
+    Bit i of ``mask`` picks pool row i; rows keep pool order.  The value is
+    that of the window's all-ones secret, the same for every challenge, so
+    the memo holds no challenge's program, secret or key.
+    """
+    pool, secret = _window(weight)
+    rows = [pool[i] for i, bit in enumerate(f"{mask:b}"[::-1]) if bit == "1"]
+    program = IqpProgram(BitMatrix.from_ints(rows, weight), (PI_OVER_8,) * len(rows))
+    return correlation_clifford(program, secret)
+
+
 def search_main_part(
     weight: int, target: float, budget: int, rng: np.random.Generator
 ) -> SearchOutcome:
@@ -160,17 +182,14 @@ def search_main_part(
         raise ValidationError(f"target {target} outside (0, 1]")
     if budget < 1:
         raise ValidationError("budget must be at least 1")
-    secret = BitVector(weight, (1 << weight) - 1)
-    pool = [bits for bits in range(1, 1 << weight) if bits.bit_count() & 1]
+    pool, secret = _window(weight)
     best: SearchOutcome | None = None
     for _ in range(budget):
         size = int(rng.integers(1, len(pool) + 1))
-        picks = sorted(rng.choice(len(pool), size=size, replace=False).tolist())
-        rows = [pool[i] for i in picks]
-        program = IqpProgram(BitMatrix.from_ints(rows, weight), (PI_OVER_8,) * len(rows))
-        result = correlation_clifford(program, secret)
+        picks = rng.choice(len(pool), size=size, replace=False).tolist()
+        result = _window_value(weight, sum(1 << i for i in picks))  # picks are distinct
         if best is None or abs(result.value) > abs(best.result.value):
-            vectors = tuple(BitVector(weight, r) for r in rows)
+            vectors = tuple(BitVector(weight, pool[i]) for i in sorted(picks))
             best = SearchOutcome(vectors, secret, result, abs(result.value) >= target)
         if abs(result.value) >= target:
             return best

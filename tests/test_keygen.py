@@ -1,6 +1,7 @@
 """Challenge construction and scrambling."""
 
 import copy
+import threading
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from iqpverify.errors import ConstructionError, DimensionError, ValidationError
 from iqpverify.evaluators import correlation_clifford, correlation_statevector
 from iqpverify.keygen import (
     ConstructionSpec,
+    _window_value,
     add_redundant_rows,
     build_challenge,
     random_2local,
@@ -21,7 +23,7 @@ from iqpverify.keygen import (
     scramble,
     search_main_part,
 )
-from iqpverify.model import PI_OVER_8, Angle, IqpProgram
+from iqpverify.model import PI_OVER_8, Angle, IqpProgram, serialize_key, serialize_program
 
 SQRT_HALF = 2**-0.5
 
@@ -121,6 +123,94 @@ class TestSearch:
             search_main_part(2, 0.0, 10, rng)
         with pytest.raises(ValidationError):
             search_main_part(2, 0.5, 0, rng)
+
+
+def window_program(weight, mask):
+    """The window program of ``mask``'s picks, built afresh from an independent pool."""
+    pool = [bits for bits in range(1, 1 << weight) if bin(bits).count("1") % 2]
+    rows = [pool[i] for i in range(len(pool)) if mask >> i & 1]
+    return IqpProgram(BitMatrix.from_ints(rows, weight), (PI_OVER_8,) * len(rows))
+
+
+def challenge_bytes(spec):
+    program, key = build_challenge(spec)
+    return serialize_program(program), serialize_key(key)
+
+
+# the keygen-wide benchmark's shape and every spec with frozen challenge bytes
+MEMO_SPECS = [ConstructionSpec(n=200, secrets=4, weight=3, seed=s) for s in (1, 2, 3)] + [
+    ConstructionSpec(n=10, secrets=2, weight=2, seed=3),
+    ConstructionSpec(n=200, secrets=4, weight=3, seed=5),
+    ConstructionSpec(n=200, secrets=4, weight=3, seed=5, redundant_rows=400),
+    ConstructionSpec(n=1000, secrets=4, weight=3, seed=7),
+    ConstructionSpec(n=64, secrets=8, weight=8, seed=2, redundant_rows=128),
+]
+
+
+class TestWindowMemo:
+    @pytest.mark.parametrize("weight", range(1, 7))
+    def test_cold_and_warm_searches_agree(self, weight):
+        for seed in range(4):
+            for target, budget in ((0.7, 30), (0.99, 40), (0.3, 3), (1.0, 60)):
+                runs = []
+                for clear in (True, False):
+                    if clear:
+                        _window_value.cache_clear()
+                    rng = np.random.default_rng([seed, weight])
+                    outcome = search_main_part(weight, target, budget, rng)
+                    runs.append((outcome, rng.bit_generator.state))
+                assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("weight", range(1, 7))
+    def test_memoised_values_equal_fresh_programs(self, weight):
+        secret = BitVector(weight, (1 << weight) - 1)
+        size = 1 << weight - 1  # odd-weight rows in the window
+        masks = range(1, 1 << size) if size <= 8 else np.random.default_rng(weight).integers(
+            1, 1 << size, size=200, dtype=np.uint64
+        ).tolist()
+        for mask in masks:
+            assert _window_value(weight, mask) == correlation_clifford(
+                window_program(weight, mask), secret
+            )
+
+    def test_search_outcome_matches_memoised_value(self):
+        for seed in range(6):
+            out = search_main_part(4, 0.7, 30, np.random.default_rng(seed))
+            program = IqpProgram(
+                BitMatrix.from_ints([r.bits for r in out.rows], 4), (PI_OVER_8,) * len(out.rows)
+            )
+            assert out.result == correlation_clifford(program, out.secret)
+
+    def test_cold_and_warm_challenges_are_byte_identical(self):
+        _window_value.cache_clear()
+        cold = [challenge_bytes(spec) for spec in MEMO_SPECS]
+        assert [challenge_bytes(spec) for spec in MEMO_SPECS] == cold
+
+    def test_memo_stays_bounded(self):
+        _window_value.cache_clear()
+        maxsize = _window_value.cache_info().maxsize
+        assert maxsize == 1024
+        seeds = iter(range(50))
+        while _window_value.cache_info().misses <= maxsize:  # 128 pool rows: nearly all misses
+            search_main_part(8, 1.0, 500, np.random.default_rng(next(seeds)))
+        info = _window_value.cache_info()
+        assert info.misses > maxsize
+        assert info.currsize <= maxsize
+
+    def test_threads_build_the_bytes_of_serial_builds(self):
+        serial = [challenge_bytes(spec) for spec in MEMO_SPECS]
+        _window_value.cache_clear()
+        orders, results = [MEMO_SPECS, MEMO_SPECS[::-1]] * 2, [None] * 4
+
+        def build(i):
+            results[i] = [challenge_bytes(spec) for spec in orders[i]]
+
+        threads = [threading.Thread(target=build, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert results == [serial, serial[::-1]] * 2
 
 
 class TestRedundantRows:

@@ -47,7 +47,6 @@ from .experiments import (
     exp_fig1a,
     exp_fig1b,
     exp_parseval,
-    parse_report,
 )
 from .keygen import (
     ConstructionSpec,

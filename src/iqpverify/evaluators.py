@@ -41,6 +41,7 @@ from .bitlin import (
     span_weights,
     transpose_ints,
     walsh_hadamard,
+    words_per_row,
     xor_tables,
 )
 from .errors import AngleError, CapacityError, DimensionError, ValidationError
@@ -402,8 +403,15 @@ class _SamplingTable:
 
 
 def _sampling_table(program: IqpProgram) -> _SamplingTable:
-    """The program's sampling table; a rank above the dense cap is a ``CapacityError``."""
+    """The program's sampling table; a rank above the dense cap is a ``CapacityError``.
+
+    So are XOR lookups larger than the cap's largest running sums, 8 * 2**cap
+    bytes: they grow with n, 2 KiB per 8 basis ints per 64 columns.
+    """
     rows, angles, d, basis = _reduce(program)
+    lookups = 2048 * -(-d // 8) * words_per_row(program.n)  # bytes of xor_tables(basis, n)
+    if lookups > 8 << STATEVECTOR_CAP:
+        raise CapacityError(f"{lookups} bytes of output lookups exceed {8 << STATEVECTOR_CAP}")
     cumulative, xors = np.cumsum(_distribution(rows, angles, d).probs), xor_tables(basis, program.n)
     cumulative.flags.writeable = xors.flags.writeable = False
     return _SamplingTable(cumulative, xors)

@@ -10,14 +10,13 @@ from typing import Sequence
 import numpy as np
 
 from .bitlin import BitVector, walsh_hadamard
-from .errors import ParseError, ValidationError
+from .errors import ValidationError
 from .evaluators import all_correlations, correlation_clifford, output_distribution
 from .keygen import random_2local, random_nonzero_bits, random_program
 from .model import seeded_rng
 
 __all__ = [
     "ExperimentReport",
-    "parse_report",
     "exp_fig1a",
     "exp_fig1b",
     "exp_anticoncentration",
@@ -58,59 +57,6 @@ def _format_cell(value: Cell) -> str:
     if "," in value or "\n" in value or "#" in value:
         raise ValidationError(f"cell {value!r} would corrupt the table")
     return value
-
-
-def _sniff_cell(text: str) -> Cell:
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        return text
-
-
-def parse_report(text: str) -> ExperimentReport:
-    """Inverse of :meth:`ExperimentReport.to_csv` (round-trips exactly)."""
-    experiment: str | None = None
-    wall_clock: float | None = None
-    params: dict[str, Cell] = {}
-    columns: tuple[str, ...] | None = None
-    rows: list[tuple[Cell, ...]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            key, sep, value = body.partition("=")
-            if not sep:
-                raise ParseError(f"malformed parameter line {body!r}", line=lineno)
-            key = key.strip()
-            if key == "experiment":
-                experiment = value
-            elif key == "wall_clock":
-                wall_clock = float(value)
-            else:
-                params[key] = _sniff_cell(value)
-            continue
-        cells = line.split(",")
-        if columns is None:
-            columns = tuple(cells)
-            continue
-        if len(cells) != len(columns):
-            raise ParseError(
-                f"expected {len(columns)} cells, found {len(cells)}", line=lineno
-            )
-        rows.append(tuple(_sniff_cell(c) for c in cells))
-    if experiment is None:
-        raise ParseError("missing '# experiment=' line")
-    if wall_clock is None:
-        raise ParseError("missing '# wall_clock=' line")
-    if columns is None:
-        raise ParseError("missing header row")
-    return ExperimentReport(experiment, params, columns, tuple(rows), wall_clock)
 
 
 def _quantized_one(n: int, seed: int, *stream: int):

@@ -100,14 +100,13 @@ _PI8_ANGLES = tuple(Angle(w, 8) for w in range(8))
 def random_program(
     n: int,
     m: int,
-    angle_policy: str | Angle = "pi8",
+    angle_policy: str = "pi8",
     rng: np.random.Generator | None = None,
 ) -> IqpProgram:
     """Program with m rows drawn uniformly from the nonzero n-bit strings.
 
-    ``angle_policy`` is "pi8" (every row pi/8), "uniform-pi8" (independent
-    uniform multiples w*pi/8, w in 0..7, drawn after the rows) or a fixed
-    :class:`Angle` shared by every row.
+    ``angle_policy`` is "pi8" (every row pi/8) or "uniform-pi8" (independent
+    uniform multiples w*pi/8, w in 0..7, drawn after the rows).
     """
     if rng is None:
         raise ValidationError("random_program needs an explicit rng")
@@ -119,8 +118,8 @@ def random_program(
         bits = [random_nonzero_bits(n, rng) for _ in range(m)]
     if angle_policy == "uniform-pi8":
         angles = tuple(_PI8_ANGLES[w] for w in rng.integers(0, 8, size=m).tolist())
-    elif angle_policy == "pi8" or isinstance(angle_policy, Angle):
-        angles = (PI_OVER_8 if angle_policy == "pi8" else angle_policy,) * m
+    elif angle_policy == "pi8":
+        angles = (PI_OVER_8,) * m
     else:
         raise ValidationError(f"unknown angle policy {angle_policy!r}")
     return IqpProgram(BitMatrix.from_ints(bits, n), angles)
@@ -201,15 +200,14 @@ def add_redundant_rows(
     secrets: Sequence[BitVector],
     count: int,
     rng: np.random.Generator,
-    angle: Angle | None = None,
 ) -> IqpProgram:
     """Append ``count`` random nonzero rows orthogonal to every secret.
 
     Each row draws one coefficient bit per free column of the secrets'
     reduced echelon form and equals the XOR of the ``nullspace_basis``
     vectors those bits pick: the bits land on the free columns, and pivot p
-    takes the parity of its echelon row with them.  Appended rows default to
-    the program's shared angle (pi/8 when angles are mixed); either way they
+    takes the parity of its echelon row with them.  Appended rows take the
+    program's shared angle (pi/8 when angles are mixed); either way they
     cannot move any secret's correlation value.
     """
     if count < 0:
@@ -224,8 +222,6 @@ def add_redundant_rows(
     free = n - len(pivots)
     if not free:
         raise ConstructionError("no nonzero row is orthogonal to every secret")
-    if angle is None:
-        angle = program.uniform_angle() or PI_OVER_8
     coeffs, need = [], count
     while need:  # nonzero draws in stream order, as a redraw-per-row loop keeps them
         draw = rng.integers(0, 2, size=(need, free))
@@ -246,7 +242,7 @@ def add_redundant_rows(
                 bits |= 1 << p
         new.append(bits)
     chi = BitMatrix.from_ints(program.chi.ints + tuple(new), n)
-    return IqpProgram(chi, program.angles + (angle,) * count)
+    return IqpProgram(chi, program.angles + (program.uniform_angle() or PI_OVER_8,) * count)
 
 
 def random_scramble_ops(n: int, count: int | None, rng: np.random.Generator) -> np.ndarray:

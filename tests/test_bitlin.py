@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from iqpverify.bitlin import (
@@ -156,6 +156,13 @@ def column_space_basis(m):
     return [BitVector(m.num_rows, c) for c in echelon(columns).values()]
 
 
+def rank_d_matrix(d, extra=5):
+    """d columns of column rank d: an identity block over ``extra`` random rows."""
+    rng = np.random.default_rng(d)
+    rows = [1 << i for i in range(d)] + rng.integers(1, 1 << d, size=extra).tolist()
+    return BitMatrix.from_ints(rows, d)
+
+
 class TestEchelon:
     def test_frozen_example(self):
         rows = [BitVector.from_string(r).bits for r in ("0110", "1100", "1010")]
@@ -212,7 +219,10 @@ class TestSpans:
         ]
         assert len(span) == len(kernel)
 
+    @settings(deadline=None)  # the brute-force span of 2**18 takes about 0.2 s
     @given(matrices(max_n=8, max_m=6))
+    @example(rank_d_matrix(17))  # past one 2**16 chunk: the Gray-code walk over the rest
+    @example(rank_d_matrix(18))
     def test_span_weights_histogram(self, m):
         basis = column_space_basis(m)
         weights = span_weights([b.bits for b in basis], length=m.num_rows)

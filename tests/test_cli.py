@@ -16,10 +16,10 @@ from iqpverify.experiments import (
     exp_fig1a,
     exp_fig1b,
     exp_parseval,
-    parse_report,
 )
 from iqpverify.model import parse_key, parse_program
 from iqpverify.protocol import PROVER_BUILTINS, ProverServer
+from report_reader import parse_report
 
 
 def run_cli(*args):
@@ -154,6 +154,13 @@ class TestSample:
         first = capsys.readouterr().out
         run_cli("sample", "--program", prog, "--count", 4, "--seed", 7)
         assert capsys.readouterr().out == first
+
+    def test_sample_past_the_lookup_bound_is_runtime_error(self, tmp_path, capsys):
+        # one 5,000,000-wide row: 153 MiB of output lookups, refused before they are built
+        wide = tmp_path / "wide.iqp"
+        wide.write_text(f"version 1\nn 5000000\nm 1\nrow {'1' * 5_000_000}\nangle 1/8\n")
+        assert run_cli("sample", "--program", wide, "--count", 1) == 3
+        assert "bytes of output lookups exceed" in capsys.readouterr().err
 
 
 class TestVerify:

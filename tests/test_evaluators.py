@@ -226,6 +226,20 @@ class TestAgainstDenseOracle:
         if got.g is not None:
             assert abs(got.value) == pytest.approx(2.0 ** (-got.g / 2), abs=1e-15)
 
+    def test_subspace_matches_exact_diagonal_past_one_chunk(self):
+        # main-part rank 17: the span of 2**17 is walked in two 2**16 chunks,
+        # at a shared angle the Z4 sum cannot take; three even rows stay out
+        n, rng = 17, np.random.default_rng(17)
+        draws = rng.integers(1, 1 << n, size=200).tolist()
+        odd, even = ([b for b in draws if b.bit_count() & 1 == p] for p in (1, 0))
+        rows = odd[:23] + even[:3]
+        program = IqpProgram(BitMatrix.from_ints(rows, n), (Angle(1, 24),) * len(rows))
+        s = BitVector(n, (1 << n) - 1)
+        got, want = correlation_subspace(program, s), correlation_diagonal(program, s)
+        assert got.reduced_dim == want.reduced_dim == 17
+        assert got.value == pytest.approx(want.value, rel=1e-12)
+        assert abs(want.value) > 0.1
+
     def test_wide_low_rank_challenge(self):
         # n=200 but rank 12: every exact backend simulates 12 qubits
         program, key = build_challenge(
@@ -330,7 +344,8 @@ class TestReductionEdges:
         pos = [0, 31, n - 2, n - 1]
         free = [i for i in range(n) if i not in pos]
         basis = [1 << p | sum(1 << i for i in free if rng.integers(0, 2)) for p in pos]
-        small = random_program(4, 6, Angle(3, 8), rng)
+        small = random_program(4, 6, "pi8", rng)
+        small = IqpProgram(small.chi, (Angle(3, 8),) * small.m)
         rows = [BitVector(n, xor_of(basis, row.bits)) for row in small.chi.rows]
         rows += [BitVector(n, sum(1 << i for i in free if rng.integers(0, 2))) for _ in range(8)]
         angles = small.angles + (Angle(1, 3),) * 8  # redundant rows: any angle

@@ -12,8 +12,8 @@ from iqpverify.experiments import (
     exp_fig1a,
     exp_fig1b,
     exp_parseval,
-    parse_report,
 )
+from report_reader import parse_report
 
 
 class TestReportFormat:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iqpverify.bitlin import BitMatrix, BitVector, dot, nullspace_basis
-from iqpverify.errors import ConstructionError, DimensionError, ValidationError
+from iqpverify.errors import CapacityError, ConstructionError, DimensionError, ValidationError
 from iqpverify.evaluators import correlation_clifford, correlation_statevector
 from iqpverify.keygen import (
     ConstructionSpec,
@@ -59,10 +59,6 @@ class TestRandomEnsembles:
         p = random_program(5, 40, "uniform-pi8", np.random.default_rng(0))
         assert all(a.multiple_of_pi8() is not None for a in p.angles)
         assert len({a.num for a in p.angles}) > 1  # actually varies
-
-    def test_fixed_angle_policy(self):
-        p = random_program(4, 3, Angle(1, 3), np.random.default_rng(0))
-        assert p.uniform_angle() == Angle(1, 3)
 
     def test_unknown_policy(self):
         with pytest.raises(ValidationError):
@@ -123,6 +119,8 @@ class TestSearch:
             search_main_part(2, 0.0, 10, rng)
         with pytest.raises(ValidationError):
             search_main_part(2, 0.5, 0, rng)
+        with pytest.raises(CapacityError, match="search weight 17 exceeds cap 16"):
+            search_main_part(17, 0.5, 10, rng)
 
 
 def window_program(weight, mask):
@@ -236,20 +234,33 @@ class TestRedundantRows:
         after = correlation_statevector(grown, s).value
         assert after == pytest.approx(before, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "angles, padding",
+        [((Angle(1, 3),) * 2, Angle(1, 3)), ((Angle(1, 3), PI_OVER_8), PI_OVER_8)],
+        ids=["shared", "mixed"],
+    )
+    def test_padding_takes_the_shared_angle(self, angles, padding):
+        program = IqpProgram(BitMatrix.from_strings(["1000", "0100"]), angles)
+        secret = BitVector.from_string("1100")
+        grown = add_redundant_rows(program, [secret], 3, np.random.default_rng(2))
+        assert grown.angles == angles + (padding,) * 3
+
+    @pytest.mark.parametrize(
+        "secrets, count, message",
+        [(["1100"], -1, "count must be non-negative"), ([], 1, "need at least one secret")],
+    )
+    def test_bad_request_refused(self, secrets, count, message):
+        program = random_program(4, 2, "pi8", np.random.default_rng(0))
+        secrets = [BitVector.from_string(s) for s in secrets]
+        with pytest.raises(ValidationError, match=message):
+            add_redundant_rows(program, secrets, count, np.random.default_rng(0))
+
     def test_full_rank_secrets_rejected(self):
         rng = np.random.default_rng(0)
         program = random_program(2, 2, "pi8", rng)
         secrets = [BitVector.from_string("10"), BitVector.from_string("01")]
         with pytest.raises(ConstructionError):
             add_redundant_rows(program, secrets, 1, rng)
-
-    def test_explicit_angle(self):
-        rng = np.random.default_rng(2)
-        program = random_program(4, 2, "pi8", rng)
-        grown = add_redundant_rows(
-            program, [BitVector.from_string("1100")], 3, rng, angle=Angle(1, 4)
-        )
-        assert grown.angles[2:] == (Angle(1, 4),) * 3
 
     @pytest.mark.parametrize("n, secret", [(2, "11"), (3, "110"), (6, "101100")])
     def test_padding_follows_the_one_draw_per_row_stream(self, n, secret):
@@ -534,3 +545,11 @@ class TestBuildChallenge:
             ConstructionSpec(n=4, scramble_ops=-1)
         with pytest.raises(ValidationError, match="seed -1 is negative"):
             ConstructionSpec(n=4, seed=-1)
+        with pytest.raises(ValidationError, match="need at least one secret"):
+            ConstructionSpec(n=4, secrets=0)
+        with pytest.raises(ValidationError, match="secret weight must be at least 1"):
+            ConstructionSpec(n=4, weight=0)
+        with pytest.raises(ValidationError, match="search budget must be at least 1"):
+            ConstructionSpec(n=4, budget=0)
+        with pytest.raises(ValidationError, match="redundant row count must be non-negative"):
+            ConstructionSpec(n=4, redundant_rows=-1)

@@ -91,6 +91,17 @@ class TestProgram:
         )
         assert p.uniform_angle() is None
 
+    @pytest.mark.parametrize(
+        "rows, angles, shared",
+        [
+            (["1100", "0110", "0011"], (Angle(1, 3),) * 3, Angle(1, 3)),  # not a multiple of pi/8
+            ([], (), None),  # no rows, no shared angle
+        ],
+    )
+    def test_uniform_angle(self, rows, angles, shared):
+        p = IqpProgram(BitMatrix([BitVector.from_string(r) for r in rows], cols=4), angles)
+        assert p.uniform_angle() == shared
+
     def test_zero_rows_rejected(self):
         with pytest.raises(ValidationError):
             IqpProgram(BitMatrix.from_strings(["00", "11"]), (PI_OVER_8,) * 2)
@@ -209,3 +220,39 @@ class TestKeyFormat:
         with pytest.raises(ParseError) as err:
             parse_key("version 1\nn 2\nsecret 11\nexpected 0.5\nbogus 3\n")
         assert "line 5" in str(err.value)
+
+
+H = "version 1\nn 2\n"  # a valid header: the body starts on line 3
+
+# (parser, text, line the error names, message): every refusal of the header,
+# the program body and the key body that the format tests above do not reach
+PARSE_REFUSALS = [
+    (parse_program, "", 1, "empty program document"),
+    (parse_key, "\n\n", 1, "empty key document"),
+    (parse_program, "version x\n", 1, "version is not an integer: 'x'"),
+    (parse_key, "version 2\nn 2\n", 1, "unsupported version '2'"),
+    (parse_program, "version 1\n", 1, "expected 'n' after version"),
+    (parse_key, "version 1\n\nm 2\n", 3, "expected 'n' after version"),
+    (parse_program, "version 1\nn 0\n", 2, "n must be positive, got 0"),
+    (parse_program, H, 1, "expected 'm' after n"),
+    (parse_program, H + "row 11\n", 3, "expected 'm' after n"),
+    (parse_program, H + "m -1\n", 3, "m must be non-negative, got -1"),
+    (parse_program, H + "m 0\nrow 11\n", 4, "expected 0 row lines and 0 angle lines, found 1 field lines"),
+    (parse_program, H + "m 1\n", 3, "expected 1 row lines and 1 angle lines, found 0 field lines"),
+    (parse_program, H + "m 1\nangle 1/8\nrow 11\n", 4, "expected 'row', found 'angle'"),
+    (parse_program, H + "m 1\nrow 11\nrow 10\n", 5, "expected 'angle', found 'row'"),
+    (parse_key, H + "secret 1x\n", 3, "invalid bit character 'x' in '1x'"),
+    (parse_key, H + "secret 110\nexpected 0.5\n", 3, "secret has 3 bits, expected 2"),
+    (parse_key, H + "expected 0.5\n", 3, "expected value without a preceding secret"),
+    (parse_key, H + "secret 11\nexpected half\n", 4, "expected value is not a number: 'half'"),
+    (parse_key, H + "secret 11\nexpected 0.5\nsecret 10\n", 5, "secret without a following expected value"),
+    (parse_key, H + "meta only a note\n", None, "a key needs at least one secret"),
+]
+
+
+@pytest.mark.parametrize("parser, text, line, message", PARSE_REFUSALS)
+def test_parse_refusal_names_its_line(parser, text, line, message):
+    with pytest.raises(ParseError) as err:
+        parser(text)
+    assert err.value.line == line
+    assert str(err.value) == (message if line is None else f"line {line}: {message}")

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iqpverify import protocol
+from iqpverify import evaluators, protocol
 from iqpverify.bitlin import (
     BitMatrix,
     BitVector,
@@ -26,7 +26,7 @@ from iqpverify.bitlin import (
     rank,
     words_per_row,
 )
-from iqpverify.errors import ProtocolError, ValidationError
+from iqpverify.errors import CapacityError, ProtocolError, ValidationError
 from iqpverify.keygen import ConstructionSpec, build_challenge
 from iqpverify.evaluators import STATEVECTOR_CAP, _sampling_table
 from iqpverify.model import PI_OVER_8, Angle, IqpProgram, SecretKey, seeded_rng
@@ -61,6 +61,11 @@ def rank_above_cap_program(n=30):
     program = IqpProgram(BitMatrix.from_ints(rows, n), (PI_OVER_8,) * n)
     assert rank(program.chi) == n > STATEVECTOR_CAP
     return program
+
+
+def wide_program(n=5_000_000):
+    """One row on n qubits: rank 1, but 2 KiB of XOR lookups per 64 columns, 153 MiB at 5e6."""
+    return IqpProgram(BitMatrix.from_ints([(1 << n) - 1], n), (PI_OVER_8,))
 
 
 def challenge_payload(**overrides):
@@ -595,6 +600,27 @@ class TestProvers:
             prover_honest(challenge, np.random.default_rng(0))
         assert err.value.code == "capacity"
 
+    def test_wide_lookups_refused_before_they_are_built(self):
+        program = wide_program()
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match="bytes of output lookups exceed 134217728"):
+                _sampling_table(program)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20
+        with pytest.raises(ProtocolError) as err:
+            prover_honest(ChallengeMsg.from_program(program, 1), np.random.default_rng(0))
+        assert err.value.code == "capacity"
+
+    def test_lookup_bound_is_eight_bytes_per_dense_entry(self, monkeypatch):
+        # at a cap of 8 the bound is 2 KiB: one table of one word per row
+        monkeypatch.setattr(evaluators, "STATEVECTOR_CAP", 8)
+        assert _sampling_table(wide_program(64)).xors.nbytes == 2048
+        with pytest.raises(CapacityError, match="4096 bytes of output lookups exceed 2048"):
+            _sampling_table(wide_program(65))
+
     def test_uniform_shape(self):
         challenge = ChallengeMsg.from_program(small_program(), 30)
         msg = prover_uniform(challenge, np.random.default_rng(2))
@@ -637,6 +663,19 @@ class TestProvers:
         with pytest.raises(ProtocolError) as err:
             prover_leak(challenge, key, np.random.default_rng(0))
         assert err.value.code == "unsupported"
+
+    @pytest.mark.parametrize(
+        "secret, code, detail",
+        [
+            (BitVector(6, 0b11), "bad-n", "leaked secret has 6 bits, challenge n=5"),
+            (BitVector(5, 0), "unsupported", "leaked secret has empty support"),
+        ],
+    )
+    def test_leak_refuses_a_key_it_cannot_play(self, secret, code, detail):
+        challenge = ChallengeMsg.from_program(small_program(), 10)
+        with pytest.raises(ProtocolError) as err:
+            prover_leak(challenge, SecretKey((secret,), (0.5,)), np.random.default_rng(0))
+        assert (err.value.code, err.value.detail) == (code, detail)
 
     def test_leak_wide_secret_path(self):
         # a full word, rows of two words, and a fix-up bit in the second word
@@ -925,6 +964,15 @@ class TestServerPool:
                     request(server.address, rank_above_cap_program(), 5)
                 assert err.value.code == "capacity"
             assert server._kept is None
+
+    def test_wide_lookups_get_capacity_and_the_next_round_accepts(self):
+        program, key = build_challenge(ConstructionSpec(n=8, seed=6))
+        with ProverServer(seed=0) as server:
+            with pytest.raises(ProtocolError) as err:
+                request(server.address, wide_program(), 1)
+            assert err.value.code == "capacity"
+            assert server._kept is None
+            assert run_verification(server.address, program, key, 2952).accept
 
     def test_workers_sharing_the_kept_table_reply_as_bare_provers(self, monkeypatch):
         # more workers than cores and a short switch interval: a table of the

@@ -192,7 +192,6 @@ def _cmd_verify(args) -> int:
         args.samples,
         delta=args.delta,
         timeout=args.timeout,
-        reveal_verdict=args.reveal_verdict,
     )
     for k, v in enumerate(report.per_secret):
         status = "pass" if v.passed else "FAIL"
@@ -294,11 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--delta", type=float, default=0.05)
     p.add_argument("--timeout", type=float, default=30.0)
-    p.add_argument(
-        "--reveal-verdict",
-        action="store_true",
-        help="send the verdict back to the prover (demo only; leaks one bit)",
-    )
     p.set_defaults(fn=_cmd_verify)
 
     _add_experiment(

@@ -100,16 +100,14 @@ _PI8_ANGLES = tuple(Angle(w, 8) for w in range(8))
 def random_program(
     n: int,
     m: int,
-    angle_policy: str = "pi8",
-    rng: np.random.Generator | None = None,
+    angle_policy: str,
+    rng: np.random.Generator,
 ) -> IqpProgram:
     """Program with m rows drawn uniformly from the nonzero n-bit strings.
 
     ``angle_policy`` is "pi8" (every row pi/8) or "uniform-pi8" (independent
     uniform multiples w*pi/8, w in 0..7, drawn after the rows).
     """
-    if rng is None:
-        raise ValidationError("random_program needs an explicit rng")
     if n < 1 or m < 0:
         raise ValidationError(f"bad shape n={n}, m={m}")
     if n <= 63:  # one draw for all rows: the same values and stream as m scalar draws

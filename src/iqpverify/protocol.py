@@ -2,15 +2,15 @@
 
 One exchange per connection, newline-delimited JSON.  The verifier connects,
 sends a challenge (matrix rows, angles, sample count), reads back sample bit
-strings and judges them locally against its secret key.  No secret string or
-expected value ever goes on the wire; a verdict is only sent back when the
-verifier explicitly opts in.  A challenge is one :class:`IqpProgram` on both
-sides: written from it, validated and built once when read.  A reply is one
-packed batch on both sides (:mod:`iqpverify.bitlin`): written straight from
-it, packed once when read.  A reply line in :meth:`SamplesMsg.encode`'s
-exact layout is read in one ``np.frombuffer`` pass; any other line goes
-through ``json.loads`` and :meth:`SamplesMsg.from_payload`, so it gets the
-same batch or error code.
+strings and judges them locally against its secret key.  No secret string,
+expected value or verdict ever goes on the wire: the verifier sends one
+challenge line, and the prover closes the connection after its reply.  A
+challenge is one :class:`IqpProgram` on both sides: written from it,
+validated and built once when read.  A reply is one packed batch on both
+sides (:mod:`iqpverify.bitlin`): written straight from it, packed once when
+read.  A reply line in :meth:`SamplesMsg.encode`'s exact layout is read in
+one ``np.frombuffer`` pass; any other line goes through ``json.loads`` and
+:meth:`SamplesMsg.from_payload`, so it gets the same batch or error code.
 
 Message shapes::
 
@@ -18,7 +18,6 @@ Message shapes::
      "angles": [[num, den], ...], "t": ...}
     {"type": "samples", "session": ..., "bits": ["0101...", ...]}
     {"type": "error", "code": ..., "detail": ...}
-    {"type": "verdict", "session": ..., "accept": ..., ...}   (opt-in only)
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ import threading
 import time
 import uuid
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -346,16 +345,6 @@ class VerdictReport:
     samples_used: int
     epsilon: float
 
-    def to_payload(self, session: str) -> dict:
-        return {
-            "type": "verdict",
-            "session": session,
-            "accept": self.accept,
-            "epsilon": self.epsilon,
-            "samples": self.samples_used,
-            "per_secret": [asdict(v) for v in self.per_secret],
-        }
-
 
 def acceptance_threshold(key: SecretKey, delta: float, samples: int) -> float:
     """Deviation allowance sqrt(2 ln(2K/delta) / T) for K secrets, T samples.
@@ -486,8 +475,6 @@ PROVER_BUILTINS = tuple(_PROVERS)
 _WORKERS = 2  # threads that serve connections, fixed for the server's life
 _QUEUED = 16  # accepted connections waiting for a worker; past this, ``capacity``
 _CHALLENGE_WAIT = 1.0  # seconds a worker waits for each next chunk of the challenge
-_VERDICT_WAIT = 2.0  # seconds a worker waits for an optional verdict (the client's judge time)
-_VERDICT_RECORDS = 1024  # newest revealed verdicts kept in ``ProverServer.verdicts``
 _TABLE_BUDGET = 64 << 20  # bytes: a larger honest sampling table is used once, not kept
 
 
@@ -502,11 +489,8 @@ class ProverServer(socketserver.TCPServer):
     sampling table of the last program it built one for, if the table fits in
     ``_TABLE_BUDGET`` bytes, so repeated rounds of one challenge skip the
     simulation.  A worker waits at most ``_CHALLENGE_WAIT`` seconds for each
-    next chunk of the challenge, so a silent client frees it quickly.  After
-    replying, it waits up to ``_VERDICT_WAIT`` seconds for an optional verdict
-    line (sent only by verifiers running with verdict reveal switched on) and
-    records its session and accept, keeping the newest ``_VERDICT_RECORDS``.
-    Both waits are capped at ``timeout``.
+    next chunk of the challenge, capped at ``timeout``, so a silent client
+    frees it quickly; it closes the connection as soon as the reply is sent.
     :meth:`start` serves from a background thread; ``serve_forever()`` from
     the calling one.  :meth:`close` closes queued connections, wakes the
     workers and joins them.
@@ -530,8 +514,7 @@ class ProverServer(socketserver.TCPServer):
         self._leaked_key = leaked_key
         self._seed = seed
         self._timeout = timeout  # not ``timeout``: BaseServer.timeout is handle_request's
-        self._lock = threading.Lock()  # verdicts, active sockets, closing
-        self.verdicts: list[dict] = []
+        self._lock = threading.Lock()  # active sockets, closing
         self._kept: tuple[IqpProgram, _SamplingTable] | None = None  # replaced whole, never mutated
         self._queue: queue.SimpleQueue = queue.SimpleQueue()
         self._active: set[socket.socket] = set()
@@ -585,7 +568,7 @@ class ProverServer(socketserver.TCPServer):
         return table, "miss"
 
     def finish_request(self, sock: socket.socket, client_address) -> None:
-        """Serve one connection: challenge in, samples or error out, then an optional verdict."""
+        """Serve one connection: challenge in, samples or error out."""
         peer = "%s:%s" % client_address[:2]
         sock.settimeout(min(_CHALLENGE_WAIT, self._timeout))  # per chunk: a long line still gets in
         try:
@@ -618,22 +601,6 @@ class ProverServer(socketserver.TCPServer):
             "connection %s: served %d samples (n=%d d=%s table=%s)",
             peer, len(reply.batch), challenge.n, table.d if table else "-", found,
         )
-        sock.settimeout(min(_VERDICT_WAIT, self._timeout))
-        try:
-            payload = _decode_line(_recv_line(sock))
-        except ProtocolError as exc:
-            if exc.code == "timeout":  # a verdict sent later than this is dropped
-                log.info("connection %s: no verdict within %s s", peer, sock.gettimeout())
-            return
-        except OSError:
-            return
-        if payload.get("type") == "verdict":  # keep the session and a bool, never the line
-            accept = payload.get("accept")
-            accept = accept if isinstance(accept, bool) else None
-            with self._lock:
-                self.verdicts.append({"session": challenge.session, "accept": accept})
-                del self.verdicts[:-_VERDICT_RECORDS]
-            log.info("connection %s: verifier revealed verdict accept=%s", peer, accept)
 
     def start(self) -> "ProverServer":
         self._thread = threading.Thread(
@@ -699,15 +666,16 @@ def run_verification(
     samples: int,
     delta: float = 0.05,
     timeout: float = 30.0,
-    reveal_verdict: bool = False,
     session: str | None = None,
 ) -> VerdictReport:
     """One full verification round against a remote prover.
 
-    Sends the challenge, validates the reply shape, judges locally with the
-    union-bound threshold for ``delta``, and keeps the verdict to itself
-    unless ``reveal_verdict`` is set (a demo affordance: revealing verdicts
-    hands a cheating prover a feedback bit per round).
+    Sends the challenge and nothing else, validates the reply shape and judges
+    locally with the union-bound threshold for ``delta``.  A key reused across
+    rounds is still a linear oracle through the accept bit alone, which the
+    prover learns out of band: n rounds recovered the secret of one-secret keys
+    at n = 10, 64 and 200.  The paper's protocol issues a fresh challenge per
+    round.
     """
     _finite_positive("timeout", timeout)
     if key.n != program.n:  # a packed batch does not record its row width
@@ -715,7 +683,5 @@ def run_verification(
     challenge = ChallengeMsg.from_program(program, samples, session)
     epsilon = acceptance_threshold(key, delta, samples)
     with socket.create_connection(address, timeout=timeout) as sock:
-        report = judge(key, _exchange(sock, challenge).batch, epsilon)
-        if reveal_verdict:
-            sock.sendall(_encode(report.to_payload(challenge.session)))
-    return report
+        reply = _exchange(sock, challenge)
+    return judge(key, reply.batch, epsilon)

@@ -333,6 +333,18 @@ class TestUsageErrors:
             run_cli("keygen", "--n", 8)  # missing --out/--key-out
         assert err.value.code == 2
 
+    def test_reveal_verdict_is_not_an_option(self, capsys):
+        with pytest.raises(SystemExit) as err:  # refused before any file is read
+            run_cli(
+                "verify", "--address", "127.0.0.1:9", "--program", "c.iqp", "--key", "c.iqpkey",
+                "--samples", 10, "--reveal-verdict",
+            )
+        assert err.value.code == 2
+        with pytest.raises(SystemExit) as err:
+            run_cli("verify", "--help")
+        assert err.value.code == 0
+        assert "reveal" not in capsys.readouterr().out
+
     def test_missing_file_is_runtime_error(self, tmp_path):
         assert run_cli("eval", "--program", tmp_path / "nope.iqp", "--secret", "1") == 3
 

@@ -65,8 +65,8 @@ class TestRandomEnsembles:
             random_program(4, 3, "bogus", np.random.default_rng(0))
 
     def test_rng_is_required(self):
-        with pytest.raises(ValidationError):
-            random_program(4, 3)
+        with pytest.raises(TypeError):
+            random_program(4, 3, "pi8")
 
     def test_two_local_rows(self):
         p = random_2local(6, np.random.default_rng(1))

@@ -282,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bind", default="127.0.0.1:0", help="host:port (port 0 = any)")
     p.add_argument("--prover", choices=PROVER_BUILTINS, default="honest")
     p.add_argument("--leak-key", default=None, help="key file for the leak prover")
-    p.add_argument("--timeout", type=float, default=30.0)
+    p.add_argument("--timeout", type=float, default=30.0, help="seconds to read a whole challenge")
     _add_seed(p)
     p.set_defaults(fn=_cmd_serve)
 
@@ -292,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--key", required=True)
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--delta", type=float, default=0.05)
-    p.add_argument("--timeout", type=float, default=30.0)
+    p.add_argument("--timeout", type=float, default=30.0, help="seconds until the reply is whole")
     p.set_defaults(fn=_cmd_verify)
 
     _add_experiment(
@@ -338,7 +338,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (IqpError, OSError) as exc:
+    except (IqpError, OSError, MemoryError) as exc:  # a count too large to allocate included
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

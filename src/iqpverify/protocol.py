@@ -1,15 +1,19 @@
 """Single-round verification over TCP.
 
-One exchange per connection, newline-delimited JSON.  The verifier connects,
-sends a challenge (matrix rows, angles, sample count), reads back sample bit
-strings and judges them locally against its secret key.  No secret string,
-expected value or verdict ever goes on the wire: the verifier sends one
-challenge line, and the prover closes the connection after its reply.  A
-challenge is one :class:`IqpProgram` on both sides: written from it,
-validated and built once when read.  A reply is one packed batch on both
-sides (:mod:`iqpverify.bitlin`): written straight from it, packed once when
-read.  A reply line in :meth:`SamplesMsg.encode`'s exact layout is read in
-one ``np.frombuffer`` pass; any other line goes through ``json.loads`` and
+One exchange per connection, newline-delimited JSON.  The verifier
+(:func:`run_verification`, which is :func:`request` then :func:`judge`)
+connects, sends a challenge (matrix rows, angles, sample count), reads back
+sample bit strings and judges them locally against its secret key.  No secret
+string, expected value or verdict ever goes on the wire: the verifier sends
+one challenge line, and the prover closes the connection after its reply.
+Each side's ``timeout`` bounds the whole line it reads, not each chunk: the
+prover's the challenge, the verifier's the reply (counted from before it
+connects), so a large reply over a slow link needs a larger one.  A challenge
+is one :class:`IqpProgram` on both sides: written from it, validated and built
+once when read.  A reply is one packed batch on both sides
+(:mod:`iqpverify.bitlin`): written straight from it, packed once when read.  A
+reply line in :meth:`SamplesMsg.encode`'s exact layout is read in one
+``np.frombuffer`` pass; any other line goes through ``json.loads`` and
 :meth:`SamplesMsg.from_payload`, so it gets the same batch or error code.
 
 Message shapes::
@@ -105,19 +109,18 @@ def _encode(payload: dict) -> bytes:
     return json.dumps(payload, separators=(",", ":")).encode("ascii") + b"\n"
 
 
-def _recv_line(sock: socket.socket, deadline: float | None = None) -> bytes:
-    """Read one newline-terminated line, whole by ``deadline`` (``time.monotonic()``) if given.
+def _recv_line(sock: socket.socket, deadline: float) -> bytes:
+    """Read one newline-terminated line, whole by ``deadline`` (``time.monotonic()``).
 
-    Bytes past the newline are ignored; each recv waits at most the socket's timeout.
+    Bytes past the newline are ignored; each recv also waits at most the socket's timeout.
     """
     buf = bytearray()
-    wait = sock.gettimeout() if deadline is not None else None
+    wait = sock.gettimeout()
     while True:
         try:
-            if deadline is not None:
-                if (left := deadline - time.monotonic()) <= 0:
-                    raise TimeoutError
-                sock.settimeout(min(wait, left))
+            if (left := deadline - time.monotonic()) <= 0:
+                raise TimeoutError
+            sock.settimeout(min(wait, left))
             chunk = sock.recv(_RECV_CHUNK)
         except TimeoutError:
             raise ProtocolError("timeout", "peer sent no complete line in time")
@@ -631,9 +634,9 @@ class ProverServer(socketserver.TCPServer):
         self.close()
 
 
-def _exchange(sock: socket.socket, challenge: ChallengeMsg) -> SamplesMsg:
+def _exchange(sock: socket.socket, challenge: ChallengeMsg, deadline: float) -> SamplesMsg:
     sock.sendall(challenge.encode())
-    line = _recv_line(sock)
+    line = _recv_line(sock, deadline)
     batch = _read_encoded_reply(line, challenge)
     if batch is not None:
         return SamplesMsg(challenge.session, challenge.n, batch)
@@ -652,11 +655,12 @@ def request(
     timeout: float = 30.0,
     session: str | None = None,
 ) -> SamplesMsg:
-    """Fetch one batch of samples for ``program`` from a remote prover."""
+    """Fetch one batch of samples for ``program``, its whole reply line within ``timeout``."""
     _finite_positive("timeout", timeout)
     challenge = ChallengeMsg.from_program(program, samples, session)
+    deadline = time.monotonic() + timeout
     with socket.create_connection(address, timeout=timeout) as sock:
-        return _exchange(sock, challenge)
+        return _exchange(sock, challenge, deadline)
 
 
 def run_verification(
@@ -668,7 +672,7 @@ def run_verification(
     timeout: float = 30.0,
     session: str | None = None,
 ) -> VerdictReport:
-    """One full verification round against a remote prover.
+    """One full verification round against a remote prover: :func:`request`, then :func:`judge`.
 
     Sends the challenge and nothing else, validates the reply shape and judges
     locally with the union-bound threshold for ``delta``.  A key reused across
@@ -677,11 +681,7 @@ def run_verification(
     at n = 10, 64 and 200.  The paper's protocol issues a fresh challenge per
     round.
     """
-    _finite_positive("timeout", timeout)
     if key.n != program.n:  # a packed batch does not record its row width
         raise ValidationError(f"program n={program.n} != key n={key.n}")
-    challenge = ChallengeMsg.from_program(program, samples, session)
     epsilon = acceptance_threshold(key, delta, samples)
-    with socket.create_connection(address, timeout=timeout) as sock:
-        reply = _exchange(sock, challenge)
-    return judge(key, reply.batch, epsilon)
+    return judge(key, request(address, program, samples, timeout, session).batch, epsilon)

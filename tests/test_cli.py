@@ -18,8 +18,9 @@ from iqpverify.experiments import (
     exp_parseval,
 )
 from iqpverify.model import parse_key, parse_program
-from iqpverify.protocol import PROVER_BUILTINS, ProverServer
+from iqpverify.protocol import PROVER_BUILTINS, ProverServer, _reply_head
 from report_reader import parse_report
+from test_protocol import serve_one_reply
 
 
 def run_cli(*args):
@@ -201,6 +202,23 @@ class TestVerify:
             "--samples", 2952, "--timeout", 2,
         )
         assert code == 3
+
+    def test_trickled_reply_exits_3_at_the_timeout(self, challenge_files, capsys):
+        # one byte of a reply every 0.2 s, never a newline
+        prog, key = challenge_files
+        (host, port), thread = serve_one_reply(_reply_head("s"), gap=0.2)
+        start = time.monotonic()
+        code = run_cli(
+            "verify",
+            "--address", f"{host}:{port}",
+            "--program", prog, "--key", key,
+            "--samples", 600, "--timeout", 1,
+        )
+        elapsed = time.monotonic() - start
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+        assert code == 3 and 0.9 < elapsed < 2.5
+        assert capsys.readouterr().err == "error: timeout: peer sent no complete line in time\n"
 
     def test_key_wider_than_program_is_rejected(self, challenge_files, tmp_path):
         prog, _ = challenge_files
@@ -401,6 +419,18 @@ class TestRefusedSettings:
         assert run_cli("eval", *args, "--delta", delta) == 3
         out, err = capsys.readouterr()
         assert out == "" and err == f"error: delta {float(delta)!r} outside (0, 1)\n"
+
+    @pytest.mark.parametrize(
+        "command, args",
+        [("sample", ["--count"]), ("eval", ["--key", "{key}", "--backend", "mc", "--samples"])],
+    )
+    def test_count_too_large_to_allocate_exits_3(self, command, args, challenge_files, capsys):
+        # 2**45 draws: 256 TiB, past any address space, so numpy refuses before touching memory
+        prog, key = challenge_files
+        args = [a.format(key=key) for a in args]
+        assert run_cli(command, "--program", prog, *args, 2**45, "--seed", 1) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: Unable to allocate") and err.count("\n") == 1
 
     @pytest.mark.parametrize("timeout", ["-1", "0", "nan", "inf"])
     def test_timeout_not_finite_positive_exits_3(self, timeout, challenge_files, capsys, monkeypatch):

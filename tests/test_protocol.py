@@ -1,5 +1,6 @@
 """Wire codec, judging rules, provers, and live loopback exchanges."""
 
+import contextlib
 import hashlib
 import json
 import logging
@@ -117,6 +118,12 @@ class FakeSock:
     def __init__(self, chunks):
         self._chunks = iter(chunks)
 
+    def gettimeout(self):
+        return 5.0
+
+    def settimeout(self, timeout):
+        pass
+
     def recv(self, size):
         return next(self._chunks, b"")
 
@@ -124,16 +131,27 @@ class FakeSock:
         pass
 
 
-def serve_one_reply(reply):
-    """A one-shot loopback prover that answers the first challenge line with ``reply``."""
+def serve_one_reply(reply, gap=None):
+    """A one-shot loopback prover that answers the first challenge line with ``reply``.
+
+    With ``gap``, it sends the reply one byte every ``gap`` seconds and stops
+    early once the verifier hangs up.
+    """
     listener = socket.create_server(("127.0.0.1", 0))
 
     def serve():
         with listener:
             conn, _ = listener.accept()
             with conn:
-                _recv_line(conn)
-                conn.sendall(reply)
+                conn.settimeout(5)
+                _recv_line(conn, time.monotonic() + 5)
+                if gap is None:
+                    conn.sendall(reply)
+                    return
+                with contextlib.suppress(OSError):  # the verifier hung up
+                    for k in range(len(reply)):
+                        conn.sendall(reply[k : k + 1])
+                        time.sleep(gap)
 
     thread = threading.Thread(target=serve, daemon=True)
     thread.start()
@@ -144,7 +162,7 @@ def ask_server(server, line):
     """Send one raw line to a running server and return its decoded reply."""
     with socket.create_connection(server.address, timeout=5) as sock:
         sock.sendall(line)
-        return json.loads(_recv_line(sock))
+        return json.loads(_recv_line(sock, time.monotonic() + 5))
 
 
 def json_outcome(line, challenge):
@@ -158,7 +176,8 @@ def json_outcome(line, challenge):
 def exchange_outcome(line, challenge):
     """The same for what the verifier's exchange makes of the line."""
     try:
-        return protocol._exchange(FakeSock([line + b"\n"]), challenge).batch.tobytes()
+        sock = FakeSock([line + b"\n"])
+        return protocol._exchange(sock, challenge, time.monotonic() + 5).batch.tobytes()
     except ProtocolError as exc:
         return exc.code, exc.detail
 
@@ -269,7 +288,7 @@ class TestCodec:
             line = json.dumps(challenge_payload(t=at_bound + 1)).encode() + b"\n"
             with socket.create_connection(server.address, timeout=5) as sock:
                 sock.sendall(line)
-                reply = json.loads(_recv_line(sock))
+                reply = json.loads(_recv_line(sock, time.monotonic() + 5))
         assert reply["code"] == "capacity"
 
     def test_angle_denominator_checked(self):
@@ -454,24 +473,24 @@ class TestCodec:
 
 class TestRecvLine:
     def test_reassembles_chunks(self):
-        line = _recv_line(FakeSock([b"hel", b"lo wor", b"ld\nextra"]))
+        line = _recv_line(FakeSock([b"hel", b"lo wor", b"ld\nextra"]), time.monotonic() + 5)
         assert line == b"hello world"
 
     def test_eof_before_newline(self):
         with pytest.raises(ProtocolError) as err:
-            _recv_line(FakeSock([b"partial"]))
+            _recv_line(FakeSock([b"partial"]), time.monotonic() + 5)
         assert err.value.code == "closed"
 
     def test_eof_before_data(self):
         with pytest.raises(ProtocolError) as err:
-            _recv_line(FakeSock([]))
+            _recv_line(FakeSock([]), time.monotonic() + 5)
         assert err.value.code == "closed"
 
     def test_oversize_line(self):
         chunk = b"x" * (1 << 20)
         chunks = [chunk] * (MAX_MESSAGE_BYTES // len(chunk) + 2)
         with pytest.raises(ProtocolError) as err:
-            _recv_line(FakeSock(chunks))
+            _recv_line(FakeSock(chunks), time.monotonic() + 5)
         assert err.value.code == "too-large"
 
 
@@ -745,7 +764,7 @@ class TestLoopback:
         with ProverServer(seed=0) as server:
             with socket.create_connection(server.address, timeout=5) as sock:
                 sock.sendall(line)
-                reply = json.loads(_recv_line(sock))
+                reply = json.loads(_recv_line(sock, time.monotonic() + 5))
         assert reply["type"] == "error"
         assert reply["code"] == "capacity"
 
@@ -753,7 +772,7 @@ class TestLoopback:
         with ProverServer(seed=0) as server:
             with socket.create_connection(server.address, timeout=5) as sock:
                 sock.sendall(b"this is not json\n")
-                reply = json.loads(_recv_line(sock))
+                reply = json.loads(_recv_line(sock, time.monotonic() + 5))
         assert reply["type"] == "error"
         assert reply["code"] == "bad-json"
 
@@ -771,6 +790,24 @@ class TestLoopback:
         thread.join(timeout=5)
         assert err.value.code == "bad-json"
 
+    @pytest.mark.parametrize("call", ["request", "run_verification"])
+    def test_trickled_reply_gets_the_timeout_at_the_total_deadline(self, call):
+        # the head of a reply, one byte every 0.2 s and no newline: every recv returns
+        # well inside the timeout, but the line is not whole by it
+        address, thread = serve_one_reply(protocol._reply_head("s"), gap=0.2)
+        key = SecretKey((BitVector(5, 1),), (0.5,))
+        start = time.monotonic()
+        with pytest.raises(ProtocolError) as err:
+            if call == "request":
+                request(address, small_program(), 10, timeout=1.0, session="s")
+            else:
+                run_verification(address, small_program(), key, 2000, timeout=1.0, session="s")
+        elapsed = time.monotonic() - start
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+        assert err.value.code == "timeout"
+        assert 0.9 < elapsed < 2.5
+
     def test_deep_nesting_gets_bad_json_reply(self):
         with ProverServer(seed=0) as server:
             reply = ask_server(server, b"[" * 100_000 + b"\n")
@@ -787,7 +824,7 @@ class TestLoopback:
         with ProverServer(seed=0) as server:
             with socket.create_connection(server.address, timeout=5) as sock:
                 sock.sendall(b'{"type": "samples", "session": "x", "bits": ["1"]}\n')
-                reply = json.loads(_recv_line(sock))
+                reply = json.loads(_recv_line(sock, time.monotonic() + 5))
         assert reply["code"] == "bad-type"
 
     @pytest.mark.parametrize("program_n, key_n", [(10, 12), (12, 10)])
@@ -1009,7 +1046,8 @@ class TestServerPool:
                         request(server.address, program, 10, timeout=10)
                     assert err.value.code == "capacity"
                     held.sendall(first.encode())
-                    replies = [json.loads(_recv_line(sock)) for sock in (held, queued)]
+                    deadline = time.monotonic() + 5
+                    replies = [json.loads(_recv_line(sock, deadline)) for sock in (held, queued)]
         assert [(r["type"], r["session"]) for r in replies] == [
             ("samples", "first"),
             ("samples", "second"),
@@ -1044,7 +1082,7 @@ class TestServerPool:
                 msg = request(server.address, program, 10, timeout=5)
                 assert time.monotonic() - start < 3
                 for sock in silent:  # each got the timeout error line, then was closed
-                    assert json.loads(_recv_line(sock))["code"] == "timeout"
+                    assert json.loads(_recv_line(sock, time.monotonic() + 5))["code"] == "timeout"
                     assert sock.recv(1) == b""
             finally:
                 for sock in silent:
@@ -1060,7 +1098,7 @@ class TestServerPool:
                 for k in range(0, len(line), len(line) // 4 + 1):  # longer in all than one wait
                     sock.sendall(line[k : k + len(line) // 4 + 1])
                     time.sleep(0.15)
-                reply = json.loads(_recv_line(sock))
+                reply = json.loads(_recv_line(sock, time.monotonic() + 5))
         assert (reply["type"], reply["session"]) == ("samples", "slow")
 
     def test_trickled_challenge_gets_the_timeout_at_the_total_deadline(self, monkeypatch):
@@ -1074,7 +1112,7 @@ class TestServerPool:
                     sock.sendall(bytes([byte]))
                     if select.select([sock], [], [], 0.2)[0]:  # the reply, at the deadline
                         break
-                reply = json.loads(_recv_line(sock))
+                reply = json.loads(_recv_line(sock, time.monotonic() + 5))
                 elapsed = time.monotonic() - start
         assert reply["code"] == "timeout"
         assert 0.9 < elapsed < 2.5
@@ -1086,7 +1124,7 @@ class TestServerPool:
             with socket.create_connection(server.address, timeout=10) as sock:
                 sock.sendall(challenge.encode())
                 time.sleep(0.6)  # ~20 MB: the server's sendall blocks past the challenge wait
-                line = _recv_line(sock)
+                line = _recv_line(sock, time.monotonic() + 10)
         assert line + b"\n" == prover_honest(challenge, server_rng(4, "big")).encode()
 
     def test_client_left_open_reads_eof_after_its_reply(self, monkeypatch):
@@ -1096,7 +1134,7 @@ class TestServerPool:
         with ProverServer(seed=0, timeout=30) as server:
             with socket.create_connection(server.address, timeout=5) as held:
                 held.sendall(challenge.encode())
-                _recv_line(held)  # the reply; the client sends nothing more and stays connected
+                _recv_line(held, time.monotonic() + 5)  # the reply; it stays connected, silent
                 start = time.monotonic()
                 assert held.recv(1) == b""  # closed by the worker, not by a wait running out
                 msg = request(server.address, program, 10, timeout=5)  # the one worker is free
@@ -1113,7 +1151,7 @@ class TestServerPool:
         with ProverServer(seed=2, timeout=30) as server:
             with socket.create_connection(server.address, timeout=5) as sock:
                 sock.sendall(challenge.encode())
-                _recv_line(sock)
+                _recv_line(sock, time.monotonic() + 5)
                 try:  # the worker may have closed its end already
                     sock.sendall(_encode(verdict))
                 except OSError:

@@ -18,7 +18,6 @@ ALLOWED = {
     "nullspace_basis": "the reference that padding rows are the XORs of, for the attack suite",
     "mc_sample_count": "the Hoeffding sample budget that the benchmark and acceptance tests use",
     "prover_honest": "the one-shot honest prover that the pooled server's replies must equal",
-    "request": "the public client call: one batch of samples from a remote prover",
 }
 
 

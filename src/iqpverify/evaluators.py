@@ -149,6 +149,12 @@ def _check_cap(d: int) -> None:
         raise CapacityError(f"dimension {d} exceeds dense cap {STATEVECTOR_CAP}")
 
 
+def _check_draws(count: int) -> None:
+    """Refuse, before any draw, a count of 8-byte draws past the largest array numpy describes."""
+    if count > np.iinfo(np.intp).max // 8:
+        raise CapacityError(f"{count} draws exceed the largest array numpy can hold")
+
+
 def _phase_table(rows: Sequence[int], angles, n: int) -> np.ndarray:
     """sum_j theta_j (-1)^(chi_j . x) at every x: one transform of the row angles."""
     _check_cap(n)
@@ -240,6 +246,7 @@ def correlation_diagonal(
         return CorrelationResult(value, Backend.DIAGONAL_EXACT, reduced_dim=d)
     _check_secret(program, s)
     radius = _hoeffding_radius(samples, delta)  # refused before the rng draws
+    _check_draws(samples)
     if rng is None:
         raise ValidationError("monte-carlo mode needs an explicit rng")
     omega = np.zeros(samples, dtype=np.float64)
@@ -417,20 +424,26 @@ def _sampling_table(program: IqpProgram) -> _SamplingTable:
     return _SamplingTable(cumulative, xors)
 
 
-def _draw(table: _SamplingTable, count: int, rng: np.random.Generator) -> np.ndarray:
-    """A packed batch of ``count`` outputs x = y . B, y drawn from the table by ``rng.random``."""
+def _picks(table: _SamplingTable, count: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` reduced outputs y < 2**d, drawn from the table by ``rng.random``, as uint64."""
     draws = rng.random(count)
     order = np.argsort(draws)  # sorted keys: the binary searches stop mispredicting
     ys = np.empty_like(order)
     ys[order] = np.searchsorted(table.cumulative, draws[order], side="right")
     np.minimum(ys, len(table.cumulative) - 1, out=ys)  # a draw past the last running sum
-    return combine_rows(ys.view(np.uint64)[:, None], table.xors)  # ys < 2**24: one word
+    return ys.view(np.uint64)
+
+
+def _draw(table: _SamplingTable, count: int, rng: np.random.Generator) -> np.ndarray:
+    """A packed batch of ``count`` outputs x = y . B, y drawn by :func:`_picks`."""
+    return combine_rows(_picks(table, count, rng)[:, None], table.xors)  # ys < 2**24: one word
 
 
 def sample_outputs(program: IqpProgram, count: int, rng: np.random.Generator) -> np.ndarray:
     """A packed batch of outputs x = y . B, y drawn from the reduced rows' table."""
     if count < 1:
         raise ValidationError(f"sample count must be positive, got {count}")
+    _check_draws(count)
     return _draw(_sampling_table(program), count, rng)
 
 

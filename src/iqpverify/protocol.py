@@ -28,16 +28,19 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import itertools
 import json
 import logging
 import queue
 import socket
 import socketserver
+import sys
 import threading
 import time
 import uuid
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,7 +52,6 @@ from .bitlin import (
     pack_rows,
     random_rows,
     row_parities,
-    to01,
     unpack_bits,
     words_per_row,
 )
@@ -58,6 +60,7 @@ from .evaluators import (
     _draw,
     _finite_positive,
     _hoeffding_radius,
+    _picks,
     _sampling_table,
     _SamplingTable,
 )
@@ -86,6 +89,7 @@ MAX_MESSAGE_BYTES = 64 * 1024 * 1024
 _RECV_CHUNK = 1 << 16
 _UNIFORM_DRAW = 1 << 16  # table entries per rng call in prover_uniform
 _GAP = np.frombuffer(b'","', np.uint8)  # closes one sample of a reply line, opens the next
+_GAP_AT = np.arange(len(_GAP))  # its columns as an index array: a list would be converted per call
 
 
 def _reply_head(session: str) -> bytes:
@@ -155,6 +159,24 @@ def _require_session(payload: dict) -> str:
     return session
 
 
+def _challenge_session(payload: dict) -> str:
+    """A challenge's first checks, "type" then "session"; its program's come next."""
+    if payload.get("type") != "challenge":
+        raise ProtocolError("bad-type", f"expected challenge, got {payload.get('type')!r}")
+    return _require_session(payload)
+
+
+def _challenge_count(payload: dict, n: int, session: str) -> int:
+    """A challenge's last check, "t": a positive count whose reply fits the line limit."""
+    t = payload.get("t")
+    if not isinstance(t, int) or isinstance(t, bool) or t < 1:
+        raise ProtocolError("bad-count", "t must be a positive integer")
+    limit = _max_samples(n, session)
+    if t > limit:
+        raise ProtocolError("capacity", f"t={t} at n={n} exceeds the reply limit of {limit}")
+    return t
+
+
 @dataclass(frozen=True)
 class ChallengeMsg:
     """Verifier-to-prover challenge: the program plus a sample count."""
@@ -184,9 +206,7 @@ class ChallengeMsg:
     @classmethod
     def from_payload(cls, payload: dict) -> "ChallengeMsg":
         """Validate a decoded challenge and build its program from row ints, each angle once."""
-        if payload.get("type") != "challenge":
-            raise ProtocolError("bad-type", f"expected challenge, got {payload.get('type')!r}")
-        session = _require_session(payload)
+        session = _challenge_session(payload)
         n = payload.get("n")
         if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             raise ProtocolError("bad-n", "n must be a positive integer")
@@ -221,28 +241,19 @@ class ChallengeMsg:
                 except ValidationError as exc:
                     raise ProtocolError("bad-angle", str(exc))
             thetas.append(theta)
-        t = payload.get("t")
-        if not isinstance(t, int) or isinstance(t, bool) or t < 1:
-            raise ProtocolError("bad-count", "t must be a positive integer")
-        limit = _max_samples(n, session)
-        if t > limit:
-            raise ProtocolError(
-                "capacity", f"t={t} at n={n} exceeds the reply limit of {limit}"
-            )
+        t = _challenge_count(payload, n, session)
         return cls(session, IqpProgram(BitMatrix.from_ints(chi, n), tuple(thetas)), t)
 
     def to_payload(self) -> dict:
-        return {
-            "type": "challenge",
-            "session": self.session,
-            "n": self.n,
-            "rows": [to01(row, self.n) for row in self.program.chi.ints],
-            "angles": [[a.num, a.den] for a in self.program.angles],
-            "t": self.samples_requested,
-        }
+        """The line's JSON values, decoded afresh on each call."""
+        return json.loads(self.encode())
 
     def encode(self) -> bytes:
-        return _encode(self.to_payload())
+        """The challenge line: the program's members, written once per program, then "t"."""
+        session, t = (json.dumps(v).encode("ascii") for v in (self.session, self.samples_requested))
+        return b'{"type":"challenge","session":%b,%b,"t":%b}\n' % (
+            session, self.program.challenge_fields, t
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -286,16 +297,27 @@ class SamplesMsg:
         return cls(session, challenge.n, batch)
 
     def encode(self) -> bytes:
-        """The reply line: head, a T x (n+3) byte table of "bits", rows and tail, in one buffer."""
-        head, (t, n) = _reply_head(self.session), (len(self.batch), self.n)
-        line = np.empty(len(head) + max(t * (n + 3), 1) + 2, dtype=np.uint8)  # t=0: "[]}"
-        line[: len(head)] = np.frombuffer(head, np.uint8)
-        table = line[len(head) : len(head) + t * (n + 3)].reshape(t, n + 3)
-        table[:, 0] = table[:, -2] = ord('"')
-        table[:, -1] = ord(",")
-        np.add(unpack_bits(self.batch, n), ord("0"), out=table[:, 1:-2])
-        line[-3:] = np.frombuffer(b"]}\n", np.uint8)  # over the last sample's comma
-        return line.tobytes()
+        """The reply line, its sample rows written from the unpacked batch."""
+
+        def fill(table: np.ndarray) -> None:
+            table[:, 0] = table[:, -2] = ord('"')
+            table[:, -1] = ord(",")
+            np.add(unpack_bits(self.batch, self.n), ord("0"), out=table[:, 1:-2])
+
+        return _reply_line(self.session, len(self.batch), self.n, fill)
+
+
+def _reply_line(session: str, t: int, n: int, fill) -> bytes:
+    """A reply line in one buffer: head, the T x (n+3) byte table of '"bits",' rows, "]}\\n".
+
+    ``fill`` writes the table; the tail then goes over the last sample's comma.
+    """
+    head = _reply_head(session)
+    line = np.empty(len(head) + max(t * (n + 3), 1) + 2, dtype=np.uint8)  # t=0: "[]}"
+    line[: len(head)] = np.frombuffer(head, np.uint8)
+    fill(line[len(head) : len(head) + t * (n + 3)].reshape(t, n + 3))
+    line[-3:] = np.frombuffer(b"]}\n", np.uint8)
+    return line.tobytes()
 
 
 def _read_encoded_reply(line: bytes, challenge: ChallengeMsg) -> np.ndarray | None:
@@ -314,7 +336,7 @@ def _read_encoded_reply(line: bytes, challenge: ChallengeMsg) -> np.ndarray | No
     # the body: one '"bits",' row per sample, "]" for the last comma
     body = np.frombuffer(line, np.uint8, t * (n + 3), len(head))
     # '","' from each sample to the next, gathered: a copy compares faster than the strided view
-    gaps = body[n + 1 : -2].reshape(t - 1, n + 3)[:, [0, 1, 2]]
+    gaps = body[n + 1 : -2].reshape(t - 1, n + 3)[:, _GAP_AT]
     if not (gaps == _GAP).all():
         return None
     try:
@@ -374,7 +396,8 @@ def judge(key: SecretKey, samples: np.ndarray, epsilon: float) -> VerdictReport:
     ``samples`` is a packed batch of key.n-bit rows (see
     :func:`iqpverify.bitlin.pack_rows`).  For each secret s the observed value
     is the sample mean of (-1)^(s.x); the batch is accepted only if every
-    secret's deviation from its expected value is at most ``epsilon``.
+    secret's deviation from its expected value is at most ``epsilon``.  The
+    key's width mask and secrets are packed once per key (``key.packed``).
     """
     if len(samples) == 0:
         raise ValidationError("cannot judge an empty batch")
@@ -382,12 +405,14 @@ def judge(key: SecretKey, samples: np.ndarray, epsilon: float) -> VerdictReport:
     n = key.n
     if samples.dtype != np.uint64 or samples.shape[1:] != (words_per_row(n),):
         raise ValidationError(f"batch of shape {samples.shape} does not hold {n}-bit rows")
-    if np.any(samples & ~pack_ints([(1 << n) - 1], n)):
+    mask, secrets = key.packed
+    if (samples > mask).any():  # each mask word is 2**k - 1: a word above it has a bit past n
         raise ValidationError(f"sample bits set above key n={n}")
     total = len(samples)
     verdicts = []
-    for s, expected in zip(key.secrets, key.expected):
-        agree = total - int(row_parities(samples, s).sum())
+    for words, expected in zip(secrets, key.expected):
+        odd = np.bitwise_count(np.bitwise_xor.reduce(samples & words, axis=1)) & 1  # s.x per row
+        agree = total - int(np.count_nonzero(odd))
         observed = (2 * agree - total) / total
         deviation = abs(observed - expected)
         verdicts.append(
@@ -478,7 +503,89 @@ PROVER_BUILTINS = tuple(_PROVERS)
 _WORKERS = 2  # threads that serve connections, fixed for the server's life
 _QUEUED = 16  # accepted connections waiting for a worker; past this, ``capacity``
 _CHALLENGE_WAIT = 1.0  # seconds a worker waits for each next chunk of the challenge
-_TABLE_BUDGET = 64 << 20  # bytes: a larger honest sampling table is used once, not kept
+_TABLE_BUDGET = 64 << 20  # bytes: an honest slot holding more is used once, not kept
+
+
+class _Kept(NamedTuple):
+    """What the honest server builds for one program; its slot holds one with ``text``.
+
+    ``text`` holds the table's reply-text lookups (:func:`_reply_text`), and
+    ``values`` the "n", "rows" and "angles" JSON values of the challenge the
+    program was decoded from.  Both stay None for an entry too large to keep.
+    """
+
+    program: IqpProgram
+    table: _SamplingTable
+    text: np.ndarray | None = None
+    values: dict | None = None
+
+    def holds(self, payload: dict) -> bool:
+        """Whether a challenge's "n", "rows" and "angles" are the kept values, type for type."""
+        n, angles = payload.get("n"), payload.get("angles")
+        return (
+            type(n) is int  # True == 1 and 1.0 == 1, yet neither is an n
+            and n == self.values["n"]
+            and payload.get("rows") == self.values["rows"]  # a str equals only a str
+            and angles == self.values["angles"]
+            and set(map(type, itertools.chain.from_iterable(angles))) == {int}
+        )
+
+
+def _reply_text(xors: np.ndarray, n: int) -> np.ndarray:
+    """Reply-text lookups: row k of group g is entry k of XOR lookup g as '"bits",' text.
+
+    Every group holds its bits as 0/1 bytes in a zero frame, and group 0 also
+    the constant '"' + '0' * n + '",' row, so the XOR of one row per group is
+    one sample's text: '0' ^ 1 is '1'.
+    """
+    groups = len(xors)
+    text = np.zeros((groups, 256, n + 3), dtype=np.uint8)
+    text[:, :, 1:-2] = unpack_bits(xors.reshape(groups * 256, -1), n).reshape(groups, 256, n)
+    text[0] ^= np.frombuffer(b'"' + b"0" * n + b'",', np.uint8)
+    text.flags.writeable = False
+    return text
+
+
+def _keep(program: IqpProgram, table: _SamplingTable, payload: dict) -> _Kept:
+    """The entry of a program decoded from ``payload``, complete only if it fits the budget.
+
+    A complete entry adds the reply text and the payload's "n", "rows" and
+    "angles".  The budget counts the arrays, the text before it is built, and
+    by ``sys.getsizeof`` every object the entry holds: the program's rows and
+    angles, and the values.
+    """
+    values = {k: payload[k] for k in ("n", "rows", "angles")}
+    objects = itertools.chain(
+        (program.chi.ints, program.angles, values["rows"], values["angles"]),
+        program.chi.ints,
+        {id(a): a for a in program.angles}.values(),  # one Angle per distinct pair
+        values["rows"],
+        values["angles"],
+        itertools.chain.from_iterable(values["angles"]),
+    )
+    text_bytes = len(table.xors) * 256 * (program.n + 3)
+    if table.nbytes + text_bytes + sum(map(sys.getsizeof, objects)) > _TABLE_BUDGET:
+        return _Kept(program, table)
+    return _Kept(program, table, _reply_text(table.xors, program.n), values)
+
+
+def _honest_line(challenge: ChallengeMsg, rng: np.random.Generator, entry: _Kept) -> bytes:
+    """The honest reply line: one gather per group from kept reply text, XORed together.
+
+    An entry without text, too large to keep, writes a packed batch through
+    :meth:`SamplesMsg.encode`.
+    """
+    if entry.text is None:
+        return _honest_reply(challenge, rng, entry.table).encode()
+    picks = _picks(entry.table, challenge.samples_requested, rng)
+    octets = picks.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)  # byte g: group g
+
+    def fill(body: np.ndarray) -> None:
+        np.take(entry.text[0], octets[:, 0], axis=0, out=body, mode="clip")  # clip: no buffer
+        for g in range(1, len(entry.text)):
+            body ^= np.take(entry.text[g], octets[:, g], axis=0)
+
+    return _reply_line(challenge.session, challenge.samples_requested, challenge.n, fill)
 
 
 class ProverServer(socketserver.TCPServer):
@@ -488,12 +595,18 @@ class ProverServer(socketserver.TCPServer):
     started with the server; past ``_QUEUED`` waiting connections it answers
     ``capacity`` and closes.  Each challenge gets its own rng stream derived
     from (seed, sha256 of its session), so a fixed seed gives every session
-    the same batch regardless of arrival order.  The honest prover keeps the
-    sampling table of the last program it built one for, if the table fits in
-    ``_TABLE_BUDGET`` bytes, so repeated rounds of one challenge skip the
-    simulation.  A worker waits at most ``_CHALLENGE_WAIT`` seconds for each
-    next chunk of the challenge, capped at ``timeout``, so a silent client
-    frees it quickly; it closes the connection as soon as the reply is sent.
+    the same batch regardless of arrival order.  The honest prover keeps one
+    slot for the last program it built a sampling table for: the program, its
+    table, the table's reply-text lookups (for each group of 8 basis ints, 256
+    rows of n+3 bytes) and the challenge's "n", "rows" and "angles" JSON
+    values.  ``_TABLE_BUDGET`` bounds all of it; a larger entry is used once,
+    not kept.  A repeated round of the kept challenge skips decoding its
+    program and the simulation, and its reply is gathered from the text
+    lookups; its "type", "session" and "t" are still checked, in
+    :meth:`ChallengeMsg.from_payload`'s order.  A worker waits at most
+    ``_CHALLENGE_WAIT`` seconds for each next chunk of the challenge, capped
+    at ``timeout``, so a silent client frees it quickly; it closes the
+    connection as soon as the reply is sent.
     :meth:`start` serves from a background thread; ``serve_forever()`` from
     the calling one.  :meth:`close` closes queued connections, wakes the
     workers and joins them.
@@ -518,7 +631,7 @@ class ProverServer(socketserver.TCPServer):
         self._seed = seed
         self._timeout = timeout  # not ``timeout``: BaseServer.timeout is handle_request's
         self._lock = threading.Lock()  # active sockets, closing
-        self._kept: tuple[IqpProgram, _SamplingTable] | None = None  # replaced whole, never mutated
+        self._kept: _Kept | None = None  # replaced whole, never mutated
         self._queue: queue.SimpleQueue = queue.SimpleQueue()
         self._active: set[socket.socket] = set()
         self._closing = False
@@ -560,15 +673,24 @@ class ProverServer(socketserver.TCPServer):
                     self._active.discard(sock)
                 self.shutdown_request(sock)
 
-    def _table(self, program: IqpProgram) -> tuple[_SamplingTable, str]:
-        """The program's sampling table, and whether it was kept ("hit") or built ("miss")."""
+    def _table(self, program: IqpProgram, payload: dict) -> tuple[_Kept, str]:
+        """The entry of a program decoded from ``payload``: kept ("hit") or built ("miss")."""
         kept = self._kept  # one read: another worker may replace the slot meanwhile
-        if kept is not None and kept[0] == program:
-            return kept[1], "hit"
-        table = _honest_table(program)  # a capacity refusal leaves the slot as it was
-        if table.nbytes <= _TABLE_BUDGET:
-            self._kept = (program, table)
-        return table, "miss"
+        if kept is not None and kept.program == program:
+            return kept, "hit"
+        entry = _keep(program, _honest_table(program), payload)  # capacity leaves the slot
+        if entry.text is not None:
+            self._kept = entry
+        return entry, "miss"
+
+    def _challenge(self, payload: dict) -> ChallengeMsg:
+        """The decoded challenge; one with the kept values reuses the kept program."""
+        kept = self._kept
+        if kept is None or not kept.holds(payload):
+            return ChallengeMsg.from_payload(payload)
+        session = _challenge_session(payload)
+        t = _challenge_count(payload, kept.program.n, session)
+        return ChallengeMsg(session, kept.program, t)
 
     def finish_request(self, sock: socket.socket, client_address) -> None:
         """Serve one connection: challenge in, samples or error out."""
@@ -577,17 +699,18 @@ class ProverServer(socketserver.TCPServer):
         try:
             try:
                 line = _recv_line(sock, time.monotonic() + self._timeout)  # the whole line
-                challenge = ChallengeMsg.from_payload(_decode_line(line))
+                payload = _decode_line(line)
+                challenge = self._challenge(payload)
                 sock.settimeout(self._timeout)  # sendall's limit is for the whole reply
                 session = challenge.session.encode("utf-8", "surrogatepass")
                 tag = int.from_bytes(hashlib.sha256(session).digest(), "little")
                 rng = seeded_rng(self._seed, tag)
-                table, found = None, "-"
+                entry, found = None, "-"
                 if self._prover is None:
-                    table, found = self._table(challenge.program)
-                    reply = _honest_reply(challenge, rng, table)
+                    entry, found = self._table(challenge.program, payload)
+                    reply = _honest_line(challenge, rng, entry)
                 else:
-                    reply = self._prover(challenge, rng, self._leaked_key)
+                    reply = self._prover(challenge, rng, self._leaked_key).encode()
             except ProtocolError as exc:
                 log.info("connection %s: %s (%s)", peer, exc.code, exc.detail)
                 sock.sendall(_encode_error(exc))
@@ -596,13 +719,13 @@ class ProverServer(socketserver.TCPServer):
                 log.exception("connection %s: internal failure", peer)
                 sock.sendall(_encode_error(ProtocolError("internal", str(exc))))
                 return
-            sock.sendall(reply.encode())
+            sock.sendall(reply)
         except OSError:
             log.info("connection %s: transport dropped", peer)
             return
         log.info(
             "connection %s: served %d samples (n=%d d=%s table=%s)",
-            peer, len(reply.batch), challenge.n, table.d if table else "-", found,
+            peer, challenge.samples_requested, challenge.n, entry.table.d if entry else "-", found,
         )
 
     def start(self) -> "ProverServer":
@@ -683,5 +806,6 @@ def run_verification(
     """
     if key.n != program.n:  # a packed batch does not record its row width
         raise ValidationError(f"program n={program.n} != key n={key.n}")
+    _finite_positive("timeout", timeout)  # before the threshold can warn about the key
     epsilon = acceptance_threshold(key, delta, samples)
     return judge(key, request(address, program, samples, timeout, session).batch, epsilon)

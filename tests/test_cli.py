@@ -4,6 +4,7 @@ import signal
 import subprocess
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -432,13 +433,28 @@ class TestRefusedSettings:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: Unable to allocate") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "command, args",
+        [("sample", ["--count"]), ("eval", ["--key", "{key}", "--backend", "mc", "--samples"])],
+    )
+    def test_count_past_the_array_limit_exits_3(self, command, args, challenge_files, capsys):
+        # 2**62 draws: numpy cannot describe the array at all (ValueError, not MemoryError)
+        prog, key = challenge_files
+        args = [a.format(key=key) for a in args]
+        assert run_cli(command, "--program", prog, *args, 2**62, "--seed", 1) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {2**62} draws exceed the largest array numpy can hold\n"
+
     @pytest.mark.parametrize("timeout", ["-1", "0", "nan", "inf"])
     def test_timeout_not_finite_positive_exits_3(self, timeout, challenge_files, capsys, monkeypatch):
         monkeypatch.setattr(ProverServer, "serve_forever", lambda self: pytest.fail("served"))
         prog, key = challenge_files
         assert run_cli("serve", "--timeout", timeout) == 3
         verify = ["--address", "127.0.0.1:9", "--program", prog, "--key", key, "--samples", 10]
-        assert run_cli("verify", *verify, "--timeout", timeout) == 3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # refused before the threshold can warn
+            assert run_cli("verify", *verify, "--timeout", timeout) == 3
         out, err = capsys.readouterr()
         assert out == ""
         assert err.count(f"error: timeout {float(timeout)!r} is not a finite number > 0\n") == 2

@@ -11,20 +11,24 @@ import sys
 import threading
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iqpverify import evaluators, protocol
+from iqpverify import evaluators, model, protocol
 from iqpverify.bitlin import (
     BitMatrix,
     BitVector,
     pack_bits,
     pack_ints,
     pack_rows,
+    random_rows,
     rank,
+    row_ints,
+    row_parities,
     words_per_row,
 )
 from iqpverify.errors import CapacityError, ProtocolError, ValidationError
@@ -36,6 +40,7 @@ from iqpverify.protocol import (
     ChallengeMsg,
     ProverServer,
     SamplesMsg,
+    SecretVerdict,
     WeakSignalWarning,
     _decode_line,
     _encode,
@@ -60,6 +65,16 @@ def rank_above_cap_program(n=30):
     program = IqpProgram(BitMatrix.from_ints(rows, n), (PI_OVER_8,) * n)
     assert rank(program.chi) == n > STATEVECTOR_CAP
     return program
+
+
+def rank_d_program(n, d, seed=0):
+    """d rows with unit low parts and random bits above them, so rank d, then two repeats."""
+    rng = np.random.default_rng(seed)
+    high = row_ints(random_rows(n, d, rng))
+    rows = [(1 << i) | (h >> d << d) for i, h in enumerate(high)]
+    rows += rows[:2]
+    angles = tuple(Angle(int(k), 16) for k in rng.integers(1, 32, size=len(rows)))
+    return IqpProgram(BitMatrix.from_ints(rows, n), angles)
 
 
 def wide_program(n=5_000_000):
@@ -219,6 +234,37 @@ class TestCodec:
             back = ChallengeMsg.from_payload(_decode_line(msg.encode()))
             assert back.program == program
             assert back.encode() == msg.encode()
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 200])
+    def test_challenge_line_is_the_compact_dump_of_its_payload(self, n):
+        # the program's members are written once per program, then spliced per round
+        program = random_program(n, 2 * n + 3, "uniform-pi8", np.random.default_rng(n))
+        for session, t in (("s", 1), ('é "x\\', 2952), ("\ud800", 7)):
+            msg = ChallengeMsg.from_program(program, t, session=session)
+            payload = {
+                "type": "challenge",
+                "session": session,
+                "n": n,
+                "rows": [row.to01() for row in program.chi.rows],
+                "angles": [[a.num, a.den] for a in program.angles],
+                "t": t,
+            }
+            assert msg.encode() == json.dumps(payload, separators=(",", ":")).encode() + b"\n"
+            assert msg.to_payload() == payload
+
+    def test_program_members_are_built_once_per_program(self, monkeypatch):
+        program, other = small_program(seed=1), small_program(seed=2)
+        line = ChallengeMsg.from_program(program, 5, session="a").encode()
+
+        def refuse(*args):
+            raise AssertionError("rows written again")
+
+        monkeypatch.setattr(model, "to01", refuse)
+        again = ChallengeMsg.from_program(program, 5, session="a")
+        assert again.encode() == line
+        assert again.to_payload()["rows"] is not again.to_payload()["rows"]  # fresh values
+        with pytest.raises(AssertionError, match="rows written again"):
+            ChallengeMsg.from_program(other, 5, session="a").encode()
 
     def test_noncanonical_angles_decode_to_canonical(self):
         # angles fold mod 2 pi and reduce: 25/8, 41/8 and -7/8 are 9/8; 2/16 and 17/8 are 1/8
@@ -552,6 +598,25 @@ class TestJudging:
             with pytest.raises(ValidationError, match="above key n"):
                 judge(key, pack_ints([1 << (64 * words_per_row(n) - 1)], n), epsilon=0.1)
 
+    @pytest.mark.parametrize("n", [4, 63, 64, 65, 130])
+    def test_verdicts_are_those_of_row_parities(self, n):
+        # the key's secrets are packed once; the counts are the per-secret parities'
+        rng = np.random.default_rng(n)
+        secrets = {BitVector(n, bits) for bits in row_ints(random_rows(n, 3, rng)) if bits}
+        key = SecretKey(tuple(secrets), (0.5,) * len(secrets))
+        batch = random_rows(n, 2001, rng)
+        want = []
+        for s, expected in zip(key.secrets, key.expected):
+            observed = (2 * (2001 - int(row_parities(batch, s).sum())) - 2001) / 2001
+            deviation = abs(observed - expected)
+            want.append(SecretVerdict(expected, observed, deviation, deviation <= 0.05))
+        for _ in range(2):  # packed on the first call, read on the second
+            assert judge(key, batch, 0.05).per_secret == tuple(want)
+        mask, packed = key.packed
+        assert not mask.flags.writeable and not packed.flags.writeable
+        assert row_ints(packed) == [s.bits for s in key.secrets]
+        assert row_ints(mask) == [(1 << n) - 1]
+
     def test_threshold_value(self):
         key = self.key(expected=0.7)
         eps = acceptance_threshold(key, 0.05, 2952)
@@ -699,9 +764,11 @@ class TestLoopback:
             lambda: request(("127.0.0.1", 9), program, 10, timeout=timeout),
             lambda: run_verification(("127.0.0.1", 9), program, key, 10, timeout=timeout),
         )
-        for call in calls:
-            with pytest.raises(ValidationError, match="is not a finite number > 0"):
-                call()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the timeout is refused before the threshold can warn
+            for call in calls:
+                with pytest.raises(ValidationError, match="is not a finite number > 0"):
+                    call()
 
     def test_honest_round_accepts(self):
         program, key = build_challenge(ConstructionSpec(n=8, seed=1))
@@ -917,6 +984,94 @@ class TestServerPool:
             bare = prover_honest(challenge, server_rng(9, session))
             assert line == fresh.encode() == bare.encode()
 
+    @pytest.mark.parametrize(
+        "n, d", [(n, d) for n in (1, 8, 63, 64, 65, 130) for d in (1, 8, 9, 17) if d <= n]
+    )
+    def test_kept_reply_text_writes_the_packed_path_bytes(self, n, d):
+        program = rank_d_program(n, d, seed=n + d)
+        assert rank(program.chi) == d
+        table = _sampling_table(program)
+        kept = protocol._keep(program, table, ChallengeMsg.from_program(program, 1).to_payload())
+        assert kept.text.shape == (-(-d // 8), 256, n + 3)
+        for t in (1, 2, 2952):
+            challenge = ChallengeMsg.from_program(program, t, session=f"s{t}")
+            bare = prover_honest(challenge, np.random.default_rng(t)).encode()
+            for entry in (kept, protocol._Kept(program, table)):  # kept, and too large to keep
+                assert protocol._honest_line(challenge, np.random.default_rng(t), entry) == bare
+
+    def test_a_kept_round_leaves_every_rejection_as_on_a_fresh_server(self):
+        # decoded payloads, as a worker reads them: a tuple angle cannot come off the wire
+        with ProverServer(seed=0) as kept, ProverServer(seed=0) as fresh:
+            request(kept.address, small_program(), 10, session="abc")
+            assert kept._kept.values is not None and fresh._kept is None
+            for overrides, code, detail in CHALLENGE_REJECTIONS:
+                for server in (kept, fresh):
+                    with pytest.raises(ProtocolError) as err:
+                        server._challenge(challenge_payload(**overrides))
+                    assert (err.value.code, err.value.detail) == (code, detail)
+
+    @pytest.mark.parametrize(
+        "overrides, code, detail",
+        [
+            ({"n": True}, "bad-n", "n must be a positive integer"),
+            ({"n": 1.0}, "bad-n", "n must be a positive integer"),
+            ({"angles": [[True, 8]]}, "bad-angle", "bad angle entry [True, 8]"),
+            ({"angles": [[1, 8.0]]}, "bad-angle", "bad angle entry [1, 8.0]"),
+            ({"angles": [[1.0, 8]]}, "bad-angle", "bad angle entry [1.0, 8]"),
+        ],
+    )
+    def test_values_equal_to_the_kept_ones_but_not_ints_are_refused(self, overrides, code, detail):
+        # True == 1 and 1.0 == 1 in Python, so list equality alone would take these as kept
+        program = IqpProgram(BitMatrix.from_ints([1], 1), (PI_OVER_8,))
+        payload = ChallengeMsg.from_program(program, 10, session="s").to_payload()
+        payload.update(overrides)
+        with ProverServer(seed=0) as server:
+            request(server.address, program, 10, session="s")
+            assert all(payload[k] == server._kept.values[k] for k in ("n", "rows", "angles"))
+            reply = ask_server(server, json.dumps(payload).encode() + b"\n")
+        assert (reply["code"], reply["detail"]) == (code, detail)
+
+    def test_kept_body_with_a_new_session_and_count_gets_that_sessions_batch(
+        self, monkeypatch, caplog
+    ):
+        monkeypatch.setattr(protocol, "_WORKERS", 1)  # one worker logs in request order
+        caplog.set_level(logging.INFO, logger=protocol.__name__)
+        program = small_program(seed=2, n=7, m=9)
+        decoded = []
+        from_payload = ChallengeMsg.from_payload.__func__
+
+        def recording(cls, payload):
+            decoded.append(payload["session"])
+            return from_payload(cls, payload)
+
+        monkeypatch.setattr(ChallengeMsg, "from_payload", classmethod(recording))
+        rounds = [("first", 40), ("second", 40), ("third", 3), ("first", 2952)]
+        with ProverServer(seed=4) as server:
+            for session, t in rounds:
+                challenge = ChallengeMsg.from_program(program, t, session=session)
+                with socket.create_connection(server.address, timeout=5) as sock:
+                    sock.sendall(challenge.encode())
+                    line = _recv_line(sock, time.monotonic() + 5)
+                bare = prover_honest(challenge, server_rng(4, session)).encode()
+                assert line + b"\n" == bare
+        assert decoded == ["first"]  # later rounds reuse the kept program
+        assert [line.endswith("table=hit)") for line in served_lines(caplog)] == [
+            False, True, True, True
+        ]
+
+    def test_slot_budget_counts_the_reply_text_and_the_values(self, monkeypatch):
+        program = small_program()
+        table = _sampling_table(program)
+        payload = ChallengeMsg.from_program(program, 1).to_payload()
+        text_bytes = len(table.xors) * 256 * (program.n + 3)
+        for budget in (table.nbytes, table.nbytes + text_bytes):
+            monkeypatch.setattr(protocol, "_TABLE_BUDGET", budget)
+            assert protocol._keep(program, table, payload).text is None
+        monkeypatch.setattr(protocol, "_TABLE_BUDGET", table.nbytes + text_bytes + (1 << 16))
+        kept = protocol._keep(program, table, payload)
+        assert kept.text.nbytes == text_bytes
+        assert kept.values == {k: payload[k] for k in ("n", "rows", "angles")}
+
     def test_served_line_names_rank_and_table(self, monkeypatch, caplog):
         monkeypatch.setattr(protocol, "_WORKERS", 1)  # one worker logs in request order
         caplog.set_level(logging.INFO, logger=protocol.__name__)
@@ -936,13 +1091,14 @@ class TestServerPool:
 
     def test_one_table_kept_and_the_newest_replaces_it(self):
         programs = [small_program(seed=s, n=6, m=14) for s in range(2)]
+        payloads = [ChallengeMsg.from_program(p, 1).to_payload() for p in programs]
         server = ProverServer(seed=0)
         try:
-            found = [server._table(programs[k])[1] for k in (0, 0, 1, 1, 0)]
+            found = [server._table(programs[k], payloads[k])[1] for k in (0, 0, 1, 1, 0)]
             assert found == ["miss", "hit", "miss", "hit", "miss"]
             # an equal program decoded afresh is a hit, not only the same object
             again = IqpProgram(BitMatrix.from_ints(programs[0].chi.ints, 6), programs[0].angles)
-            assert server._table(again)[1] == "hit"
+            assert server._table(again, payloads[0])[1] == "hit"
         finally:
             server.close()
 

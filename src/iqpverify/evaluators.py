@@ -26,6 +26,7 @@ to the simulated width, and to the subspace backend's 2**d span.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Sequence
@@ -151,7 +152,7 @@ def _check_cap(d: int) -> None:
 
 def _check_draws(count: int) -> None:
     """Refuse, before any draw, a count of 8-byte draws past the largest array numpy describes."""
-    if count > np.iinfo(np.intp).max // 8:
+    if count > sys.maxsize // 8:  # numpy's sizes are Py_ssize_t, as sys.maxsize is
         raise CapacityError(f"{count} draws exceed the largest array numpy can hold")
 
 

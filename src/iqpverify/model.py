@@ -8,14 +8,12 @@ expected for each.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from functools import cached_property
 from math import gcd, pi
 
 import numpy as np
 
-from .bitlin import BitMatrix, BitVector, from01, pack_ints, to01
+from .bitlin import BitMatrix, BitVector, from01, to01
 from .errors import ParseError, ValidationError
 
 __all__ = [
@@ -99,14 +97,6 @@ class IqpProgram:
     def m(self) -> int:
         return self.chi.num_rows
 
-    @cached_property
-    def challenge_fields(self) -> bytes:
-        """The "n", "rows" and "angles" members of a challenge line, compact JSON, built once."""
-        rows = [to01(row, self.n) for row in self.chi.ints]
-        angles = [[a.num, a.den] for a in self.angles]
-        members = json.dumps({"n": self.n, "rows": rows, "angles": angles}, separators=(",", ":"))
-        return members[1:-1].encode("ascii")
-
     def uniform_angle(self) -> Angle | None:
         """The shared angle if every row uses the same one, else None."""
         if not self.angles:
@@ -148,14 +138,6 @@ class SecretKey:
     @property
     def count(self) -> int:
         return len(self.secrets)
-
-    @cached_property
-    def packed(self) -> tuple[np.ndarray, np.ndarray]:
-        """The n-bit width mask and the secrets as read-only packed rows, built once."""
-        mask = pack_ints([(1 << self.n) - 1], self.n)
-        secrets = pack_ints([s.bits for s in self.secrets], self.n)
-        mask.flags.writeable = secrets.flags.writeable = False
-        return mask, secrets
 
 
 def bias_from_correlation(value: float) -> float:

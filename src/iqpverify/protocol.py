@@ -28,13 +28,11 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
-import itertools
 import json
 import logging
 import queue
 import socket
 import socketserver
-import sys
 import threading
 import time
 import uuid
@@ -52,6 +50,7 @@ from .bitlin import (
     pack_rows,
     random_rows,
     row_parities,
+    to01,
     unpack_bits,
     words_per_row,
 )
@@ -89,7 +88,6 @@ MAX_MESSAGE_BYTES = 64 * 1024 * 1024
 _RECV_CHUNK = 1 << 16
 _UNIFORM_DRAW = 1 << 16  # table entries per rng call in prover_uniform
 _GAP = np.frombuffer(b'","', np.uint8)  # closes one sample of a reply line, opens the next
-_GAP_AT = np.arange(len(_GAP))  # its columns as an index array: a list would be converted per call
 
 
 def _reply_head(session: str) -> bytes:
@@ -245,15 +243,33 @@ class ChallengeMsg:
         return cls(session, IqpProgram(BitMatrix.from_ints(chi, n), tuple(thetas)), t)
 
     def to_payload(self) -> dict:
-        """The line's JSON values, decoded afresh on each call."""
-        return json.loads(self.encode())
+        return {
+            "type": "challenge",
+            "session": self.session,
+            "n": self.n,
+            "rows": [to01(row, self.n) for row in self.program.chi.ints],
+            "angles": [[a.num, a.den] for a in self.program.angles],
+            "t": self.samples_requested,
+        }
 
     def encode(self) -> bytes:
-        """The challenge line: the program's members, written once per program, then "t"."""
-        session, t = (json.dumps(v).encode("ascii") for v in (self.session, self.samples_requested))
-        return b'{"type":"challenge","session":%b,%b,"t":%b}\n' % (
-            session, self.program.challenge_fields, t
-        )
+        return _encode(self.to_payload())
+
+
+def _challenge_members(line: bytes, payload: dict) -> bytes | None:
+    """A challenge line's bytes between its "session" and "t" members, if laid out as encode's.
+
+    ``payload`` is the line decoded.  Two such lines with the same bytes there
+    carry the same "n", "rows" and "angles": nothing else in the line names them.
+    """
+    session, t = payload.get("session"), payload.get("t")
+    if not isinstance(session, str) or not isinstance(t, int):
+        return None
+    head = b'{"type":"challenge","session":%b,' % json.dumps(session).encode("ascii")
+    tail = b',"t":%d}' % t  # a bool t, written true or false, does not match
+    if len(line) < len(head) + len(tail) or not (line.startswith(head) and line.endswith(tail)):
+        return None
+    return line[len(head) : -len(tail)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -336,7 +352,7 @@ def _read_encoded_reply(line: bytes, challenge: ChallengeMsg) -> np.ndarray | No
     # the body: one '"bits",' row per sample, "]" for the last comma
     body = np.frombuffer(line, np.uint8, t * (n + 3), len(head))
     # '","' from each sample to the next, gathered: a copy compares faster than the strided view
-    gaps = body[n + 1 : -2].reshape(t - 1, n + 3)[:, _GAP_AT]
+    gaps = body[n + 1 : -2].reshape(t - 1, n + 3)[:, np.arange(3)]
     if not (gaps == _GAP).all():
         return None
     try:
@@ -396,8 +412,7 @@ def judge(key: SecretKey, samples: np.ndarray, epsilon: float) -> VerdictReport:
     ``samples`` is a packed batch of key.n-bit rows (see
     :func:`iqpverify.bitlin.pack_rows`).  For each secret s the observed value
     is the sample mean of (-1)^(s.x); the batch is accepted only if every
-    secret's deviation from its expected value is at most ``epsilon``.  The
-    key's width mask and secrets are packed once per key (``key.packed``).
+    secret's deviation from its expected value is at most ``epsilon``.
     """
     if len(samples) == 0:
         raise ValidationError("cannot judge an empty batch")
@@ -405,14 +420,12 @@ def judge(key: SecretKey, samples: np.ndarray, epsilon: float) -> VerdictReport:
     n = key.n
     if samples.dtype != np.uint64 or samples.shape[1:] != (words_per_row(n),):
         raise ValidationError(f"batch of shape {samples.shape} does not hold {n}-bit rows")
-    mask, secrets = key.packed
-    if (samples > mask).any():  # each mask word is 2**k - 1: a word above it has a bit past n
+    if np.any(samples & ~pack_ints([(1 << n) - 1], n)):
         raise ValidationError(f"sample bits set above key n={n}")
     total = len(samples)
     verdicts = []
-    for words, expected in zip(secrets, key.expected):
-        odd = np.bitwise_count(np.bitwise_xor.reduce(samples & words, axis=1)) & 1  # s.x per row
-        agree = total - int(np.count_nonzero(odd))
+    for s, expected in zip(key.secrets, key.expected):
+        agree = total - int(row_parities(samples, s).sum())
         observed = (2 * agree - total) / total
         deviation = abs(observed - expected)
         verdicts.append(
@@ -503,32 +516,22 @@ PROVER_BUILTINS = tuple(_PROVERS)
 _WORKERS = 2  # threads that serve connections, fixed for the server's life
 _QUEUED = 16  # accepted connections waiting for a worker; past this, ``capacity``
 _CHALLENGE_WAIT = 1.0  # seconds a worker waits for each next chunk of the challenge
-_TABLE_BUDGET = 64 << 20  # bytes: an honest slot holding more is used once, not kept
+_TABLE_BUDGET = 64 << 20  # bytes: a larger honest table is used once; the slot's extras fit in it
 
 
 class _Kept(NamedTuple):
-    """What the honest server builds for one program; its slot holds one with ``text``.
+    """The honest server's slot: one program, its sampling table and what repeats reuse.
 
-    ``text`` holds the table's reply-text lookups (:func:`_reply_text`), and
-    ``values`` the "n", "rows" and "angles" JSON values of the challenge the
-    program was decoded from.  Both stay None for an entry too large to keep.
+    ``members`` holds the bytes of the challenge line the program was decoded
+    from between its frame (:func:`_challenge_members`), and ``text`` the
+    table's reply-text lookups (:func:`_reply_text`).  Each is None unless it
+    fits ``_TABLE_BUDGET`` with the table.
     """
 
     program: IqpProgram
     table: _SamplingTable
+    members: bytes | None = None
     text: np.ndarray | None = None
-    values: dict | None = None
-
-    def holds(self, payload: dict) -> bool:
-        """Whether a challenge's "n", "rows" and "angles" are the kept values, type for type."""
-        n, angles = payload.get("n"), payload.get("angles")
-        return (
-            type(n) is int  # True == 1 and 1.0 == 1, yet neither is an n
-            and n == self.values["n"]
-            and payload.get("rows") == self.values["rows"]  # a str equals only a str
-            and angles == self.values["angles"]
-            and set(map(type, itertools.chain.from_iterable(angles))) == {int}
-        )
 
 
 def _reply_text(xors: np.ndarray, n: int) -> np.ndarray:
@@ -546,34 +549,10 @@ def _reply_text(xors: np.ndarray, n: int) -> np.ndarray:
     return text
 
 
-def _keep(program: IqpProgram, table: _SamplingTable, payload: dict) -> _Kept:
-    """The entry of a program decoded from ``payload``, complete only if it fits the budget.
-
-    A complete entry adds the reply text and the payload's "n", "rows" and
-    "angles".  The budget counts the arrays, the text before it is built, and
-    by ``sys.getsizeof`` every object the entry holds: the program's rows and
-    angles, and the values.
-    """
-    values = {k: payload[k] for k in ("n", "rows", "angles")}
-    objects = itertools.chain(
-        (program.chi.ints, program.angles, values["rows"], values["angles"]),
-        program.chi.ints,
-        {id(a): a for a in program.angles}.values(),  # one Angle per distinct pair
-        values["rows"],
-        values["angles"],
-        itertools.chain.from_iterable(values["angles"]),
-    )
-    text_bytes = len(table.xors) * 256 * (program.n + 3)
-    if table.nbytes + text_bytes + sum(map(sys.getsizeof, objects)) > _TABLE_BUDGET:
-        return _Kept(program, table)
-    return _Kept(program, table, _reply_text(table.xors, program.n), values)
-
-
 def _honest_line(challenge: ChallengeMsg, rng: np.random.Generator, entry: _Kept) -> bytes:
     """The honest reply line: one gather per group from kept reply text, XORed together.
 
-    An entry without text, too large to keep, writes a packed batch through
-    :meth:`SamplesMsg.encode`.
+    An entry without text writes a packed batch through :meth:`SamplesMsg.encode`.
     """
     if entry.text is None:
         return _honest_reply(challenge, rng, entry.table).encode()
@@ -597,12 +576,14 @@ class ProverServer(socketserver.TCPServer):
     from (seed, sha256 of its session), so a fixed seed gives every session
     the same batch regardless of arrival order.  The honest prover keeps one
     slot for the last program it built a sampling table for: the program, its
-    table, the table's reply-text lookups (for each group of 8 basis ints, 256
-    rows of n+3 bytes) and the challenge's "n", "rows" and "angles" JSON
-    values.  ``_TABLE_BUDGET`` bounds all of it; a larger entry is used once,
-    not kept.  A repeated round of the kept challenge skips decoding its
-    program and the simulation, and its reply is gathered from the text
-    lookups; its "type", "session" and "t" are still checked, in
+    table, the bytes of the challenge line between its "session" and "t"
+    members, and the table's reply-text lookups (for each group of 8 basis
+    ints, 256 rows of n+3 bytes).  ``_TABLE_BUDGET`` bounds all three: a
+    larger table is used once, not kept, and the line bytes, then the
+    lookups, are kept only if they fit with the table.  A round whose line
+    has the kept bytes skips decoding its program, a round of the kept
+    program skips the simulation, and a reply is gathered from the lookups
+    whenever they fit.  Its "type", "session" and "t" are still checked, in
     :meth:`ChallengeMsg.from_payload`'s order.  A worker waits at most
     ``_CHALLENGE_WAIT`` seconds for each next chunk of the challenge, capped
     at ``timeout``, so a silent client frees it quickly; it closes the
@@ -673,24 +654,43 @@ class ProverServer(socketserver.TCPServer):
                     self._active.discard(sock)
                 self.shutdown_request(sock)
 
-    def _table(self, program: IqpProgram, payload: dict) -> tuple[_Kept, str]:
-        """The entry of a program decoded from ``payload``: kept ("hit") or built ("miss")."""
+    def _table(self, program: IqpProgram, members: bytes | None) -> tuple[_Kept, str]:
+        """The program's entry: the kept one ("hit") or a new one ("miss").
+
+        A new entry is kept if its table fits ``_TABLE_BUDGET``; the challenge
+        line's ``members``, then the reply text, are added if they fit with it.
+        """
         kept = self._kept  # one read: another worker may replace the slot meanwhile
         if kept is not None and kept.program == program:
             return kept, "hit"
-        entry = _keep(program, _honest_table(program), payload)  # capacity leaves the slot
-        if entry.text is not None:
+        table = _honest_table(program)  # a capacity refusal leaves the slot as it was
+        room = _TABLE_BUDGET - table.nbytes  # for the line bytes, then the text
+        if members is not None and len(members) <= room:
+            room -= len(members)
+        else:
+            members = None
+        text = None
+        if len(table.xors) * 256 * (program.n + 3) <= room:
+            text = _reply_text(table.xors, program.n)
+        entry = _Kept(program, table, members, text)
+        if table.nbytes <= _TABLE_BUDGET:
             self._kept = entry
         return entry, "miss"
 
-    def _challenge(self, payload: dict) -> ChallengeMsg:
-        """The decoded challenge; one with the kept values reuses the kept program."""
+    def _challenge(self, line: bytes, payload: dict) -> tuple[ChallengeMsg, bytes | None]:
+        """The decoded challenge, and the honest prover's members of its line.
+
+        A line with the kept members reuses the kept program; its "type",
+        "session" and "t" are checked as :meth:`ChallengeMsg.from_payload`
+        checks them, in its order.
+        """
         kept = self._kept
-        if kept is None or not kept.holds(payload):
-            return ChallengeMsg.from_payload(payload)
+        members = _challenge_members(line, payload) if self._prover is None else None
+        if kept is None or members is None or members != kept.members:
+            return ChallengeMsg.from_payload(payload), members
         session = _challenge_session(payload)
         t = _challenge_count(payload, kept.program.n, session)
-        return ChallengeMsg(session, kept.program, t)
+        return ChallengeMsg(session, kept.program, t), members
 
     def finish_request(self, sock: socket.socket, client_address) -> None:
         """Serve one connection: challenge in, samples or error out."""
@@ -699,15 +699,14 @@ class ProverServer(socketserver.TCPServer):
         try:
             try:
                 line = _recv_line(sock, time.monotonic() + self._timeout)  # the whole line
-                payload = _decode_line(line)
-                challenge = self._challenge(payload)
+                challenge, members = self._challenge(line, _decode_line(line))
                 sock.settimeout(self._timeout)  # sendall's limit is for the whole reply
                 session = challenge.session.encode("utf-8", "surrogatepass")
                 tag = int.from_bytes(hashlib.sha256(session).digest(), "little")
                 rng = seeded_rng(self._seed, tag)
                 entry, found = None, "-"
                 if self._prover is None:
-                    entry, found = self._table(challenge.program, payload)
+                    entry, found = self._table(challenge.program, members)
                     reply = _honest_line(challenge, rng, entry)
                 else:
                     reply = self._prover(challenge, rng, self._leaked_key).encode()

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iqpverify import evaluators, model, protocol
+from iqpverify import evaluators, protocol
 from iqpverify.bitlin import (
     BitMatrix,
     BitVector,
@@ -28,7 +28,6 @@ from iqpverify.bitlin import (
     random_rows,
     rank,
     row_ints,
-    row_parities,
     words_per_row,
 )
 from iqpverify.errors import CapacityError, ProtocolError, ValidationError
@@ -40,8 +39,8 @@ from iqpverify.protocol import (
     ChallengeMsg,
     ProverServer,
     SamplesMsg,
-    SecretVerdict,
     WeakSignalWarning,
+    _challenge_members,
     _decode_line,
     _encode,
     _recv_line,
@@ -235,36 +234,18 @@ class TestCodec:
             assert back.program == program
             assert back.encode() == msg.encode()
 
-    @pytest.mark.parametrize("n", [1, 63, 64, 65, 200])
-    def test_challenge_line_is_the_compact_dump_of_its_payload(self, n):
-        # the program's members are written once per program, then spliced per round
-        program = random_program(n, 2 * n + 3, "uniform-pi8", np.random.default_rng(n))
-        for session, t in (("s", 1), ('é "x\\', 2952), ("\ud800", 7)):
-            msg = ChallengeMsg.from_program(program, t, session=session)
-            payload = {
-                "type": "challenge",
-                "session": session,
-                "n": n,
-                "rows": [row.to01() for row in program.chi.rows],
-                "angles": [[a.num, a.den] for a in program.angles],
-                "t": t,
-            }
-            assert msg.encode() == json.dumps(payload, separators=(",", ":")).encode() + b"\n"
-            assert msg.to_payload() == payload
-
-    def test_program_members_are_built_once_per_program(self, monkeypatch):
-        program, other = small_program(seed=1), small_program(seed=2)
-        line = ChallengeMsg.from_program(program, 5, session="a").encode()
-
-        def refuse(*args):
-            raise AssertionError("rows written again")
-
-        monkeypatch.setattr(model, "to01", refuse)
-        again = ChallengeMsg.from_program(program, 5, session="a")
-        assert again.encode() == line
-        assert again.to_payload()["rows"] is not again.to_payload()["rows"]  # fresh values
-        with pytest.raises(AssertionError, match="rows written again"):
-            ChallengeMsg.from_program(other, 5, session="a").encode()
+    def test_members_are_the_bytes_inside_the_frame_encode_writes(self):
+        msg = ChallengeMsg.from_program(small_program(), 10, session="abc")
+        line, payload = msg.encode()[:-1], msg.to_payload()
+        members = {k: payload[k] for k in ("n", "rows", "angles")}
+        assert _challenge_members(line, payload) == _encode(members)[1:-2]
+        spaced = json.dumps(json.loads(line)).encode()
+        bare = b'{"type":"challenge","session":"abc","t":10}'  # the frame's two halves overlap
+        for other in (spaced, bare):
+            assert _challenge_members(other, json.loads(other)) is None
+        for session, t in ((7, 10), ("abc", "10"), (None, 10)):  # not a str session, an int t
+            payload = {**json.loads(line), "session": session, "t": t}
+            assert _challenge_members(_encode(payload)[:-1], payload) is None
 
     def test_noncanonical_angles_decode_to_canonical(self):
         # angles fold mod 2 pi and reduce: 25/8, 41/8 and -7/8 are 9/8; 2/16 and 17/8 are 1/8
@@ -597,25 +578,6 @@ class TestJudging:
         if n % 64:  # the last padding bit of the row
             with pytest.raises(ValidationError, match="above key n"):
                 judge(key, pack_ints([1 << (64 * words_per_row(n) - 1)], n), epsilon=0.1)
-
-    @pytest.mark.parametrize("n", [4, 63, 64, 65, 130])
-    def test_verdicts_are_those_of_row_parities(self, n):
-        # the key's secrets are packed once; the counts are the per-secret parities'
-        rng = np.random.default_rng(n)
-        secrets = {BitVector(n, bits) for bits in row_ints(random_rows(n, 3, rng)) if bits}
-        key = SecretKey(tuple(secrets), (0.5,) * len(secrets))
-        batch = random_rows(n, 2001, rng)
-        want = []
-        for s, expected in zip(key.secrets, key.expected):
-            observed = (2 * (2001 - int(row_parities(batch, s).sum())) - 2001) / 2001
-            deviation = abs(observed - expected)
-            want.append(SecretVerdict(expected, observed, deviation, deviation <= 0.05))
-        for _ in range(2):  # packed on the first call, read on the second
-            assert judge(key, batch, 0.05).per_secret == tuple(want)
-        mask, packed = key.packed
-        assert not mask.flags.writeable and not packed.flags.writeable
-        assert row_ints(packed) == [s.bits for s in key.secrets]
-        assert row_ints(mask) == [(1 << n) - 1]
 
     def test_threshold_value(self):
         key = self.key(expected=0.7)
@@ -991,24 +953,31 @@ class TestServerPool:
         program = rank_d_program(n, d, seed=n + d)
         assert rank(program.chi) == d
         table = _sampling_table(program)
-        kept = protocol._keep(program, table, ChallengeMsg.from_program(program, 1).to_payload())
-        assert kept.text.shape == (-(-d // 8), 256, n + 3)
+        text = protocol._reply_text(table.xors, n)
+        assert text.shape == (-(-d // 8), 256, n + 3)
         for t in (1, 2, 2952):
             challenge = ChallengeMsg.from_program(program, t, session=f"s{t}")
             bare = prover_honest(challenge, np.random.default_rng(t)).encode()
-            for entry in (kept, protocol._Kept(program, table)):  # kept, and too large to keep
+            for entry in (protocol._Kept(program, table, text=text), protocol._Kept(program, table)):
                 assert protocol._honest_line(challenge, np.random.default_rng(t), entry) == bare
 
     def test_a_kept_round_leaves_every_rejection_as_on_a_fresh_server(self):
-        # decoded payloads, as a worker reads them: a tuple angle cannot come off the wire
         with ProverServer(seed=0) as kept, ProverServer(seed=0) as fresh:
             request(kept.address, small_program(), 10, session="abc")
-            assert kept._kept.values is not None and fresh._kept is None
+            assert kept._kept.members is not None and fresh._kept is None
+            reused = set()
             for overrides, code, detail in CHALLENGE_REJECTIONS:
+                payload = challenge_payload(**overrides)
+                line = _encode(payload)[:-1]  # laid out as request writes a challenge
+                if json.loads(line) != payload:  # a tuple angle cannot come off the wire
+                    continue
+                if _challenge_members(line, payload) == kept._kept.members:
+                    reused.add(code)
                 for server in (kept, fresh):
                     with pytest.raises(ProtocolError) as err:
-                        server._challenge(challenge_payload(**overrides))
+                        server._challenge(line, payload)
                     assert (err.value.code, err.value.detail) == (code, detail)
+        assert reused == {"bad-session", "bad-count", "capacity"}  # the kept path was taken
 
     @pytest.mark.parametrize(
         "overrides, code, detail",
@@ -1021,14 +990,16 @@ class TestServerPool:
         ],
     )
     def test_values_equal_to_the_kept_ones_but_not_ints_are_refused(self, overrides, code, detail):
-        # True == 1 and 1.0 == 1 in Python, so list equality alone would take these as kept
+        # True == 1 and 1.0 == 1 in Python, but their lines' bytes differ from the kept ones
         program = IqpProgram(BitMatrix.from_ints([1], 1), (PI_OVER_8,))
         payload = ChallengeMsg.from_program(program, 10, session="s").to_payload()
+        values = {k: payload[k] for k in ("n", "rows", "angles")}
         payload.update(overrides)
+        assert all(payload[k] == values[k] for k in values)
         with ProverServer(seed=0) as server:
             request(server.address, program, 10, session="s")
-            assert all(payload[k] == server._kept.values[k] for k in ("n", "rows", "angles"))
-            reply = ask_server(server, json.dumps(payload).encode() + b"\n")
+            assert server._kept.members is not None
+            reply = ask_server(server, _encode(payload))
         assert (reply["code"], reply["detail"]) == (code, detail)
 
     def test_kept_body_with_a_new_session_and_count_gets_that_sessions_batch(
@@ -1059,18 +1030,31 @@ class TestServerPool:
             False, True, True, True
         ]
 
-    def test_slot_budget_counts_the_reply_text_and_the_values(self, monkeypatch):
-        program = small_program()
+    @pytest.mark.parametrize("keeps", ["table", "members", "text"])
+    def test_slot_keeps_what_fits_the_budget_with_the_table(self, keeps, monkeypatch, caplog):
+        # the table is kept whenever it fits; the line bytes, then the reply text, only if
+        # they fit with it.  Each repeat is a table hit, with the bare prover's bytes
+        monkeypatch.setattr(protocol, "_WORKERS", 1)  # one worker logs in request order
+        caplog.set_level(logging.INFO, logger=protocol.__name__)
+        program = small_program(seed=2, n=7, m=9)
         table = _sampling_table(program)
-        payload = ChallengeMsg.from_program(program, 1).to_payload()
+        line = ChallengeMsg.from_program(program, 40, session="a").encode()[:-1]
+        members = _challenge_members(line, json.loads(line))
         text_bytes = len(table.xors) * 256 * (program.n + 3)
-        for budget in (table.nbytes, table.nbytes + text_bytes):
-            monkeypatch.setattr(protocol, "_TABLE_BUDGET", budget)
-            assert protocol._keep(program, table, payload).text is None
-        monkeypatch.setattr(protocol, "_TABLE_BUDGET", table.nbytes + text_bytes + (1 << 16))
-        kept = protocol._keep(program, table, payload)
-        assert kept.text.nbytes == text_bytes
-        assert kept.values == {k: payload[k] for k in ("n", "rows", "angles")}
+        room = {"table": 0, "members": len(members), "text": len(members) + text_bytes}[keeps]
+        monkeypatch.setattr(protocol, "_TABLE_BUDGET", table.nbytes + room)
+        with ProverServer(seed=4) as server:
+            for session in ("a", "b", "c"):
+                line = request(server.address, program, 40, session=session).encode()
+                challenge = ChallengeMsg.from_program(program, 40, session=session)
+                assert line == prover_honest(challenge, server_rng(4, session)).encode()
+            kept = server._kept
+        assert kept.program == program and kept.table.nbytes == table.nbytes
+        assert kept.members == (None if keeps == "table" else members)
+        assert (kept.text is not None) == (keeps == "text")
+        assert [line.rsplit("=", 1)[1] for line in served_lines(caplog)] == [
+            "miss)", "hit)", "hit)"
+        ]
 
     def test_served_line_names_rank_and_table(self, monkeypatch, caplog):
         monkeypatch.setattr(protocol, "_WORKERS", 1)  # one worker logs in request order
@@ -1091,14 +1075,13 @@ class TestServerPool:
 
     def test_one_table_kept_and_the_newest_replaces_it(self):
         programs = [small_program(seed=s, n=6, m=14) for s in range(2)]
-        payloads = [ChallengeMsg.from_program(p, 1).to_payload() for p in programs]
         server = ProverServer(seed=0)
         try:
-            found = [server._table(programs[k], payloads[k])[1] for k in (0, 0, 1, 1, 0)]
+            found = [server._table(programs[k], None)[1] for k in (0, 0, 1, 1, 0)]
             assert found == ["miss", "hit", "miss", "hit", "miss"]
             # an equal program decoded afresh is a hit, not only the same object
             again = IqpProgram(BitMatrix.from_ints(programs[0].chi.ints, 6), programs[0].angles)
-            assert server._table(again, payloads[0])[1] == "hit"
+            assert server._table(again, None)[1] == "hit"
         finally:
             server.close()
 

@@ -94,6 +94,12 @@ def _reply_head(session: str) -> bytes:
     return b'{"type":"samples","session":' + json.dumps(session).encode("ascii") + b',"bits":['
 
 
+def _challenge_frame(session: str, t: int) -> tuple[bytes, bytes]:
+    """A challenge line's bytes before its "n" member and after its "angles" member."""
+    head = b'{"type":"challenge","session":%b,' % json.dumps(session).encode("ascii")
+    return head, b',"t":%d}' % t
+
+
 def _max_samples(n: int, session: str) -> int:
     """Most n-bit samples whose reply line, head and newline included, fits the limit."""
     return (MAX_MESSAGE_BYTES - len(_reply_head(session)) - 2) // (n + 3)
@@ -242,22 +248,19 @@ class ChallengeMsg:
         t = _challenge_count(payload, n, session)
         return cls(session, IqpProgram(BitMatrix.from_ints(chi, n), tuple(thetas)), t)
 
-    def to_payload(self) -> dict:
-        return {
-            "type": "challenge",
-            "session": self.session,
+    def encode(self) -> bytes:
+        """The compact JSON line: the program's members between the frame's two halves."""
+        head, tail = _challenge_frame(self.session, self.samples_requested)
+        members = {
             "n": self.n,
             "rows": [to01(row, self.n) for row in self.program.chi.ints],
             "angles": [[a.num, a.den] for a in self.program.angles],
-            "t": self.samples_requested,
         }
-
-    def encode(self) -> bytes:
-        return _encode(self.to_payload())
+        return head + _encode(members)[1:-2] + tail + b"\n"  # the members without "{" and "}\n"
 
 
 def _challenge_members(line: bytes, payload: dict) -> bytes | None:
-    """A challenge line's bytes between its "session" and "t" members, if laid out as encode's.
+    """A challenge line's bytes inside its frame, if laid out as encode's.
 
     ``payload`` is the line decoded.  Two such lines with the same bytes there
     carry the same "n", "rows" and "angles": nothing else in the line names them.
@@ -265,8 +268,7 @@ def _challenge_members(line: bytes, payload: dict) -> bytes | None:
     session, t = payload.get("session"), payload.get("t")
     if not isinstance(session, str) or not isinstance(t, int):
         return None
-    head = b'{"type":"challenge","session":%b,' % json.dumps(session).encode("ascii")
-    tail = b',"t":%d}' % t  # a bool t, written true or false, does not match
+    head, tail = _challenge_frame(session, t)  # a bool t, written true or false, does not match
     if len(line) < len(head) + len(tail) or not (line.startswith(head) and line.endswith(tail)):
         return None
     return line[len(head) : -len(tail)]
@@ -470,7 +472,9 @@ def prover_uniform(challenge: ChallengeMsg, rng: np.random.Generator) -> Samples
     rows = max(1, _UNIFORM_DRAW // n)
     for start in range(0, total, rows):
         count = min(rows, total - start)
-        batch[start : start + count] = pack_bits(rng.integers(0, 2, size=(count, n)))
+        for col in range(0, n, _UNIFORM_DRAW):  # a row wider than a draw, in chunks of whole words
+            bits = rng.integers(0, 2, size=(count, min(_UNIFORM_DRAW, n - col)))
+            batch[start : start + count, col // 64 : (col + _UNIFORM_DRAW) // 64] = pack_bits(bits)
     return SamplesMsg(challenge.session, n, batch)
 
 
@@ -516,21 +520,21 @@ PROVER_BUILTINS = tuple(_PROVERS)
 _WORKERS = 2  # threads that serve connections, fixed for the server's life
 _QUEUED = 16  # accepted connections waiting for a worker; past this, ``capacity``
 _CHALLENGE_WAIT = 1.0  # seconds a worker waits for each next chunk of the challenge
-_TABLE_BUDGET = 64 << 20  # bytes: a larger honest table is used once; the slot's extras fit in it
+_TABLE_BUDGET = 64 << 20  # bytes: bounds the slot, line bytes and table first, then the text
 
 
 class _Kept(NamedTuple):
-    """The honest server's slot: one program, its sampling table and what repeats reuse.
+    """The honest server's slot, keyed by the bytes of a challenge line inside its frame.
 
-    ``members`` holds the bytes of the challenge line the program was decoded
-    from between its frame (:func:`_challenge_members`), and ``text`` the
-    table's reply-text lookups (:func:`_reply_text`).  Each is None unless it
-    fits ``_TABLE_BUDGET`` with the table.
+    ``members`` are those bytes (:func:`_challenge_members`), ``program`` and
+    ``table`` what they decode and simulate to, and ``text`` the table's
+    reply-text lookups (:func:`_reply_text`), None unless they fit
+    ``_TABLE_BUDGET`` with the bytes and the table.
     """
 
+    members: bytes
     program: IqpProgram
     table: _SamplingTable
-    members: bytes | None = None
     text: np.ndarray | None = None
 
 
@@ -549,20 +553,22 @@ def _reply_text(xors: np.ndarray, n: int) -> np.ndarray:
     return text
 
 
-def _honest_line(challenge: ChallengeMsg, rng: np.random.Generator, entry: _Kept) -> bytes:
-    """The honest reply line: one gather per group from kept reply text, XORed together.
+def _honest_line(
+    challenge: ChallengeMsg, rng: np.random.Generator, table: _SamplingTable, text: np.ndarray | None
+) -> bytes:
+    """The honest reply line: one gather per group from the reply text, XORed together.
 
-    An entry without text writes a packed batch through :meth:`SamplesMsg.encode`.
+    Without text it writes a packed batch through :meth:`SamplesMsg.encode`.
     """
-    if entry.text is None:
-        return _honest_reply(challenge, rng, entry.table).encode()
-    picks = _picks(entry.table, challenge.samples_requested, rng)
+    if text is None:
+        return _honest_reply(challenge, rng, table).encode()
+    picks = _picks(table, challenge.samples_requested, rng)
     octets = picks.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)  # byte g: group g
 
     def fill(body: np.ndarray) -> None:
-        np.take(entry.text[0], octets[:, 0], axis=0, out=body, mode="clip")  # clip: no buffer
-        for g in range(1, len(entry.text)):
-            body ^= np.take(entry.text[g], octets[:, g], axis=0)
+        np.take(text[0], octets[:, 0], axis=0, out=body, mode="clip")  # clip: no buffer
+        for g in range(1, len(text)):
+            body ^= np.take(text[g], octets[:, g], axis=0)
 
     return _reply_line(challenge.session, challenge.samples_requested, challenge.n, fill)
 
@@ -575,19 +581,18 @@ class ProverServer(socketserver.TCPServer):
     ``capacity`` and closes.  Each challenge gets its own rng stream derived
     from (seed, sha256 of its session), so a fixed seed gives every session
     the same batch regardless of arrival order.  The honest prover keeps one
-    slot for the last program it built a sampling table for: the program, its
-    table, the bytes of the challenge line between its "session" and "t"
-    members, and the table's reply-text lookups (for each group of 8 basis
-    ints, 256 rows of n+3 bytes).  ``_TABLE_BUDGET`` bounds all three: a
-    larger table is used once, not kept, and the line bytes, then the
-    lookups, are kept only if they fit with the table.  A round whose line
-    has the kept bytes skips decoding its program, a round of the kept
-    program skips the simulation, and a reply is gathered from the lookups
-    whenever they fit.  Its "type", "session" and "t" are still checked, in
-    :meth:`ChallengeMsg.from_payload`'s order.  A worker waits at most
-    ``_CHALLENGE_WAIT`` seconds for each next chunk of the challenge, capped
-    at ``timeout``, so a silent client frees it quickly; it closes the
-    connection as soon as the reply is sent.
+    slot, keyed by a challenge line's bytes between its "session" and "t"
+    members: those bytes, the program they decode to, its sampling table and,
+    when they fit, the table's reply-text lookups (for each group of 8 basis
+    ints, 256 rows of n+3 bytes).  A line with the kept bytes skips decoding
+    its program and the simulation; only its "type", "session" and "t" are
+    checked, in :meth:`ChallengeMsg.from_payload`'s order.  Any other line is
+    decoded and simulated afresh, and replaces the slot only if it is laid out
+    as :meth:`ChallengeMsg.encode` writes it and its bytes and table fit
+    ``_TABLE_BUDGET``; the lookups are added if they fit as well.  A worker
+    waits at most ``_CHALLENGE_WAIT`` seconds for each next chunk of the
+    challenge, capped at ``timeout``, so a silent client frees it quickly; it
+    closes the connection as soon as the reply is sent.
     :meth:`start` serves from a background thread; ``serve_forever()`` from
     the calling one.  :meth:`close` closes queued connections, wakes the
     workers and joins them.
@@ -654,43 +659,32 @@ class ProverServer(socketserver.TCPServer):
                     self._active.discard(sock)
                 self.shutdown_request(sock)
 
-    def _table(self, program: IqpProgram, members: bytes | None) -> tuple[_Kept, str]:
-        """The program's entry: the kept one ("hit") or a new one ("miss").
+    def _honest(
+        self, line: bytes, payload: dict
+    ) -> tuple[ChallengeMsg, _SamplingTable, np.ndarray | None, str]:
+        """The honest prover's challenge, table and reply text, kept ("hit") or new ("miss").
 
-        A new entry is kept if its table fits ``_TABLE_BUDGET``; the challenge
-        line's ``members``, then the reply text, are added if they fit with it.
+        ``payload`` is ``line`` decoded.  A line with the kept bytes inside its
+        frame reuses the kept program, table and text; its "type", "session"
+        and "t" are checked as :meth:`ChallengeMsg.from_payload` checks them,
+        in its order.  Any other line is decoded and gets a new table, kept
+        only if the line has the frame and its bytes and the table fit
+        ``_TABLE_BUDGET``; the reply text is added if it fits as well.
         """
         kept = self._kept  # one read: another worker may replace the slot meanwhile
-        if kept is not None and kept.program == program:
-            return kept, "hit"
-        table = _honest_table(program)  # a capacity refusal leaves the slot as it was
-        room = _TABLE_BUDGET - table.nbytes  # for the line bytes, then the text
-        if members is not None and len(members) <= room:
-            room -= len(members)
-        else:
-            members = None
+        members = _challenge_members(line, payload)
+        if kept is not None and members == kept.members:
+            session = _challenge_session(payload)
+            t = _challenge_count(payload, kept.program.n, session)
+            return ChallengeMsg(session, kept.program, t), kept.table, kept.text, "hit"
+        challenge = ChallengeMsg.from_payload(payload)
+        table = _honest_table(challenge.program)  # a capacity refusal leaves the slot as it was
         text = None
-        if len(table.xors) * 256 * (program.n + 3) <= room:
-            text = _reply_text(table.xors, program.n)
-        entry = _Kept(program, table, members, text)
-        if table.nbytes <= _TABLE_BUDGET:
-            self._kept = entry
-        return entry, "miss"
-
-    def _challenge(self, line: bytes, payload: dict) -> tuple[ChallengeMsg, bytes | None]:
-        """The decoded challenge, and the honest prover's members of its line.
-
-        A line with the kept members reuses the kept program; its "type",
-        "session" and "t" are checked as :meth:`ChallengeMsg.from_payload`
-        checks them, in its order.
-        """
-        kept = self._kept
-        members = _challenge_members(line, payload) if self._prover is None else None
-        if kept is None or members is None or members != kept.members:
-            return ChallengeMsg.from_payload(payload), members
-        session = _challenge_session(payload)
-        t = _challenge_count(payload, kept.program.n, session)
-        return ChallengeMsg(session, kept.program, t), members
+        if members is not None and (room := _TABLE_BUDGET - table.nbytes - len(members)) >= 0:
+            if len(table.xors) * 256 * (challenge.n + 3) <= room:
+                text = _reply_text(table.xors, challenge.n)
+            self._kept = _Kept(members, challenge.program, table, text)
+        return challenge, table, text, "miss"
 
     def finish_request(self, sock: socket.socket, client_address) -> None:
         """Serve one connection: challenge in, samples or error out."""
@@ -699,17 +693,19 @@ class ProverServer(socketserver.TCPServer):
         try:
             try:
                 line = _recv_line(sock, time.monotonic() + self._timeout)  # the whole line
-                challenge, members = self._challenge(line, _decode_line(line))
                 sock.settimeout(self._timeout)  # sendall's limit is for the whole reply
+                table, text, found = None, None, "-"
+                if self._prover is None:
+                    challenge, table, text, found = self._honest(line, _decode_line(line))
+                else:
+                    challenge = ChallengeMsg.from_payload(_decode_line(line))
                 session = challenge.session.encode("utf-8", "surrogatepass")
                 tag = int.from_bytes(hashlib.sha256(session).digest(), "little")
                 rng = seeded_rng(self._seed, tag)
-                entry, found = None, "-"
-                if self._prover is None:
-                    entry, found = self._table(challenge.program, members)
-                    reply = _honest_line(challenge, rng, entry)
-                else:
+                if table is None:
                     reply = self._prover(challenge, rng, self._leaked_key).encode()
+                else:
+                    reply = _honest_line(challenge, rng, table, text)
             except ProtocolError as exc:
                 log.info("connection %s: %s (%s)", peer, exc.code, exc.detail)
                 sock.sendall(_encode_error(exc))
@@ -724,7 +720,7 @@ class ProverServer(socketserver.TCPServer):
             return
         log.info(
             "connection %s: served %d samples (n=%d d=%s table=%s)",
-            peer, challenge.samples_requested, challenge.n, entry.table.d if entry else "-", found,
+            peer, challenge.samples_requested, challenge.n, table.d if table else "-", found,
         )
 
     def start(self) -> "ProverServer":

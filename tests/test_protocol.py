@@ -82,7 +82,7 @@ def wide_program(n=5_000_000):
 
 
 def challenge_payload(**overrides):
-    base = ChallengeMsg.from_program(small_program(), 10, session="abc").to_payload()
+    base = json.loads(ChallengeMsg.from_program(small_program(), 10, session="abc").encode())
     base.update(overrides)
     return base
 
@@ -234,17 +234,22 @@ class TestCodec:
             assert back.program == program
             assert back.encode() == msg.encode()
 
-    def test_members_are_the_bytes_inside_the_frame_encode_writes(self):
-        msg = ChallengeMsg.from_program(small_program(), 10, session="abc")
-        line, payload = msg.encode()[:-1], msg.to_payload()
+    @pytest.mark.parametrize("session", ["abc", 'a"b\\c', "\u00e9", "\u2028"])
+    def test_members_are_the_bytes_inside_the_frame_encode_writes(self, session):
+        # sessions that JSON escapes: a quote and a backslash, non-ASCII, a line separator
+        msg = ChallengeMsg.from_program(small_program(), 10, session=session)
+        line = msg.encode()[:-1]
+        payload = json.loads(line)
+        assert payload["session"] == session
         members = {k: payload[k] for k in ("n", "rows", "angles")}
         assert _challenge_members(line, payload) == _encode(members)[1:-2]
+        assert line == _encode(payload)[:-1]  # the frame round-trips as compact json
         spaced = json.dumps(json.loads(line)).encode()
-        bare = b'{"type":"challenge","session":"abc","t":10}'  # the frame's two halves overlap
+        bare = _encode({"type": "challenge", "session": session, "t": 10})[:-1]  # halves overlap
         for other in (spaced, bare):
             assert _challenge_members(other, json.loads(other)) is None
-        for session, t in ((7, 10), ("abc", "10"), (None, 10)):  # not a str session, an int t
-            payload = {**json.loads(line), "session": session, "t": t}
+        for other, t in ((7, 10), (session, "10"), (None, 10)):  # not a str session, an int t
+            payload = {**json.loads(line), "session": other, "t": t}
             assert _challenge_members(_encode(payload)[:-1], payload) is None
 
     def test_noncanonical_angles_decode_to_canonical(self):
@@ -253,12 +258,12 @@ class TestCodec:
         canonical = challenge_payload(rows=rows, angles=[[9, 8], [1, 8], [9, 8]])
         msg = ChallengeMsg.from_payload(canonical)
         assert msg.program.angles == (Angle(9, 8), PI_OVER_8, Angle(9, 8))
-        assert msg.to_payload() == canonical
+        assert json.loads(msg.encode()) == canonical
         replies = {prover_honest(msg, np.random.default_rng(7)).encode()}
         for angles in ([[25, 8], [2, 16], [-7, 8]], [[9, 8], [17, 8], [41, 8]]):
             other = ChallengeMsg.from_payload(challenge_payload(rows=rows, angles=angles))
             assert other == msg
-            assert other.to_payload() == canonical
+            assert json.loads(other.encode()) == canonical
             # every spelling of one program gets a byte-identical reply
             replies.add(prover_honest(other, np.random.default_rng(7)).encode())
         assert len(replies) == 1
@@ -335,11 +340,11 @@ class TestCodec:
         program = small_program()
         angles = program.angles[:-1] + (Angle(10**300, 10**300 + 1),)
         program = IqpProgram(program.chi, angles)
-        payload = ChallengeMsg.from_program(program, 10, session="abc").to_payload()
+        payload = json.loads(ChallengeMsg.from_program(program, 10, session="abc").encode())
         assert payload["angles"][-1] == [10**300, 10**300 + 1]
         msg = ChallengeMsg.from_payload(payload)
         assert msg.program == program
-        assert msg.to_payload() == payload
+        assert json.loads(msg.encode()) == payload
 
     def test_samples_rejections(self):
         challenge = ChallengeMsg.from_program(small_program(), 2, session="s1")
@@ -653,10 +658,13 @@ class TestProvers:
         assert msg.batch.shape == (30, 1) and msg.n == 5
         assert not np.any(msg.batch >> np.uint64(5))
 
-    @pytest.mark.parametrize("n, t", [(1, 70000), (10, 15000), (70, 2000)])
+    @pytest.mark.parametrize(
+        "n, t", [(1, 70000), (10, 15000), (70, 2000), (65536, 3), (65537, 3), (130001, 2)]
+    )
     def test_uniform_draws_one_table_stream(self, n, t):
-        # drawn in blocks of rows, across several blocks at each width, yet
-        # the samples are those of one whole-table rng.integers call
+        # drawn in blocks of rows, across several blocks at each width, and a
+        # row wider than one draw in chunks of its columns, yet the samples are
+        # those of one whole-table rng.integers call
         challenge = ChallengeMsg.from_program(small_program(n=n, m=2), t)
         msg = prover_uniform(challenge, np.random.default_rng(3))
         whole = np.random.default_rng(3).integers(0, 2, size=(t, n))
@@ -672,6 +680,19 @@ class TestProvers:
         finally:
             tracemalloc.stop()
         assert peak <= 5 * len(line)
+
+    def test_uniform_memory_bounded_at_any_width(self):
+        # a 5,000,000-wide row as one int64 draw would take 38 MiB; in chunks the
+        # packed batch, 610 KiB, dominates
+        challenge = ChallengeMsg.from_program(wide_program(), 1)
+        tracemalloc.start()
+        try:
+            msg = prover_uniform(challenge, np.random.default_rng(4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert msg.batch.shape == (1, words_per_row(5_000_000))
+        assert peak < 8 << 20
 
     def test_leak_matches_single_secret_statistic(self):
         program, key = build_challenge(ConstructionSpec(n=8, seed=6))
@@ -938,7 +959,7 @@ class TestServerPool:
         sessions = "aabba"  # rounds 2 and 4 draw from the kept table
         with ProverServer(seed=9) as server:
             kept = [request(server.address, programs[s], 40, session=s).encode() for s in sessions]
-            assert server._kept[0] == programs["a"]
+            assert server._kept.program == programs["a"]
         for session, line in zip(sessions, kept):
             with ProverServer(seed=9) as server:
                 fresh = request(server.address, programs[session], 40, session=session)
@@ -958,13 +979,14 @@ class TestServerPool:
         for t in (1, 2, 2952):
             challenge = ChallengeMsg.from_program(program, t, session=f"s{t}")
             bare = prover_honest(challenge, np.random.default_rng(t)).encode()
-            for entry in (protocol._Kept(program, table, text=text), protocol._Kept(program, table)):
-                assert protocol._honest_line(challenge, np.random.default_rng(t), entry) == bare
+            for kept_text in (text, None):
+                line = protocol._honest_line(challenge, np.random.default_rng(t), table, kept_text)
+                assert line == bare
 
     def test_a_kept_round_leaves_every_rejection_as_on_a_fresh_server(self):
         with ProverServer(seed=0) as kept, ProverServer(seed=0) as fresh:
             request(kept.address, small_program(), 10, session="abc")
-            assert kept._kept.members is not None and fresh._kept is None
+            assert kept._kept is not None and fresh._kept is None
             reused = set()
             for overrides, code, detail in CHALLENGE_REJECTIONS:
                 payload = challenge_payload(**overrides)
@@ -975,7 +997,7 @@ class TestServerPool:
                     reused.add(code)
                 for server in (kept, fresh):
                     with pytest.raises(ProtocolError) as err:
-                        server._challenge(line, payload)
+                        server._honest(line, payload)
                     assert (err.value.code, err.value.detail) == (code, detail)
         assert reused == {"bad-session", "bad-count", "capacity"}  # the kept path was taken
 
@@ -992,13 +1014,13 @@ class TestServerPool:
     def test_values_equal_to_the_kept_ones_but_not_ints_are_refused(self, overrides, code, detail):
         # True == 1 and 1.0 == 1 in Python, but their lines' bytes differ from the kept ones
         program = IqpProgram(BitMatrix.from_ints([1], 1), (PI_OVER_8,))
-        payload = ChallengeMsg.from_program(program, 10, session="s").to_payload()
+        payload = json.loads(ChallengeMsg.from_program(program, 10, session="s").encode())
         values = {k: payload[k] for k in ("n", "rows", "angles")}
         payload.update(overrides)
         assert all(payload[k] == values[k] for k in values)
         with ProverServer(seed=0) as server:
             request(server.address, program, 10, session="s")
-            assert server._kept.members is not None
+            assert server._kept is not None
             reply = ask_server(server, _encode(payload))
         assert (reply["code"], reply["detail"]) == (code, detail)
 
@@ -1030,10 +1052,10 @@ class TestServerPool:
             False, True, True, True
         ]
 
-    @pytest.mark.parametrize("keeps", ["table", "members", "text"])
-    def test_slot_keeps_what_fits_the_budget_with_the_table(self, keeps, monkeypatch, caplog):
-        # the table is kept whenever it fits; the line bytes, then the reply text, only if
-        # they fit with it.  Each repeat is a table hit, with the bare prover's bytes
+    @pytest.mark.parametrize("fits", ["table", "members", "text"])
+    def test_slot_keeps_what_fits_the_budget_with_the_table(self, fits, monkeypatch, caplog):
+        # the line bytes and the table are kept only if they fit together, the reply text
+        # only if it fits with them.  Every round gets the bare prover's bytes
         monkeypatch.setattr(protocol, "_WORKERS", 1)  # one worker logs in request order
         caplog.set_level(logging.INFO, logger=protocol.__name__)
         program = small_program(seed=2, n=7, m=9)
@@ -1041,7 +1063,7 @@ class TestServerPool:
         line = ChallengeMsg.from_program(program, 40, session="a").encode()[:-1]
         members = _challenge_members(line, json.loads(line))
         text_bytes = len(table.xors) * 256 * (program.n + 3)
-        room = {"table": 0, "members": len(members), "text": len(members) + text_bytes}[keeps]
+        room = {"table": 0, "members": len(members), "text": len(members) + text_bytes}[fits]
         monkeypatch.setattr(protocol, "_TABLE_BUDGET", table.nbytes + room)
         with ProverServer(seed=4) as server:
             for session in ("a", "b", "c"):
@@ -1049,12 +1071,15 @@ class TestServerPool:
                 challenge = ChallengeMsg.from_program(program, 40, session=session)
                 assert line == prover_honest(challenge, server_rng(4, session)).encode()
             kept = server._kept
+        found = [line.rsplit("=", 1)[1] for line in served_lines(caplog)]
+        if fits == "table":  # the bytes do not fit with the table: nothing is kept
+            assert kept is None
+            assert found == ["miss)", "miss)", "miss)"]
+            return
+        assert kept.members == members
         assert kept.program == program and kept.table.nbytes == table.nbytes
-        assert kept.members == (None if keeps == "table" else members)
-        assert (kept.text is not None) == (keeps == "text")
-        assert [line.rsplit("=", 1)[1] for line in served_lines(caplog)] == [
-            "miss)", "hit)", "hit)"
-        ]
+        assert (kept.text is not None) == (fits == "text")
+        assert found == ["miss)", "hit)", "hit)"]
 
     def test_served_line_names_rank_and_table(self, monkeypatch, caplog):
         monkeypatch.setattr(protocol, "_WORKERS", 1)  # one worker logs in request order
@@ -1076,14 +1101,41 @@ class TestServerPool:
     def test_one_table_kept_and_the_newest_replaces_it(self):
         programs = [small_program(seed=s, n=6, m=14) for s in range(2)]
         server = ProverServer(seed=0)
+
+        def found(k, session="s", t=10):
+            line = ChallengeMsg.from_program(programs[k], t, session=session).encode()[:-1]
+            return server._honest(line, json.loads(line))[-1]
+
         try:
-            found = [server._table(programs[k], None)[1] for k in (0, 0, 1, 1, 0)]
-            assert found == ["miss", "hit", "miss", "hit", "miss"]
-            # an equal program decoded afresh is a hit, not only the same object
-            again = IqpProgram(BitMatrix.from_ints(programs[0].chi.ints, 6), programs[0].angles)
-            assert server._table(again, None)[1] == "hit"
+            assert [found(k) for k in (0, 0, 1, 1, 0)] == ["miss", "hit", "miss", "hit", "miss"]
+            assert server._kept.program == programs[0]
+            # the key is the line's bytes inside its frame: another session and count still hit
+            assert found(0, session="other", t=3) == "hit"
         finally:
             server.close()
+
+    def test_a_line_in_another_layout_is_served_fresh_and_leaves_the_kept_entry(
+        self, monkeypatch, caplog
+    ):
+        monkeypatch.setattr(protocol, "_WORKERS", 1)  # one worker logs in request order
+        caplog.set_level(logging.INFO, logger=protocol.__name__)
+        a, b = small_program(seed=1), small_program(seed=2, n=7, m=9)
+        with ProverServer(seed=3) as server:
+            request(server.address, a, 40, session="a1")
+            challenge = ChallengeMsg.from_program(b, 40, session="b")
+            spaced = json.dumps(json.loads(challenge.encode())).encode() + b"\n"
+            assert spaced != challenge.encode()  # json.dumps' default separators
+            with socket.create_connection(server.address, timeout=5) as sock:
+                sock.sendall(spaced)
+                line = _recv_line(sock, time.monotonic() + 5)
+            assert line + b"\n" == prover_honest(challenge, server_rng(3, "b")).encode()
+            assert server._kept.program == a
+            again = request(server.address, a, 40, session="a2").encode()
+        bare = prover_honest(ChallengeMsg.from_program(a, 40, session="a2"), server_rng(3, "a2"))
+        assert again == bare.encode()
+        assert [line.rsplit("=", 1)[1] for line in served_lines(caplog)] == [
+            "miss)", "miss)", "hit)"
+        ]
 
     def test_table_over_budget_is_served_not_kept(self, monkeypatch, caplog):
         monkeypatch.setattr(protocol, "_WORKERS", 1)

@@ -25,6 +25,7 @@ __all__ = [
     "to01",
     "dot",
     "echelon",
+    "pivot_mask",
     "rank",
     "nullspace_basis",
     "span_weights",
@@ -175,33 +176,58 @@ class BitMatrix:
         return f"BitMatrix([{body}], cols={self._cols})"
 
 
+def _forward(rows: Iterable[int]) -> dict[int, int]:
+    """One forward elimination pass over GF(2): {pivot bit (as 1 << p): row}, unsorted.
+
+    Each kept row's pivot is its lowest set bit, and no two rows share one; a
+    row is reduced only until its lowest bit is new, so it may still hold
+    higher pivots.  Rows with distinct lowest bits are independent, so the
+    pivots are the lowest bits of the row space's nonzero vectors, and
+    :func:`echelon` has the same ones.
+    """
+    pivots: dict[int, int] = {}
+    for work in rows:
+        while work:  # clear the lowest bit while it is a pivot; else it is a new one
+            low = work & -work
+            row = pivots.get(low)
+            if row is None:
+                pivots[low] = work
+                break
+            work ^= row
+    return pivots
+
+
+def pivot_mask(rows: Iterable[int]) -> int:
+    """The pivot bits of the rows' echelon form, as one int, from one forward pass."""
+    return sum(_forward(rows))  # distinct bits: the sum is their OR
+
+
 def echelon(rows: Iterable[int]) -> dict[int, int]:
     """Reduced echelon form over GF(2) of packed row ints, as {pivot: row}, sorted.
 
     Each row's pivot is its lowest set bit, and that bit is clear in every
-    other row, so a full-rank square matrix reduces to the identity.
+    other row, so a full-rank square matrix reduces to the identity.  The
+    :func:`_forward` rows are back-substituted from the highest pivot down, so
+    each one is cleared of the higher pivots by rows that hold no other pivot.
     """
-    pivots: dict[int, int] = {}  # pivot bit (as 1 << p) -> row
-    mask = 0  # all pivot bits
-    for work in rows:
+    forward = _forward(rows)
+    reduced: dict[int, int] = {}  # pivot bit -> row, highest pivot first
+    mask = 0  # the pivot bits reduced so far
+    for low in sorted(forward, reverse=True):
+        work = forward[low]
         hit = work & mask
-        while hit:  # a pivot row holds one pivot bit, its own
-            low = hit & -hit
-            work ^= pivots[low]
-            hit ^= low
-        if work:
-            low = work & -work
-            for bit, row in pivots.items():
-                if row & low:
-                    pivots[bit] = row ^ work
-            pivots[low] = work
-            mask |= low
-    return {bit.bit_length() - 1: row for bit, row in sorted(pivots.items())}
+        while hit:
+            bit = hit & -hit
+            work ^= reduced[bit]
+            hit ^= bit
+        reduced[low] = work
+        mask |= low
+    return {bit.bit_length() - 1: row for bit, row in reversed(reduced.items())}
 
 
 def rank(matrix: BitMatrix) -> int:
-    """Rank over GF(2): the number of pivots of :func:`echelon`."""
-    return len(echelon(matrix.ints))
+    """Rank over GF(2): the number of :func:`pivot_mask` bits."""
+    return pivot_mask(matrix.ints).bit_count()
 
 
 def nullspace_basis(matrix: BitMatrix) -> list[BitVector]:

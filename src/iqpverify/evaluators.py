@@ -9,13 +9,15 @@ against s) never contribute, which is what the faster backends exploit:
 * diagonal exact   exact, any angles, 2**d work
 * diagonal mc      unbiased estimate over uniform n-bit strings, polynomial work
 * subspace         exact closed form when all main angles are equal
-* clifford         exact Z4 exponential sum when main angles are w*pi/8
+* clifford         exact Z4 exponential sum when main angles are w*pi/8, O(d**3) work
 
-An exact correlation simulates only the secret's main rows, rewritten as
-d-bit ints on d = rank(main rows) qubits, so it costs 2**d; sampling keeps
-all rows on rank(chi) qubits, as the output lies in chi's row space.  That
-one reduction works on plain ints, and the phase table, the Z4 sum and the
-subspace span read its row ints directly.  The dense paths share one phase
+An exact correlation simulates only the secret's main rows, on d =
+rank(main rows) qubits; sampling keeps all rows on rank(chi) qubits, as the
+output lies in chi's row space.  The 2**d backends and sampling share one
+reduction on plain ints, which rewrites the kept rows as d-bit ints: the
+phase table and the subspace span read them directly.  The Z4 sum needs no
+rewrite: it reads the main rows' bits at the d pivots of one forward
+elimination pass, in place.  The dense paths share one phase
 table sum_j theta_j (-1)^(chi_j . x), one Walsh-Hadamard transform of the row
 angles: exact diagonal and statevector average cos(2 * table), the amplitudes
 are a second transform of exp(i * table).  Only the 2**n tables of
@@ -37,6 +39,7 @@ from .bitlin import (
     BitVector,
     combine_rows,
     echelon,
+    pivot_mask,
     random_rows,
     row_parities,
     span_weights,
@@ -120,6 +123,14 @@ def _check_secret(program: IqpProgram, *secrets: BitVector) -> None:
             raise DimensionError(f"secret has {len(s)} bits, program has {program.n}")
 
 
+def _main_rows(program: IqpProgram, s: BitVector):
+    """(row ints, angles) of the secret's main rows, those with (row & s) of odd weight."""
+    _check_secret(program, s)
+    rows, angles, bits = program.chi.ints, program.angles, s.bits
+    main = [j for j, row in enumerate(rows) if (row & bits).bit_count() & 1]
+    return [rows[j] for j in main], [angles[j] for j in main]
+
+
 def _reduce(program: IqpProgram, s: BitVector | None = None):
     """(reduced row ints, their angles, d, basis ints B), built on plain ints.
 
@@ -130,13 +141,9 @@ def _reduce(program: IqpProgram, s: BitVector | None = None):
     With s'_k = b_k . s, p(y . B) = p'(y), s . (y . B) = s' . y and
     c_j . s' = chi_j . s = 1 on every main row, so no value needs s'.  The
     reduced rows have full column rank d; at full rank B is the identity.  A
-    program without rows reduces to d = 0: a one-entry table, an empty sum.
+    program without rows reduces to d = 0: a one-entry table.
     """
-    rows, angles = program.chi.ints, program.angles
-    if s is not None:
-        _check_secret(program, s)
-        main = [j for j, row in enumerate(rows) if (row & s.bits).bit_count() & 1]
-        rows, angles = [rows[j] for j in main], [angles[j] for j in main]
+    rows, angles = (program.chi.ints, program.angles) if s is None else _main_rows(program, s)
     pivots = echelon(rows)
     runs: dict[int, int] = {}  # p - k -> the pivots p that move to bit k: one shift per run
     for k, p in enumerate(pivots):
@@ -305,12 +312,15 @@ def _add_parity(lin: list[int], pairs: list[int], k: int, mask: int):
             pairs[i] ^= mask ^ low
 
 
-def _z4_sum(rows: list[int], angles, d: int) -> tuple[int, int] | None:
-    """The reduced main part's correlation as (phase8, r2), or None when it is 0.
+def _z4_sum(rows: Sequence[int], angles, live: int) -> tuple[int, int] | None:
+    """The main part's correlation as (phase8, r2), or None when it is 0.
 
-    The value is omega**phase8 * 2**(r2/2), omega = e^(i*pi/4).  With
+    The d variables x_i are the set bits i of ``live``, the pivots of the main
+    rows' echelon form, and row j enters as c_j = row & live: its bits at the
+    pivots, which are _reduce's d-bit int c_j with the variables relabelled in
+    order.  The value is omega**phase8 * 2**(r2/2), omega = e^(i*pi/4).  With
     k_j = -w_j mod 4 and W = sum_j w_j it equals
-    omega**W * 2**-d * sum over x in F_2^d of i**q(x),
+    omega**W * 2**-d * sum over the 2**d settings x of the live bits of i**q(x),
     q(x) = sum_j k_j * [c_j . x] mod 4 = L . x + 2 * sum over pairs in B of x_i x_i'.
     The sum drops the lowest live variable p at a time (Bravyi-Gosset,
     arXiv:1601.07601), with b = B[p] on the live variables:
@@ -318,19 +328,18 @@ def _z4_sum(rows: list[int], angles, d: int) -> tuple[int, int] | None:
     0 when also b = 0 and L_p = 2, or, when b != 0, fixes the lowest pivot r
     of b to x_r = L_p/2 xor (b minus r) . x.
     """
-    lin, pairs = [0] * d, [0] * d
-    phase8, r2 = 0, -2 * d
+    lin, pairs = [0] * live.bit_length(), [0] * live.bit_length()  # indexed by bit
+    phase8, r2 = 0, -2 * live.bit_count()
     for row, angle in zip(rows, angles):
         w = angle.multiple_of_pi8()
         if w is None:
             raise AngleError(f"main-part angle {angle} is not a multiple of pi/8")
         phase8 += w
-        _add_parity(lin, pairs, -w & 3, row)
-    live = (1 << d) - 1
-    for p in range(d):
-        if not (live >> p) & 1:
-            continue
-        live ^= 1 << p
+        _add_parity(lin, pairs, -w & 3, row & live)
+    while live:
+        low = live & -live
+        live ^= low
+        p = low.bit_length() - 1
         b, lp = pairs[p] & live, lin[p]
         if lp & 1:
             r2 += 1
@@ -370,12 +379,15 @@ def _z4_sum(rows: list[int], angles, d: int) -> tuple[int, int] | None:
 def correlation_clifford(program: IqpProgram, s: BitVector) -> CorrelationResult:
     """Exact value when every main angle is a multiple of pi/8.
 
-    The main part is a Z4 exponential sum over its d reduced qubits, summed
-    exactly in O(d**3) bit operations, so |value| is exactly 0 or 2**(-g/2)
-    and g is reported.
+    The main part is a Z4 exponential sum over d = rank(main rows) variables,
+    the pivot bits of one forward elimination pass (``bitlin.pivot_mask``),
+    summed exactly in O(d**3) bit operations, so |value| is exactly 0 or
+    2**(-g/2) and g is reported.  It needs neither the basis B nor packed rows.
     """
-    rows, angles, d, _ = _reduce(program, s)
-    exact = _z4_sum(rows, angles, d)
+    rows, angles = _main_rows(program, s)
+    live = pivot_mask(rows)
+    d = live.bit_count()
+    exact = _z4_sum(rows, angles, live)
     if exact is None:
         return CorrelationResult(0.0, Backend.CLIFFORD, reduced_dim=d)
     phase8, r2 = exact

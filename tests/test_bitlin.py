@@ -17,6 +17,7 @@ from iqpverify.bitlin import (
     pack_bits,
     pack_ints,
     pack_rows,
+    pivot_mask,
     random_rows,
     rank,
     row_ints,
@@ -191,6 +192,13 @@ class TestEchelon:
         assert brute_force_span([BitVector(m.num_cols, r) for r in pivots.values()]) == (
             brute_force_span(list(m.rows))
         )
+
+    @given(matrices(max_n=130, max_m=12))
+    def test_forward_pass_has_the_echelon_pivots(self, m):
+        # rank and pivot_mask read one forward pass, echelon back-substitutes it
+        pivots = echelon(m.ints)
+        assert rank(m) == len(pivots)
+        assert pivot_mask(m.ints) == sum(1 << p for p in pivots)
 
 
 class TestSpans:

@@ -500,16 +500,24 @@ class TestModuleInvocation:
 
     def test_serve_exits_cleanly_on_ctrl_c(self):
         # SIGINT as soon as the "serving" line is read; repeated, because a
-        # signal that lands between the line and the serve loop is a narrow race
+        # signal that lands between the line and the serve loop is a narrow race.
+        # The child runs with faulthandler on: if it hangs, SIGABRT makes it print
+        # every thread's stack, and the failure shows where it was stuck
         for _ in range(10):
             proc = subprocess.Popen(
-                [sys.executable, "-m", "iqpverify", "serve", "--bind", "127.0.0.1:0"],
+                [sys.executable, "-X", "faulthandler", "-m", "iqpverify", "serve",
+                 "--bind", "127.0.0.1:0"],
                 stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
             )
             try:
                 assert "serving honest prover on " in proc.stdout.readline()
                 proc.send_signal(signal.SIGINT)
-                rest = proc.communicate(timeout=30)[0]
+                try:
+                    rest = proc.communicate(timeout=30)[0]
+                except subprocess.TimeoutExpired:
+                    proc.send_signal(signal.SIGABRT)
+                    dump = proc.communicate(timeout=10)[0]
+                    pytest.fail(f"serve still running 30 s after SIGINT; its threads:\n{dump}")
             finally:
                 proc.kill()
                 proc.wait(timeout=10)

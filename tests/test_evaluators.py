@@ -357,6 +357,47 @@ class TestReductionEdges:
             self.check(program, s, want, main_rank(small, small_s))
 
 
+class TestCliffordOnPivotBits:
+    """The Z4 sum on the main rows' pivot bits against the sum on _reduce's packed rows."""
+
+    @staticmethod
+    def packed(program, s):
+        """(repr(value), g, d) of the Z4 sum over _reduce's d-bit rows, all d bits live."""
+        rows, angles, d, _ = evaluators._reduce(program, s)
+        exact = evaluators._z4_sum(rows, angles, (1 << d) - 1)
+        if exact is None:
+            return repr(0.0), None, d
+        phase8, r2 = exact
+        value = 2.0 ** (r2 / 2.0)
+        return repr(value if phase8 == 0 else -value), -r2, d
+
+    @pytest.mark.parametrize("n", [1, 2, 12, 63, 64, 65, 130])
+    def test_matches_the_packed_sum_and_exact_diagonal(self, n):
+        rng = np.random.default_rng(n)
+        seen = set()
+        for _ in range(30):
+            # rows drawn from the span of a few basis ints, which may themselves be
+            # dependent: dependent and duplicate rows with w * pi/8 angles, w in 0..15
+            basis = [random_nonzero_bits(n, rng) for _ in range(int(rng.integers(0, 7)))]
+            draws = [xor_of(basis, int(rng.integers(0, 1 << len(basis)))) for _ in range(8)]
+            rows = [row for row in draws if row]  # a zero row acts on no qubit
+            rows += rows[: int(rng.integers(0, 5))]
+            angles = tuple(Angle(int(rng.integers(0, 16)), 8) for _ in rows)
+            program = IqpProgram(BitMatrix.from_ints(rows, n), angles)
+            secrets = [0, random_nonzero_bits(n, rng)] + [xor_of(basis, 1)] * bool(basis)
+            for bits in secrets:
+                s = BitVector(n, bits)
+                got = correlation_clifford(program, s)
+                assert (repr(got.value), got.g, got.reduced_dim) == self.packed(program, s)
+                want = correlation_diagonal(program, s)
+                assert got.value == pytest.approx(want.value, abs=1e-12)
+                assert got.reduced_dim == want.reduced_dim
+                main = [row for row in rows if (row & bits).bit_count() & 1]
+                assert got.reduced_dim == len(echelon(main)) == rank(BitMatrix.from_ints(main, n))
+                seen.add("d=0" if got.reduced_dim == 0 else "zero" if got.g is None else "g")
+        assert seen == {"d=0", "zero", "g"}
+
+
 class TestPhaseTable:
     """Rows that share an index, and no rows at all, in the one phase table."""
 

@@ -70,6 +70,14 @@ class TestFrozenRows:
             "3ead50009676a6b9e0707160da7bdfb17d09b894a932d4a53db2ec7f13619d02"
         )
 
+    def test_fig1a_rows_digest(self):
+        # recorded while correlation_clifford summed _reduce's packed d-bit rows;
+        # n = 63, 64, 65 put the main rows on one, one and two words
+        rows = exp_fig1a([12, 63, 64, 65], 30, seed=9).rows
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+            "5b569f9f3160ee4628a40e2ce05ee00974f00a36c4408afcd3a20f0d73ffcedf"
+        )
+
 
 class TestQuantizationHistograms:
     def test_fig1b_counts_and_levels(self):

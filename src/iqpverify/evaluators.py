@@ -123,12 +123,10 @@ def _check_secret(program: IqpProgram, *secrets: BitVector) -> None:
             raise DimensionError(f"secret has {len(s)} bits, program has {program.n}")
 
 
-def _main_rows(program: IqpProgram, s: BitVector):
+def _main_rows(rows: Sequence[int], angles: Sequence, s: int):
     """(row ints, angles) of the secret's main rows, those with (row & s) of odd weight."""
-    _check_secret(program, s)
-    rows, angles, bits = program.chi.ints, program.angles, s.bits
-    main = [j for j, row in enumerate(rows) if (row & bits).bit_count() & 1]
-    return [rows[j] for j in main], [angles[j] for j in main]
+    main = [(row, angle) for row, angle in zip(rows, angles) if (row & s).bit_count() & 1]
+    return tuple(zip(*main)) or ((), ())
 
 
 def _reduce(program: IqpProgram, s: BitVector | None = None):
@@ -143,7 +141,10 @@ def _reduce(program: IqpProgram, s: BitVector | None = None):
     reduced rows have full column rank d; at full rank B is the identity.  A
     program without rows reduces to d = 0: a one-entry table.
     """
-    rows, angles = (program.chi.ints, program.angles) if s is None else _main_rows(program, s)
+    rows, angles = program.chi.ints, program.angles
+    if s is not None:
+        _check_secret(program, s)
+        rows, angles = _main_rows(rows, angles, s.bits)
     pivots = echelon(rows)
     runs: dict[int, int] = {}  # p - k -> the pivots p that move to bit k: one shift per run
     for k, p in enumerate(pivots):
@@ -259,10 +260,9 @@ def correlation_diagonal(
         raise ValidationError("monte-carlo mode needs an explicit rng")
     omega = np.zeros(samples, dtype=np.float64)
     xs = random_rows(program.n, samples, rng)
-    for row, angle in zip(program.chi.ints, program.angles):
-        if (row & s.bits).bit_count() & 1:  # main rows only
-            two_theta = 2.0 * angle.radians
-            omega += np.where(row_parities(xs, BitVector(program.n, row)), -two_theta, two_theta)
+    for row, angle in zip(*_main_rows(program.chi.ints, program.angles, s.bits)):
+        two_theta = 2.0 * angle.radians
+        omega += np.where(row_parities(xs, BitVector(program.n, row)), -two_theta, two_theta)
     value = float(np.cos(omega).mean())
     return CorrelationResult(
         value,
@@ -312,14 +312,14 @@ def _add_parity(lin: list[int], pairs: list[int], k: int, mask: int):
             pairs[i] ^= mask ^ low
 
 
-def _z4_sum(rows: Sequence[int], angles, live: int) -> tuple[int, int] | None:
+def _z4_sum(rows: Sequence[int], weights: Sequence[int], live: int) -> tuple[int, int] | None:
     """The main part's correlation as (phase8, r2), or None when it is 0.
 
     The d variables x_i are the set bits i of ``live``, the pivots of the main
     rows' echelon form, and row j enters as c_j = row & live: its bits at the
     pivots, which are _reduce's d-bit int c_j with the variables relabelled in
     order.  The value is omega**phase8 * 2**(r2/2), omega = e^(i*pi/4).  With
-    k_j = -w_j mod 4 and W = sum_j w_j it equals
+    row j at angle w_j * pi/8, k_j = -w_j mod 4 and W = sum_j w_j it equals
     omega**W * 2**-d * sum over the 2**d settings x of the live bits of i**q(x),
     q(x) = sum_j k_j * [c_j . x] mod 4 = L . x + 2 * sum over pairs in B of x_i x_i'.
     The sum drops the lowest live variable p at a time (Bravyi-Gosset,
@@ -330,10 +330,7 @@ def _z4_sum(rows: Sequence[int], angles, live: int) -> tuple[int, int] | None:
     """
     lin, pairs = [0] * live.bit_length(), [0] * live.bit_length()  # indexed by bit
     phase8, r2 = 0, -2 * live.bit_count()
-    for row, angle in zip(rows, angles):
-        w = angle.multiple_of_pi8()
-        if w is None:
-            raise AngleError(f"main-part angle {angle} is not a multiple of pi/8")
+    for row, w in zip(rows, weights):
         phase8 += w
         _add_parity(lin, pairs, -w & 3, row & live)
     while live:
@@ -376,29 +373,38 @@ def _z4_sum(rows: Sequence[int], angles, live: int) -> tuple[int, int] | None:
     return phase8 % 8, r2
 
 
-def correlation_clifford(program: IqpProgram, s: BitVector) -> CorrelationResult:
-    """Exact value when every main angle is a multiple of pi/8.
+def _clifford_level(rows: Sequence[int], weights: Sequence[int]) -> tuple[int | None, int, int]:
+    """(g, sign, d) of main rows at angles w_j * pi/8: value sign * 2**(-g/2), or 0 (g None).
 
-    The main part is a Z4 exponential sum over d = rank(main rows) variables,
-    the pivot bits of one forward elimination pass (``bitlin.pivot_mask``),
-    summed exactly in O(d**3) bit operations, so |value| is exactly 0 or
-    2**(-g/2) and g is reported.  It needs neither the basis B nor packed rows.
+    The Z4 sum runs over d = rank(main rows) variables, the pivot bits of one
+    forward elimination pass (``bitlin.pivot_mask``), in O(d**3) bit operations.
     """
-    rows, angles = _main_rows(program, s)
     live = pivot_mask(rows)
     d = live.bit_count()
-    exact = _z4_sum(rows, angles, live)
+    exact = _z4_sum(rows, weights, live)
     if exact is None:
-        return CorrelationResult(0.0, Backend.CLIFFORD, reduced_dim=d)
+        return None, 1, d
     phase8, r2 = exact
     if phase8 not in (0, 4):  # pragma: no cover - the value is a real expectation
         raise AssertionError(f"non-real phase {phase8}")
     g = -r2
     assert 0 <= g <= d, g
-    value = 2.0 ** (r2 / 2.0)
-    return CorrelationResult(
-        value if phase8 == 0 else -value, Backend.CLIFFORD, g=g, reduced_dim=d
-    )
+    return g, -1 if phase8 else 1, d
+
+
+def correlation_clifford(program: IqpProgram, s: BitVector) -> CorrelationResult:
+    """Exact value when every main angle is a multiple of pi/8.
+
+    |value| is exactly 0 or 2**(-g/2) (:func:`_clifford_level`), and g is reported.
+    """
+    _check_secret(program, s)
+    rows, angles = _main_rows(program.chi.ints, program.angles, s.bits)
+    weights = [angle.multiple_of_pi8() for angle in angles]
+    if None in weights:
+        raise AngleError(f"main-part angle {angles[weights.index(None)]} is not a multiple of pi/8")
+    g, sign, d = _clifford_level(rows, weights)
+    value = 0.0 if g is None else sign * 2.0 ** (-g / 2.0)
+    return CorrelationResult(value, Backend.CLIFFORD, g=g, reduced_dim=d)
 
 
 @dataclass(frozen=True, eq=False)

@@ -9,10 +9,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .bitlin import BitVector, walsh_hadamard
+from .bitlin import walsh_hadamard
 from .errors import ValidationError
-from .evaluators import all_correlations, correlation_clifford, output_distribution
-from .keygen import random_2local, random_nonzero_bits, random_program
+from .evaluators import _clifford_level, _main_rows, all_correlations, output_distribution
+from .keygen import random_2local, random_nonzero_bits, random_nonzero_rows, random_program
 from .model import seeded_rng
 
 __all__ = [
@@ -60,11 +60,15 @@ def _format_cell(value: Cell) -> str:
 
 
 def _quantized_one(n: int, seed: int, *stream: int):
-    """One draw from the pi/8 ensemble: g level, or None for exact zero."""
+    """One draw from the pi/8 ensemble: g level, or None for exact zero.
+
+    It draws as ``random_program(n, n, "pi8", rng)`` then ``random_nonzero_bits`` do,
+    and scores the row ints with ``correlation_clifford``'s core, ``_clifford_level``.
+    """
     rng = seeded_rng(seed, *stream)
-    program = random_program(n, n, "pi8", rng)
-    secret = BitVector(n, random_nonzero_bits(n, rng))
-    return correlation_clifford(program, secret).g
+    rows = random_nonzero_rows(n, n, rng)
+    main, weights = _main_rows(rows, (1,) * n, random_nonzero_bits(n, rng))  # every angle pi/8
+    return _clifford_level(main, weights)[0]
 
 
 def _levels(histogram: Counter) -> list[tuple[int, float, int]]:
@@ -77,9 +81,9 @@ def _levels(histogram: Counter) -> list[tuple[int, float, int]]:
 def exp_fig1b(count: int, n: int, seed: int = 0) -> ExperimentReport:
     """Histogram of exact correlation levels in the random pi/8 ensemble.
 
-    Draws ``count`` programs with n uniform nonzero rows at angle pi/8 and a
-    uniform nonzero secret each; every correlation is +/- 2^(-g/2) or exactly
-    zero (reported as g = -1 with value 0).
+    Each of ``count`` draws is ``random_program(n, n, "pi8")`` then ``random_nonzero_bits``,
+    scored on its row ints by the clifford core; every correlation is +/- 2^(-g/2)
+    or exactly zero (reported as g = -1 with value 0).
     """
     if count < 1 or n < 1:
         raise ValidationError("count and n must be positive")

@@ -31,6 +31,7 @@ __all__ = [
     "ConstructionSpec",
     "SearchOutcome",
     "random_nonzero_bits",
+    "random_nonzero_rows",
     "random_program",
     "random_2local",
     "search_main_part",
@@ -94,6 +95,13 @@ def random_nonzero_bits(n: int, rng: np.random.Generator) -> int:
             return bits
 
 
+def random_nonzero_rows(n: int, m: int, rng: np.random.Generator) -> list[int]:
+    """m uniform nonzero n-bit strings as ints: the values and stream of m scalar draws."""
+    if n <= 63:  # one draw for all rows: the same values and stream as m scalar draws
+        return rng.integers(1, 1 << n, size=m, dtype=np.uint64).tolist()
+    return [random_nonzero_bits(n, rng) for _ in range(m)]
+
+
 _PI8_ANGLES = tuple(Angle(w, 8) for w in range(8))
 
 
@@ -110,10 +118,7 @@ def random_program(
     """
     if n < 1 or m < 0:
         raise ValidationError(f"bad shape n={n}, m={m}")
-    if n <= 63:  # one draw for all rows: the same values and stream as m scalar draws
-        bits = rng.integers(1, 1 << n, size=m, dtype=np.uint64).tolist()
-    else:
-        bits = [random_nonzero_bits(n, rng) for _ in range(m)]
+    bits = random_nonzero_rows(n, m, rng)
     if angle_policy == "uniform-pi8":
         angles = tuple(_PI8_ANGLES[w] for w in rng.integers(0, 8, size=m).tolist())
     elif angle_policy == "pi8":

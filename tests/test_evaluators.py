@@ -364,7 +364,7 @@ class TestCliffordOnPivotBits:
     def packed(program, s):
         """(repr(value), g, d) of the Z4 sum over _reduce's d-bit rows, all d bits live."""
         rows, angles, d, _ = evaluators._reduce(program, s)
-        exact = evaluators._z4_sum(rows, angles, (1 << d) - 1)
+        exact = evaluators._z4_sum(rows, [a.multiple_of_pi8() for a in angles], (1 << d) - 1)
         if exact is None:
             return repr(0.0), None, d
         phase8, r2 = exact

@@ -5,14 +5,19 @@ import hashlib
 import numpy as np
 import pytest
 
+from iqpverify.bitlin import BitVector
 from iqpverify.errors import ParseError, ValidationError
+from iqpverify.evaluators import correlation_clifford
 from iqpverify.experiments import (
     ExperimentReport,
+    _quantized_one,
     exp_anticoncentration,
     exp_fig1a,
     exp_fig1b,
     exp_parseval,
 )
+from iqpverify.keygen import random_nonzero_bits, random_nonzero_rows, random_program
+from iqpverify.model import seeded_rng
 from report_reader import parse_report
 
 
@@ -108,6 +113,29 @@ class TestQuantizationHistograms:
     def test_round_trips(self):
         report = exp_fig1a([3], 20, seed=0)
         assert parse_report(report.to_csv()) == report
+
+
+class TestDrawsOnRowInts:
+    """fig1a/fig1b score each draw on its row ints: the draws and g of the program path.
+
+    The histogram digests above can agree for two different streams; these
+    compare every draw, on one word (n <= 63) and on the per-row branch.
+    """
+
+    @pytest.mark.parametrize("n", [1, 2, 12, 63, 64, 65])
+    def test_each_draw_matches_random_program_and_correlation_clifford(self, n):
+        levels = set()
+        for i in range(200):
+            ints, twin, scalar = seeded_rng(5, i), seeded_rng(5, i), seeded_rng(5, i)
+            program = random_program(n, n, "pi8", twin)
+            rows = random_nonzero_rows(n, n, ints)
+            assert rows == list(program.chi.ints)
+            assert rows == [random_nonzero_bits(n, scalar) for _ in range(n)]  # one row per draw
+            assert ints.bit_generator.state == twin.bit_generator.state == scalar.bit_generator.state
+            want = correlation_clifford(program, BitVector(n, random_nonzero_bits(n, twin))).g
+            assert _quantized_one(n, 5, i) == want
+            levels.add(want)
+        assert len(levels) > 1 or n == 1  # n = 1 has the one level g = 1
 
 
 class TestAnticoncentration:

@@ -272,29 +272,42 @@ def span_weights(basis: Sequence[int], length: int) -> np.ndarray:
 
 
 def walsh_hadamard(values: np.ndarray) -> np.ndarray:
-    """Unnormalised Walsh-Hadamard transform g[s] = sum_x f[x] * (-1)^(s.x).
+    """Unnormalised Walsh-Hadamard transform g[s] = sum_x f[x] * (-1)^(s.x) along the last axis.
 
-    Accepts any real or complex array of power-of-two length; applying it
-    twice multiplies the input by the length.  Constant-geometry radix-2 passes
-    alternate between a copy and a second buffer: y[i], y[i + N/2] = x[2i] +- x[2i+1].
-    Pass k thus adds the entries that differ in bit k of the original index in
-    the radix-2 butterfly's order, and its sign ends in bit k: bitwise the same result.
+    Accepts any real or complex array whose last axis has power-of-two length;
+    leading axes are a stack of independent transforms, each row bitwise the
+    one-row result.  Applying it twice multiplies the input by the length.
+    Constant-geometry radix-2 passes alternate between a copy and a second
+    buffer: y[i], y[i + N/2] = x[2i] +- x[2i+1].  Pass k thus adds the entries
+    that differ in bit k of the original index in the radix-2 butterfly's
+    order, and its sign ends in bit k: bitwise the same result.  A stack runs
+    the passes over its rows as one flat array, which leaves the result with
+    the row index below the entry index; one copy into the free buffer puts
+    the rows back in order.
     """
-    a = np.array(values, copy=True)
-    if a.ndim != 1:
-        raise DimensionError("walsh_hadamard expects a 1-d array")
-    size = a.shape[0]
+    a = np.array(values, copy=True, order="C")
+    if a.ndim == 0:
+        raise DimensionError("walsh_hadamard expects an array with at least one axis")
+    size = a.shape[-1]
     if size == 0 or size & (size - 1):
         raise DimensionError(f"length {size} is not a power of two")
     b = np.empty_like(a)
-    half = size // 2
-    views = ((a[0::2], a[1::2], b[:half], b[half:]), (b[0::2], b[1::2], a[:half], a[half:]))
+    flat_a, flat_b = a.reshape(-1), b.reshape(-1)
+    half = a.size // 2
+    views = (
+        (flat_a[0::2], flat_a[1::2], flat_b[:half], flat_b[half:]),
+        (flat_b[0::2], flat_b[1::2], flat_a[:half], flat_a[half:]),
+    )
     passes = size.bit_length() - 1
     for k in range(passes):
         even, odd, top, bottom = views[k & 1]
         np.add(even, odd, out=top)
         np.subtract(even, odd, out=bottom)
-    return b if passes & 1 else a
+    out, free = (b, a) if passes & 1 else (a, b)
+    if out.size == size:
+        return out
+    free.reshape(-1, size)[...] = out.reshape(size, -1).T
+    return free
 
 
 def words_per_row(n: int) -> int:

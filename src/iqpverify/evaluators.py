@@ -17,12 +17,14 @@ output lies in chi's row space.  The 2**d backends and sampling share one
 reduction on plain ints, which rewrites the kept rows as d-bit ints: the
 phase table and the subspace span read them directly.  The Z4 sum needs no
 rewrite: it reads the main rows' bits at the d pivots of one forward
-elimination pass, in place.  The dense paths share one phase
-table sum_j theta_j (-1)^(chi_j . x), one Walsh-Hadamard transform of the row
-angles: exact diagonal and statevector average cos(2 * table), the amplitudes
-are a second transform of exp(i * table).  Only the 2**n tables of
-output_distribution and all_correlations are n-wide.  One dense cap applies
-to the simulated width, and to the subspace backend's 2**d span.
+elimination pass, in place.  The dense paths share one pipeline over a
+stack of circuits, a single program being a stack of one: the phase table
+sum_j theta_j (-1)^(chi_j . x), one Walsh-Hadamard transform of the row
+angles; exact diagonal and statevector average cos(2 * table), the amplitudes
+are a second transform of exp(i * table), and every secret's correlation a
+third of the output table.  Only the 2**n tables of output_distribution and
+all_correlations are n-wide.  One dense cap applies to the simulated width,
+and to the subspace backend's 2**d span.
 """
 
 from __future__ import annotations
@@ -110,11 +112,20 @@ class DistributionTable:
             raise DimensionError(
                 f"distribution for n={self.n} needs {1 << self.n} entries"
             )
-        if np.any(self.probs < -1e-12):
-            raise ValidationError("negative probability entry")
-        total = float(self.probs.sum())
-        if abs(total - 1.0) > 1e-10:
-            raise ValidationError(f"probabilities sum to {total}, not 1")
+        _check_distributions(self.probs)
+
+
+def _check_distributions(probs: np.ndarray) -> None:
+    """Each row along the last axis is a distribution.
+
+    No entry is NaN or below -1e-12, and each row sums to 1 within 1e-10.
+    """
+    if not np.all(probs >= -1e-12):  # NaN fails the comparison too
+        raise ValidationError("negative or NaN probability entry")
+    totals = probs.sum(axis=-1)
+    off = np.flatnonzero(abs(totals - 1.0) > 1e-10)
+    if off.size:
+        raise ValidationError(f"probabilities sum to {float(totals.flat[off[0]])}, not 1")
 
 
 def _check_secret(program: IqpProgram, *secrets: BitVector) -> None:
@@ -164,18 +175,41 @@ def _check_draws(count: int) -> None:
         raise CapacityError(f"{count} draws exceed the largest array numpy can hold")
 
 
-def _phase_table(rows: Sequence[int], angles, n: int) -> np.ndarray:
-    """sum_j theta_j (-1)^(chi_j . x) at every x: one transform of the row angles."""
+def _radians(angles: Sequence) -> np.ndarray:
+    """The angles' radians as one float array."""
+    return np.fromiter((a.radians for a in angles), np.float64, len(angles))
+
+
+def _phase_tables(rows, radians: np.ndarray, n: int, circuits: int = 1) -> np.ndarray:
+    """sum_j theta_j (-1)^(chi_j . x) at every x, one row per circuit of a stack.
+
+    ``rows`` holds every circuit's row ints, circuit c's plus c * 2**n, and
+    ``radians`` their angles, so one bincount builds every circuit's sparse
+    row-angle vector (duplicates add) and one transform runs over the stack.
+    """
     _check_cap(n)
-    bits = np.fromiter(rows, np.int64, len(rows))
-    radians = np.fromiter((a.radians for a in angles), np.float64, len(rows))
-    return walsh_hadamard(np.bincount(bits, radians, minlength=1 << n))  # duplicates add
+    size = 1 << n
+    sparse = np.bincount(np.asarray(rows, dtype=np.int64), radians, minlength=circuits * size)
+    return walsh_hadamard(sparse.reshape(circuits, size))
 
 
-def _distribution(rows: Sequence[int], angles, n: int) -> DistributionTable:
-    """The table of n-bit rows: the transform of exp(i * phase table), scaled by 2**-n."""
-    amplitudes = walsh_hadamard(np.exp(1j * _phase_table(rows, angles, n))) / (1 << n)
-    return DistributionTable(n, np.abs(amplitudes) ** 2)
+def _distributions(rows, radians: np.ndarray, n: int, circuits: int = 1) -> np.ndarray:
+    """A stack's output tables: transforms of exp(i * phase table), scaled by 2**-n, squared."""
+    amplitudes = walsh_hadamard(np.exp(1j * _phase_tables(rows, radians, n, circuits)))
+    amplitudes *= 2.0**-n  # exact, as a division by 2**n is up to the signs of zeros that abs drops
+    return np.abs(amplitudes) ** 2
+
+
+def _correlation_tables(rows, radians: np.ndarray, n: int, circuits: int = 1) -> np.ndarray:
+    """Every secret's correlation, per circuit of a stack: the transform of its checked table."""
+    probs = _distributions(rows, radians, n, circuits)
+    _check_distributions(probs)
+    return walsh_hadamard(probs)
+
+
+def _distribution(rows: Sequence[int], angles: Sequence, n: int) -> DistributionTable:
+    """The table of one circuit's n-bit rows: the stack pipeline on a stack of one."""
+    return DistributionTable(n, _distributions(rows, _radians(angles), n)[0])
 
 
 def output_distribution(program: IqpProgram) -> DistributionTable:
@@ -202,9 +236,9 @@ def all_correlations(program: IqpProgram) -> np.ndarray:
     """Correlation values for every one of the 2**n secrets at once.
 
     Entry s of the result is the correlation for secret s; entry 0 is 1.
+    It is the transform of :func:`output_distribution`'s table.
     """
-    table = output_distribution(program)
-    return walsh_hadamard(table.probs)
+    return _correlation_tables(program.chi.ints, _radians(program.angles), program.n)[0]
 
 
 def mc_sample_count(epsilon: float, delta: float) -> int:
@@ -251,7 +285,7 @@ def correlation_diagonal(
     """
     if samples is None:
         rows, angles, d, _ = _reduce(program, s)
-        value = float(np.cos(2.0 * _phase_table(rows, angles, d)).mean())
+        value = float(np.cos(2.0 * _phase_tables(rows, _radians(angles), d)[0]).mean())
         return CorrelationResult(value, Backend.DIAGONAL_EXACT, reduced_dim=d)
     _check_secret(program, s)
     radius = _hoeffding_radius(samples, delta)  # refused before the rng draws

@@ -103,6 +103,7 @@ def random_nonzero_rows(n: int, m: int, rng: np.random.Generator) -> list[int]:
 
 
 _PI8_ANGLES = tuple(Angle(w, 8) for w in range(8))
+_PI8_RADIANS = np.array([angle.radians for angle in _PI8_ANGLES])
 
 
 def random_program(
@@ -128,21 +129,44 @@ def random_program(
     return IqpProgram(BitMatrix.from_ints(bits, n), angles)
 
 
-def random_2local(n: int, rng: np.random.Generator) -> IqpProgram:
-    """Random two-local ensemble: X_iX_j and X_i rows with angles w*pi/8.
+@lru_cache(maxsize=8)
+def _two_local_masks(n: int) -> np.ndarray:
+    """Read-only row ints of X_iX_j (pairs i < j in lexicographic order), then of X_i.
+
+    int64 while every row fits one, Python ints from n = 64, where
+    :func:`_two_local_draw` builds them per call: n**2 / 2 wide ints are not kept.
+    """
+    masks = [(1 << i) | (1 << j) for i in range(n) for j in range(i + 1, n)]
+    masks += [1 << i for i in range(n)]
+    masks = np.array(masks, dtype=np.int64 if n < 64 else object)
+    masks.flags.writeable = False
+    return masks
+
+
+def _two_local_draw(n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """The two-local draw on ints: (row ints, coefficients w in 1..7) of its acting rows.
 
     Coefficients w are uniform in 0..7, drawn in one call (pairs i < j in
     lexicographic order, then singles), and rows whose coefficient lands on
-    0 are omitted, so the program (possibly empty) holds only acting rows.
+    0 are omitted; row j acts at angle w_j * pi/8.
     """
     if n < 1:
         raise ValidationError("n must be at least 1")
-    masks = [(1 << i) | (1 << j) for i in range(n) for j in range(i + 1, n)]
-    masks += [1 << i for i in range(n)]
-    ws = rng.integers(0, 8, size=len(masks)).tolist()
-    rows = [bits for bits, w in zip(masks, ws) if w]
-    angles = tuple(_PI8_ANGLES[w] for w in ws if w)
-    return IqpProgram(BitMatrix.from_ints(rows, n), angles)
+    masks = _two_local_masks(n) if n < 64 else _two_local_masks.__wrapped__(n)
+    ws = rng.integers(0, 8, size=len(masks))
+    acting = ws != 0
+    return masks[acting], ws[acting]
+
+
+def random_2local(n: int, rng: np.random.Generator) -> IqpProgram:
+    """Random two-local ensemble: X_iX_j and X_i rows with angles w*pi/8.
+
+    The program of :func:`_two_local_draw`'s rows and coefficients, on the same
+    stream: it is possibly empty and holds only acting rows.
+    """
+    rows, weights = _two_local_draw(n, rng)
+    angles = tuple(_PI8_ANGLES[w] for w in weights.tolist())
+    return IqpProgram(BitMatrix.from_ints(rows.tolist(), n), angles)
 
 
 @lru_cache(maxsize=_SEARCH_WEIGHT_CAP)

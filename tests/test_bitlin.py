@@ -256,6 +256,11 @@ class TestWalshHadamard:
         with pytest.raises(DimensionError):
             walsh_hadamard(np.array([1.0, 2.0, 3.0]))
 
+    @pytest.mark.parametrize("values", [np.ones((2, 3)), np.ones((4, 0)), np.array(1.0)])
+    def test_rejects_0d_and_a_last_axis_not_a_power_of_two(self, values):
+        with pytest.raises(DimensionError):
+            walsh_hadamard(values)
+
     @settings(max_examples=30)
     @given(st.integers(0, 6), st.data())
     def test_matches_direct_definition(self, n, data):
@@ -312,15 +317,44 @@ class TestWalshHadamard:
             assert values.tobytes() == before.tobytes()
             assert not np.shares_memory(out, backing) and not np.shares_memory(out, read_only)
 
+    @pytest.mark.parametrize("n", range(13))
+    @pytest.mark.parametrize("count", range(1, 6))
+    def test_stack_rows_bitwise_equal_to_one_row(self, n, count):
+        rng = np.random.default_rng([20, n, count])
+        backing = rng.standard_normal((count, 3 << n)) + 1j * rng.standard_normal((count, 3 << n))
+        read_only = backing[:, : 1 << n].copy()
+        read_only.flags.writeable = False
+        stacks = (
+            backing.real[:, : 1 << n].copy(),  # real, contiguous
+            read_only,  # complex, contiguous
+            backing[:, ::3],  # complex, strided rows
+            backing.imag[::-1, 1::3],  # real, strided and reversed
+            np.asfortranarray(backing.real[:, ::-3]),  # real, column-major
+        )
+        for values in stacks:
+            before = values.copy()
+            out = walsh_hadamard(values)
+            assert out.shape == values.shape and out.dtype == values.dtype
+            for row, got in zip(values, out):
+                assert got.tobytes() == walsh_hadamard(row).tobytes()
+            assert values.tobytes() == before.tobytes()
+            assert not np.shares_memory(out, backing)
+
+    def test_leading_axes_are_one_stack(self):
+        values = np.random.default_rng(21).standard_normal((2, 3, 16))
+        flat = walsh_hadamard(values.reshape(6, 16))
+        assert walsh_hadamard(values).tobytes() == flat.tobytes()
+
     def test_peak_memory_is_two_buffers(self):
-        values = np.exp(1j * np.arange(1 << 16))
-        tracemalloc.start()
-        try:
-            walsh_hadamard(values)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2 * values.nbytes + (64 << 10), peak
+        for shape in ((1 << 16,), (4, 1 << 14)):  # one row, then a stack
+            values = np.exp(1j * np.arange(1 << 16)).reshape(shape)
+            tracemalloc.start()
+            try:
+                walsh_hadamard(values)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 2 * values.nbytes + (64 << 10), (shape, peak)
 
     @given(st.integers(0, 8), st.data())
     def test_self_inverse_up_to_size(self, n, data):

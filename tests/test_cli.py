@@ -459,6 +459,12 @@ class TestRefusedSettings:
         assert out == ""
         assert err.count(f"error: timeout {float(timeout)!r} is not a finite number > 0\n") == 2
 
+    def test_zero_secrets_per_circuit_exits_3(self, capsys):
+        args = ["--n", "4", "--circuits", 5, "--secrets-per-circuit", 0, "--seed", 1]
+        assert run_cli("exp-anticoncentration", *args) == 3
+        out, err = capsys.readouterr()
+        assert err == "error: need at least one secret per circuit, got 0\n" and out == ""
+
 
 class TestModuleInvocation:
     def test_help_via_module(self):

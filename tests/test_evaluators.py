@@ -687,7 +687,33 @@ class TestSamplingTable:
         assert table.nbytes == sum(a.nbytes for a in held) > 0
 
 
+class TestStackPipeline:
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    def test_each_stack_row_is_that_program_alone(self, n):
+        rng = np.random.default_rng([22, n])
+        programs = []
+        for m in (0, 1, 2 * n + 3):  # no rows, one row, repeated rows
+            rows = rng.integers(1, 1 << n, size=m).tolist()
+            angles = [Angle(int(rng.integers(0, 64)), int(rng.integers(1, 40))) for _ in rows]
+            programs.append(IqpProgram(BitMatrix.from_ints(rows, n), tuple(angles)))
+        rows = [row + c * (1 << n) for c, p in enumerate(programs) for row in p.chi.ints]
+        radians = [a.radians for p in programs for a in p.angles]
+        stack = evaluators._correlation_tables(rows, np.array(radians), n, len(programs))
+        assert stack.shape == (len(programs), 1 << n)
+        for program, got in zip(programs, stack):
+            assert got.tobytes() == all_correlations(program).tobytes()
+
+
 class TestDistributionTable:
+    def test_stack_rows_are_checked_one_by_one(self):
+        good = [0.25, 0.75]
+        evaluators._check_distributions(np.array([good, good]))
+        with pytest.raises(ValidationError, match="^probabilities sum to 0.5, not 1$"):
+            evaluators._check_distributions(np.array([good, [0.25, 0.25], good]))
+        for bad in ([-0.1, 1.1], [np.nan, np.nan]):
+            with pytest.raises(ValidationError, match="^negative or NaN probability entry$"):
+                evaluators._check_distributions(np.array([good, bad]))
+
     def test_validates_shape(self):
         with pytest.raises(DimensionError):
             DistributionTable(2, np.array([0.5, 0.5]))

@@ -1,13 +1,15 @@
 """Experiment drivers and their CSV report format."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from iqpverify import experiments
 from iqpverify.bitlin import BitVector
 from iqpverify.errors import ParseError, ValidationError
-from iqpverify.evaluators import correlation_clifford
+from iqpverify.evaluators import all_correlations, correlation_clifford
 from iqpverify.experiments import (
     ExperimentReport,
     _quantized_one,
@@ -16,7 +18,12 @@ from iqpverify.experiments import (
     exp_fig1b,
     exp_parseval,
 )
-from iqpverify.keygen import random_nonzero_bits, random_nonzero_rows, random_program
+from iqpverify.keygen import (
+    random_2local,
+    random_nonzero_bits,
+    random_nonzero_rows,
+    random_program,
+)
 from iqpverify.model import seeded_rng
 from report_reader import parse_report
 
@@ -159,8 +166,65 @@ class TestAnticoncentration:
         assert exp_anticoncentration([4], circuits=30, seed=5).rows == report.rows
 
     def test_validation(self):
-        with pytest.raises(ValidationError):
-            exp_anticoncentration([4], circuits=1)
+        for args, message in [
+            (([4], 1), "^need at least two circuits, got 1$"),
+            (([4], 5, 0), "^need at least one secret per circuit, got 0$"),
+            (([], 5), "^need at least one n$"),
+            (([4, 0], 5), "^n must be at least 1, got 0$"),
+        ]:
+            with pytest.raises(ValidationError, match=message):
+                exp_anticoncentration(*args)
+
+
+class TestStackedAnticoncentration:
+    """exp_anticoncentration simulates its circuits in stacks; each circuit's
+    squared correlations equal the per-circuit path of the public functions."""
+
+    @staticmethod
+    def reference(seed, n, circuits, secrets):
+        """(values, final generator state per circuit) of random_2local, all_correlations, picks."""
+        values, states = [], []
+        for i in range(circuits):
+            rng = seeded_rng(seed, n, i)
+            correlations = all_correlations(random_2local(n, rng))
+            picks = rng.integers(0, 1 << n, size=secrets)
+            values += [float(correlations[int(p)]) ** 2 for p in picks]
+            states.append(rng.bit_generator.state)
+        return values, states
+
+    @pytest.mark.parametrize("secrets", [1, 3])
+    @pytest.mark.parametrize("n, circuits", [(1, 3), (2, 5), (4, 9), (10, 35), (12, 6), (14, 2)])
+    def test_rows_equal_the_per_circuit_reference(self, n, circuits, secrets, monkeypatch):
+        per_stack = max(1, experiments._STACK_ENTRIES >> n)
+        assert circuits % per_stack or per_stack == 1  # a partial last stack where one can be
+        drawn = []
+
+        def recording(*key):
+            drawn.append(seeded_rng(*key))
+            return drawn[-1]
+
+        monkeypatch.setattr(experiments, "seeded_rng", recording)
+        report = exp_anticoncentration([n], circuits, secrets, seed=7)
+        values, states = self.reference(7, n, circuits, secrets)
+        assert [rng.bit_generator.state for rng in drawn] == states
+        want = np.array(values)
+        stats = {row[1]: row[3] for row in report.rows if row[2] == ""}
+        assert stats["mean_sq"] == float(want.mean())
+        assert stats["stderr"] == float(want.std(ddof=1) / np.sqrt(want.size))
+        tails = [row[3] for row in report.rows if row[1] == "tail_empirical"]
+        assert tails == [float((want >= a).mean()) for a in experiments._TAIL_GRID]
+
+    def test_one_circuit_per_stack_at_n14(self):
+        exp_anticoncentration([14], 2, seed=1)  # warm the mask memo and imports
+        tracemalloc.start()
+        try:
+            exp_anticoncentration([14], 3, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the pipeline peaks near 56 bytes per table entry; two n = 14 circuits
+        # in one stack would peak near 97 bytes per entry of one circuit
+        assert peak <= 64 << 14, peak
 
 
 @pytest.mark.parametrize(

@@ -18,6 +18,7 @@ ALLOWED = {
     "nullspace_basis": "the reference that padding rows are the XORs of, for the attack suite",
     "mc_sample_count": "the Hoeffding sample budget that the benchmark and acceptance tests use",
     "prover_honest": "the one-shot honest prover that the pooled server's replies must equal",
+    "random_2local": "the two-local ensemble as programs, which the anticoncentration draw equals",
 }
 
 

@@ -7,7 +7,7 @@ leftmost, matching the qubit-1-leftmost convention used in program files.
 A batch of T n-bit strings (samples, Monte-Carlo points) is one uint64 array
 of shape T x ceil(n/64) in the same bit order: coordinate i sits at bit
 i % 64 of word i // 64.  Only this module knows that layout: pack_ints and
-row_ints are the one bridge between ints and batches.
+row_ints bridge ints and batches, and random_rows and random_bit_rows draw them.
 """
 
 from __future__ import annotations
@@ -26,6 +26,8 @@ __all__ = [
     "dot",
     "echelon",
     "pivot_mask",
+    "gather_bits",
+    "scatter_bits",
     "rank",
     "nullspace_basis",
     "span_weights",
@@ -39,6 +41,7 @@ __all__ = [
     "unpack_bits",
     "row_parities",
     "random_rows",
+    "random_bit_rows",
     "xor_tables",
     "combine_rows",
 ]
@@ -202,6 +205,28 @@ def pivot_mask(rows: Iterable[int]) -> int:
     return sum(_forward(rows))  # distinct bits: the sum is their OR
 
 
+def _blocks(mask: int) -> list[tuple[int, int]]:
+    """(block, shift) per run of set bits of ``mask``: shift counts the clear bits below it."""
+    blocks, rest = [], mask
+    while rest:
+        block = rest & ~(rest + (rest & -rest))  # the carry of rest + low clears the lowest run
+        rest ^= block
+        blocks.append((block, (~mask & (block & -block) - 1).bit_count()))
+    return blocks
+
+
+def gather_bits(values: Iterable[int], mask: int) -> list[int]:
+    """Each value's bits at the set bits of ``mask``, packed: bit k is its bit at mask's k-th."""
+    blocks = _blocks(mask)
+    return [sum((v & block) >> shift for block, shift in blocks) for v in values]
+
+
+def scatter_bits(values: Iterable[int], mask: int) -> list[int]:
+    """Inverse of :func:`gather_bits`: bit k of each value moves to mask's k-th set bit."""
+    blocks = _blocks(mask)
+    return [sum(v << shift & block for block, shift in blocks) for v in values]
+
+
 def echelon(rows: Iterable[int]) -> dict[int, int]:
     """Reduced echelon form over GF(2) of packed row ints, as {pivot: row}, sorted.
 
@@ -245,6 +270,7 @@ def nullspace_basis(matrix: BitMatrix) -> list[BitVector]:
 
 
 _CHUNK = 16  # doubling table size; offsets iterate over the remaining dims
+_UNIFORM_DRAW = 1 << 16  # table entries per rng call in random_bit_rows
 
 
 def span_weights(basis: Sequence[int], length: int) -> np.ndarray:
@@ -386,6 +412,18 @@ def random_rows(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
     return out
 
 
+def random_bit_rows(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` uniform n-bit rows: one count x n ``rng.integers(0, 2)`` table, in row blocks."""
+    batch = np.empty((count, words_per_row(n)), dtype=np.uint64)
+    rows = max(1, _UNIFORM_DRAW // max(n, 1))
+    for start in range(0, count, rows):
+        block = min(rows, count - start)
+        for col in range(0, n, _UNIFORM_DRAW):  # a row wider than a draw, in chunks of whole words
+            bits = rng.integers(0, 2, size=(block, min(_UNIFORM_DRAW, n - col)))
+            batch[start : start + block, col // 64 : (col + _UNIFORM_DRAW) // 64] = pack_bits(bits)
+    return batch
+
+
 def xor_tables(basis: Sequence[int], n: int) -> np.ndarray:
     """:func:`combine_rows`' lookups: entry k of table g XORs the basis ints 8g + (bits of k)."""
     words = pack_ints(list(basis) + [0] * (-len(basis) % 8), n)  # whole groups
@@ -395,14 +433,17 @@ def xor_tables(basis: Sequence[int], n: int) -> np.ndarray:
     return tables
 
 
-def combine_rows(picks: np.ndarray, tables: np.ndarray) -> np.ndarray:
-    """The batch whose row t is the XOR of the basis ints k with bit k of picks[t] set.
+def combine_rows(picks: np.ndarray, tables: np.ndarray, out: np.ndarray | None = None):
+    """Row t XORs the lookups that the bytes of picks[t] (1-D ints) pick: byte g in table g.
 
-    ``picks`` is a batch of len(basis)-bit rows and ``tables`` the basis's
-    :func:`xor_tables`: byte g of a pick is one lookup in table g.
+    With a basis's :func:`xor_tables` it XORs the basis ints k with bit k of
+    picks[t] set.  Lookups of any dtype work; with no groups, new rows are 0.
     """
-    octets = np.ascontiguousarray(picks, dtype="<u8").view(np.uint8)[:, : len(tables)]
-    out = np.zeros((len(picks), tables.shape[2]), dtype=np.uint64)
-    for g, column in enumerate(octets.T):
-        out ^= np.take(tables[g], column, axis=0)  # about 2x faster than tables[g, column]
+    octets = np.ascontiguousarray(picks, dtype="<u8").view(np.uint8).reshape(-1, 8)
+    out = np.zeros((len(picks), *tables.shape[2:]), tables.dtype) if out is None else out
+    for g, table in enumerate(tables):  # np.take: about 2x faster than fancy indexing
+        if g:
+            out ^= np.take(table, octets[:, g], axis=0)
+        else:  # group 0 overwrites out; clip: no buffer
+            np.take(table, octets[:, 0], axis=0, out=out, mode="clip")
     return out

@@ -11,20 +11,20 @@ against s) never contribute, which is what the faster backends exploit:
 * subspace         exact closed form when all main angles are equal
 * clifford         exact Z4 exponential sum when main angles are w*pi/8, O(d**3) work
 
-An exact correlation simulates only the secret's main rows, on d =
-rank(main rows) qubits; sampling keeps all rows on rank(chi) qubits, as the
-output lies in chi's row space.  The 2**d backends and sampling share one
-reduction on plain ints, which rewrites the kept rows as d-bit ints: the
-phase table and the subspace span read them directly.  The Z4 sum needs no
-rewrite: it reads the main rows' bits at the d pivots of one forward
-elimination pass, in place.  The dense paths share one pipeline over a
-stack of circuits, a single program being a stack of one: the phase table
-sum_j theta_j (-1)^(chi_j . x), one Walsh-Hadamard transform of the row
-angles; exact diagonal and statevector average cos(2 * table), the amplitudes
-are a second transform of exp(i * table), and every secret's correlation a
-third of the output table.  Only the 2**n tables of output_distribution and
-all_correlations are n-wide.  One dense cap applies to the simulated width,
-and to the subspace backend's 2**d span.
+An exact correlation simulates only the secret's main rows, on d = rank(main
+rows) qubits, the pivot bits of one forward elimination pass: every exact
+backend takes the main rows and that pivot mask from one helper.  The phase
+table and the subspace span read each row's bits at the pivots as a d-bit
+int (``bitlin.gather_bits``); the Z4 sum reads them in place.  Sampling
+keeps all rows on rank(chi) qubits, as the output lies in chi's row space,
+and takes that space's basis from the rows' echelon form.  The dense paths
+share one pipeline over a stack of circuits, a single program being a stack
+of one: the phase table sum_j theta_j (-1)^(chi_j . x), one Walsh-Hadamard
+transform of the row angles; exact diagonal and statevector average
+cos(2 * table), the amplitudes are a second transform of exp(i * table), and
+every secret's correlation a third of the output table.  Only the 2**n
+tables of output_distribution and all_correlations are n-wide.  One dense
+cap applies to the simulated width, and to the subspace backend's 2**d span.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from .bitlin import (
     BitVector,
     combine_rows,
     echelon,
+    gather_bits,
     pivot_mask,
     random_rows,
     row_parities,
@@ -140,28 +141,15 @@ def _main_rows(rows: Sequence[int], angles: Sequence, s: int):
     return tuple(zip(*main)) or ((), ())
 
 
-def _reduce(program: IqpProgram, s: BitVector | None = None):
-    """(reduced row ints, their angles, d, basis ints B), built on plain ints.
+def _main_part(program: IqpProgram, s: BitVector):
+    """(row ints, angles, pivot mask) of the secret's main rows, for every exact backend.
 
-    Without a secret every row is kept and d = rank(chi).  With a secret only
-    its main rows, (row & s) of odd weight, are kept, as the redundant ones
-    never move the value, and d = rank(main rows).  ``bitlin.echelon`` gives B;
-    row j becomes the d-bit int c_j of its bits at the pivots, so chi_j = c_j . B.
-    With s'_k = b_k . s, p(y . B) = p'(y), s . (y . B) = s' . y and
-    c_j . s' = chi_j . s = 1 on every main row, so no value needs s'.  The
-    reduced rows have full column rank d; at full rank B is the identity.  A
-    program without rows reduces to d = 0: a one-entry table.
+    Row j enters as its pivot bits c_j, and c_j . (B s) = chi_j . s = 1 for every
+    main row, B the rows' echelon form: no value needs the reduced secret B s.
     """
-    rows, angles = program.chi.ints, program.angles
-    if s is not None:
-        _check_secret(program, s)
-        rows, angles = _main_rows(rows, angles, s.bits)
-    pivots = echelon(rows)
-    runs: dict[int, int] = {}  # p - k -> the pivots p that move to bit k: one shift per run
-    for k, p in enumerate(pivots):
-        runs[p - k] = runs.get(p - k, 0) | 1 << p
-    reduced = [sum((row & mask) >> shift for shift, mask in runs.items()) for row in rows]
-    return reduced, angles, len(pivots), list(pivots.values())
+    _check_secret(program, s)
+    rows, angles = _main_rows(program.chi.ints, program.angles, s.bits)
+    return rows, angles, pivot_mask(rows)
 
 
 def _check_cap(d: int) -> None:
@@ -284,9 +272,10 @@ def correlation_diagonal(
     at confidence 1-delta.
     """
     if samples is None:
-        rows, angles, d, _ = _reduce(program, s)
-        value = float(np.cos(2.0 * _phase_tables(rows, _radians(angles), d)[0]).mean())
-        return CorrelationResult(value, Backend.DIAGONAL_EXACT, reduced_dim=d)
+        rows, angles, live = _main_part(program, s)
+        table = _phase_tables(gather_bits(rows, live), _radians(angles), live.bit_count())[0]
+        value = float(np.cos(2.0 * table).mean())
+        return CorrelationResult(value, Backend.DIAGONAL_EXACT, reduced_dim=live.bit_count())
     _check_secret(program, s)
     radius = _hoeffding_radius(samples, delta)  # refused before the rng draws
     _check_draws(samples)
@@ -311,19 +300,19 @@ def correlation_subspace(program: IqpProgram, s: BitVector) -> CorrelationResult
 
     With q main rows whose column space has dimension d, the value is
     2**-d * sum over the column-space elements c of cos(2*theta*(q - 2*|c|)).
-    The reduced main rows have full column rank d, so their columns are a
-    basis of that space.  Exact, and independent of the basis: only the
-    weight histogram enters.
+    The main rows' bits at their d pivots have full column rank d, so their
+    columns are a basis of that space.  Exact, and independent of the basis:
+    only the weight histogram enters.
     """
-    rows, angles, d, _ = _reduce(program, s)
-    q = len(rows)
+    rows, angles, live = _main_part(program, s)
+    q, d = len(rows), live.bit_count()
     _check_cap(d)
     if q == 0:
         return CorrelationResult(1.0, Backend.SUBSPACE, reduced_dim=d)
     theta = angles[0]
     if any(a != theta for a in angles):
         raise AngleError("subspace backend needs one shared main-part angle")
-    weights = span_weights(transpose_ints(rows, d), length=q)
+    weights = span_weights(transpose_ints(gather_bits(rows, live), d), length=q)
     hist = np.bincount(weights, minlength=q + 1)
     two_theta = 2.0 * theta.radians
     total = sum(float(h) * math.cos(two_theta * (q - 2 * k)) for k, h in enumerate(hist) if h)
@@ -351,8 +340,8 @@ def _z4_sum(rows: Sequence[int], weights: Sequence[int], live: int) -> tuple[int
 
     The d variables x_i are the set bits i of ``live``, the pivots of the main
     rows' echelon form, and row j enters as c_j = row & live: its bits at the
-    pivots, which are _reduce's d-bit int c_j with the variables relabelled in
-    order.  The value is omega**phase8 * 2**(r2/2), omega = e^(i*pi/4).  With
+    pivots, which are ``gather_bits``' d-bit int with the variables relabelled.
+    The value is omega**phase8 * 2**(r2/2), omega = e^(i*pi/4).  With
     row j at angle w_j * pi/8, k_j = -w_j mod 4 and W = sum_j w_j it equals
     omega**W * 2**-d * sum over the 2**d settings x of the live bits of i**q(x),
     q(x) = sum_j k_j * [c_j . x] mod 4 = L . x + 2 * sum over pairs in B of x_i x_i'.
@@ -393,27 +382,21 @@ def _z4_sum(rows: Sequence[int], weights: Sequence[int], live: int) -> tuple[int
             else:
                 _add_parity(lin, pairs, lr, rest)
             # 2 y u.x with y = rest . x: the pairs rest x u, and 2 x_i for i in both
-            bits = rest
-            while bits:
-                low = bits & -bits
-                bits ^= low
-                pairs[low.bit_length() - 1] ^= u
-            bits = u
-            while bits:
-                low = bits & -bits
-                bits ^= low
-                pairs[low.bit_length() - 1] ^= rest
+            for bits, other in ((rest, u), (u, rest)):
+                while bits:
+                    low = bits & -bits
+                    bits ^= low
+                    pairs[low.bit_length() - 1] ^= other
             _add_parity(lin, pairs, 2, rest & u)
     return phase8 % 8, r2
 
 
-def _clifford_level(rows: Sequence[int], weights: Sequence[int]) -> tuple[int | None, int, int]:
+def _clifford_level(rows: Sequence[int], weights: Sequence[int], live: int):
     """(g, sign, d) of main rows at angles w_j * pi/8: value sign * 2**(-g/2), or 0 (g None).
 
-    The Z4 sum runs over d = rank(main rows) variables, the pivot bits of one
-    forward elimination pass (``bitlin.pivot_mask``), in O(d**3) bit operations.
+    The Z4 sum runs over the d = rank(main rows) pivot bits ``live`` of the
+    rows' forward pass (``bitlin.pivot_mask``), in O(d**3) bit operations.
     """
-    live = pivot_mask(rows)
     d = live.bit_count()
     exact = _z4_sum(rows, weights, live)
     if exact is None:
@@ -431,12 +414,11 @@ def correlation_clifford(program: IqpProgram, s: BitVector) -> CorrelationResult
 
     |value| is exactly 0 or 2**(-g/2) (:func:`_clifford_level`), and g is reported.
     """
-    _check_secret(program, s)
-    rows, angles = _main_rows(program.chi.ints, program.angles, s.bits)
+    rows, angles, live = _main_part(program, s)
     weights = [angle.multiple_of_pi8() for angle in angles]
     if None in weights:
         raise AngleError(f"main-part angle {angles[weights.index(None)]} is not a multiple of pi/8")
-    g, sign, d = _clifford_level(rows, weights)
+    g, sign, d = _clifford_level(rows, weights, live)
     value = 0.0 if g is None else sign * 2.0 ** (-g / 2.0)
     return CorrelationResult(value, Backend.CLIFFORD, g=g, reduced_dim=d)
 
@@ -447,7 +429,7 @@ class _SamplingTable:
 
     ``cumulative`` holds the 2**d running sums of the reduced rows' output
     table, d = rank(chi), and ``xors`` the ``bitlin.xor_tables`` of the d
-    basis ints B of ``_reduce``, which map a drawn y to its output y . B.
+    basis ints B, which map a drawn y to its output y . B.
     """
 
     cumulative: np.ndarray
@@ -466,13 +448,16 @@ def _sampling_table(program: IqpProgram) -> _SamplingTable:
     """The program's sampling table; a rank above the dense cap is a ``CapacityError``.
 
     So are XOR lookups larger than the cap's largest running sums, 8 * 2**cap
-    bytes: they grow with n, 2 KiB per 8 basis ints per 64 columns.
+    bytes: they grow with n, 2 KiB per 8 basis ints per 64 columns.  Row j
+    enters as its bits c_j at the pivots of the rows' echelon form B: chi_j = c_j . B.
     """
-    rows, angles, d, basis = _reduce(program)
+    pivots = echelon(program.chi.ints)
+    rows, d = gather_bits(program.chi.ints, sum(1 << p for p in pivots)), len(pivots)
     lookups = 2048 * -(-d // 8) * words_per_row(program.n)  # bytes of xor_tables(basis, n)
     if lookups > 8 << STATEVECTOR_CAP:
         raise CapacityError(f"{lookups} bytes of output lookups exceed {8 << STATEVECTOR_CAP}")
-    cumulative, xors = np.cumsum(_distribution(rows, angles, d).probs), xor_tables(basis, program.n)
+    cumulative = np.cumsum(_distribution(rows, program.angles, d).probs)
+    xors = xor_tables(list(pivots.values()), program.n)
     cumulative.flags.writeable = xors.flags.writeable = False
     return _SamplingTable(cumulative, xors)
 
@@ -489,7 +474,7 @@ def _picks(table: _SamplingTable, count: int, rng: np.random.Generator) -> np.nd
 
 def _draw(table: _SamplingTable, count: int, rng: np.random.Generator) -> np.ndarray:
     """A packed batch of ``count`` outputs x = y . B, y drawn by :func:`_picks`."""
-    return combine_rows(_picks(table, count, rng)[:, None], table.xors)  # ys < 2**24: one word
+    return combine_rows(_picks(table, count, rng), table.xors)
 
 
 def sample_outputs(program: IqpProgram, count: int, rng: np.random.Generator) -> np.ndarray:

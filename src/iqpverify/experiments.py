@@ -9,6 +9,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .bitlin import pivot_mask
 from .errors import ValidationError
 from .evaluators import (
     _check_cap,
@@ -80,7 +81,7 @@ def _quantized_one(n: int, seed: int, *stream: int):
     rng = seeded_rng(seed, *stream)
     rows = random_nonzero_rows(n, n, rng)
     main, weights = _main_rows(rows, (1,) * n, random_nonzero_bits(n, rng))  # every angle pi/8
-    return _clifford_level(main, weights)[0]
+    return _clifford_level(main, weights, pivot_mask(main))[0]
 
 
 def _levels(histogram: Counter) -> list[tuple[int, float, int]]:

@@ -21,6 +21,7 @@ from .bitlin import (
     pack_bits,
     random_rows,
     row_ints,
+    scatter_bits,
     transpose_ints,
 )
 from .errors import CapacityError, ConstructionError, DimensionError, ValidationError
@@ -246,28 +247,18 @@ def add_redundant_rows(
     if count == 0:
         return program
     pivots = echelon(s.bits for s in secrets)
-    free = n - len(pivots)
+    free = (1 << n) - 1 - sum(1 << p for p in pivots)  # the free columns
     if not free:
         raise ConstructionError("no nonzero row is orthogonal to every secret")
     coeffs, need = [], count
     while need:  # nonzero draws in stream order, as a redraw-per-row loop keeps them
-        draw = rng.integers(0, 2, size=(need, free))
+        draw = rng.integers(0, 2, size=(need, free.bit_count()))
         coeffs.append(draw[draw.any(axis=1)])
         need -= len(coeffs[-1])
-    runs, placed = [], 0  # coefficient bit k lands on free column k + (pivots below it)
-    for shift, p in enumerate([*pivots, n]):
-        if p - shift > placed:  # the free columns between the last pivot and p
-            runs.append(((1 << p - shift) - (1 << placed), shift))
-            placed = p - shift
-    new = []
-    for c in row_ints(pack_bits(np.concatenate(coeffs))):
-        bits = 0
-        for mask, shift in runs:
-            bits |= (c & mask) << shift
-        for p, row in pivots.items():  # row's only pivot bit is p, still clear in bits
-            if (row & bits).bit_count() & 1:
-                bits |= 1 << p
-        new.append(bits)
+    new = [  # row p's only pivot bit is p, clear in bits: each pivot takes its row's parity
+        bits | sum(((row & bits).bit_count() & 1) << p for p, row in pivots.items())
+        for bits in scatter_bits(row_ints(pack_bits(np.concatenate(coeffs))), free)
+    ]
     chi = BitMatrix.from_ints(program.chi.ints + tuple(new), n)
     return IqpProgram(chi, program.angles + (program.uniform_angle() or PI_OVER_8,) * count)
 

@@ -44,10 +44,12 @@ import numpy as np
 
 from .bitlin import (
     BitMatrix,
+    combine_rows,
     from01,
     pack_bits,
     pack_ints,
     pack_rows,
+    random_bit_rows,
     random_rows,
     row_parities,
     to01,
@@ -86,7 +88,6 @@ log = logging.getLogger(__name__)
 
 MAX_MESSAGE_BYTES = 64 * 1024 * 1024
 _RECV_CHUNK = 1 << 16
-_UNIFORM_DRAW = 1 << 16  # table entries per rng call in prover_uniform
 _GAP = np.frombuffer(b'","', np.uint8)  # closes one sample of a reply line, opens the next
 
 
@@ -453,29 +454,16 @@ def _honest_table(program: IqpProgram) -> _SamplingTable:
         raise ProtocolError("capacity", f"cannot simulate: {exc}")
 
 
-def _honest_reply(
-    challenge: ChallengeMsg, rng: np.random.Generator, table: _SamplingTable
-) -> SamplesMsg:
-    draws = _draw(table, challenge.samples_requested, rng)
+def prover_honest(challenge: ChallengeMsg, rng: np.random.Generator) -> SamplesMsg:
+    """Sample the program exactly on rank(chi) qubits; a rank above the cap is ``capacity``."""
+    draws = _draw(_honest_table(challenge.program), challenge.samples_requested, rng)
     return SamplesMsg(challenge.session, challenge.n, draws)
 
 
-def prover_honest(challenge: ChallengeMsg, rng: np.random.Generator) -> SamplesMsg:
-    """Sample the program exactly on rank(chi) qubits; a rank above the cap is ``capacity``."""
-    return _honest_reply(challenge, rng, _honest_table(challenge.program))
-
-
 def prover_uniform(challenge: ChallengeMsg, rng: np.random.Generator) -> SamplesMsg:
-    """Ignore the program: one T x n ``rng.integers(0, 2)`` table, drawn in row blocks."""
-    n, total = challenge.n, challenge.samples_requested
-    batch = np.empty((total, words_per_row(n)), dtype=np.uint64)
-    rows = max(1, _UNIFORM_DRAW // n)
-    for start in range(0, total, rows):
-        count = min(rows, total - start)
-        for col in range(0, n, _UNIFORM_DRAW):  # a row wider than a draw, in chunks of whole words
-            bits = rng.integers(0, 2, size=(count, min(_UNIFORM_DRAW, n - col)))
-            batch[start : start + count, col // 64 : (col + _UNIFORM_DRAW) // 64] = pack_bits(bits)
-    return SamplesMsg(challenge.session, n, batch)
+    """Ignore the program: one T x n ``rng.integers(0, 2)`` table (``bitlin.random_bit_rows``)."""
+    draws = random_bit_rows(challenge.n, challenge.samples_requested, rng)
+    return SamplesMsg(challenge.session, challenge.n, draws)
 
 
 def prover_leak(
@@ -556,21 +544,15 @@ def _reply_text(xors: np.ndarray, n: int) -> np.ndarray:
 def _honest_line(
     challenge: ChallengeMsg, rng: np.random.Generator, table: _SamplingTable, text: np.ndarray | None
 ) -> bytes:
-    """The honest reply line: one gather per group from the reply text, XORed together.
+    """The honest reply line: one reply-text gather per group, XORed by ``combine_rows``.
 
     Without text it writes a packed batch through :meth:`SamplesMsg.encode`.
     """
+    session, t, n = challenge.session, challenge.samples_requested, challenge.n
     if text is None:
-        return _honest_reply(challenge, rng, table).encode()
-    picks = _picks(table, challenge.samples_requested, rng)
-    octets = picks.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)  # byte g: group g
-
-    def fill(body: np.ndarray) -> None:
-        np.take(text[0], octets[:, 0], axis=0, out=body, mode="clip")  # clip: no buffer
-        for g in range(1, len(text)):
-            body ^= np.take(text[g], octets[:, g], axis=0)
-
-    return _reply_line(challenge.session, challenge.samples_requested, challenge.n, fill)
+        return SamplesMsg(session, n, _draw(table, t, rng)).encode()
+    picks = _picks(table, t, rng)
+    return _reply_line(session, t, n, lambda body: combine_rows(picks, text, body))
 
 
 class ProverServer(socketserver.TCPServer):

@@ -13,15 +13,18 @@ from iqpverify.bitlin import (
     combine_rows,
     dot,
     echelon,
+    gather_bits,
     nullspace_basis,
     pack_bits,
     pack_ints,
     pack_rows,
     pivot_mask,
+    random_bit_rows,
     random_rows,
     rank,
     row_ints,
     row_parities,
+    scatter_bits,
     span_weights,
     transpose_ints,
     unpack_bits,
@@ -199,6 +202,67 @@ class TestEchelon:
         pivots = echelon(m.ints)
         assert rank(m) == len(pivots)
         assert pivot_mask(m.ints) == sum(1 << p for p in pivots)
+
+
+
+def per_bit_gather(value, mask):
+    """Bit k is the value's bit at the k-th set bit of ``mask``, one bit at a time."""
+    places = [i for i in range(mask.bit_length()) if (mask >> i) & 1]
+    return sum(((value >> p) & 1) << k for k, p in enumerate(places))
+
+
+def per_bit_scatter(value, mask):
+    """Bit k of the value moves to the k-th set bit of ``mask``, one bit at a time."""
+    places = [i for i in range(mask.bit_length()) if (mask >> i) & 1]
+    return sum(((value >> k) & 1) << p for k, p in enumerate(places))
+
+
+def ones(n):
+    return (1 << n) - 1
+
+
+# 0, all-ones at and around the word edges, runs that stop or start there, and
+# single bits on both sides of them
+EDGE_MASKS = [0, 1, ones(63), ones(64), ones(65), ones(130), 1 << 63, 1 << 64, 1 << 65]
+EDGE_MASKS += [ones(130) ^ ones(63), ones(130) ^ ones(64), ones(65) ^ ones(63), 0b101 << 62]
+EDGE_MASKS += [sum(1 << i for i in range(0, 130, 2)), ones(130) ^ (1 << 64)]
+MASKS = st.one_of(
+    st.sampled_from(EDGE_MASKS),
+    st.integers(0, ones(130)),
+    st.tuples(st.integers(0, 130), st.integers(0, 130)).map(
+        lambda ab: ones(max(ab)) ^ ones(min(ab))  # one run
+    ),
+)
+
+
+class TestGatherScatter:
+    @given(MASKS, st.lists(st.integers(0, ones(131)), max_size=6))
+    @settings(max_examples=300)
+    def test_gather_equals_a_per_bit_loop_and_scatter_undoes_it(self, mask, values):
+        got = gather_bits(values, mask)
+        assert got == [per_bit_gather(v, mask) for v in values]
+        assert all(g >> mask.bit_count() == 0 for g in got)
+        assert scatter_bits(got, mask) == [v & mask for v in values]
+
+    @given(MASKS, st.lists(st.integers(0, ones(131)), max_size=6))
+    @settings(max_examples=300)
+    def test_scatter_equals_a_per_bit_loop_and_gather_undoes_it(self, mask, values):
+        coeffs = [v & ones(mask.bit_count()) for v in values]
+        got = scatter_bits(coeffs, mask)
+        assert got == [per_bit_scatter(c, mask) for c in coeffs]
+        assert all(g & ~mask == 0 for g in got)
+        assert gather_bits(got, mask) == coeffs
+
+    @pytest.mark.parametrize("mask", EDGE_MASKS)
+    def test_edge_masks(self, mask):
+        rng = np.random.default_rng(mask.bit_count())
+        values = [0, ones(131)] + [int.from_bytes(rng.bytes(17), "little") for _ in range(8)]
+        assert gather_bits(values, mask) == [per_bit_gather(v, mask) for v in values]
+        coeffs = [v & ones(mask.bit_count()) for v in values]
+        assert scatter_bits(coeffs, mask) == [per_bit_scatter(c, mask) for c in coeffs]
+
+    def test_empty_values(self):
+        assert gather_bits([], ones(70)) == scatter_bits([], ones(70)) == []
 
 
 class TestSpans:
@@ -446,6 +510,34 @@ class TestPackedBatch:
             for b, bit in zip(ints, c):
                 want ^= b if bit else 0
             assert int.from_bytes(row.tobytes(), "little") == want
+
+    def test_combine_rows_writes_any_dtype_into_out(self):
+        # byte g of each 1-D pick picks a row of lookup g; group 0 overwrites
+        # whatever out held, and with no groups new rows are zeros
+        rng = np.random.default_rng(11)
+        tables = rng.integers(0, 256, size=(3, 256, 5), dtype=np.uint8)
+        picks = rng.integers(0, 1 << 24, size=40, dtype=np.uint64)
+        octets = [(picks >> np.uint64(8 * g)) & np.uint64(255) for g in range(3)]
+        want = tables[0][octets[0]] ^ tables[1][octets[1]] ^ tables[2][octets[2]]
+        out = np.full((40, 5), 0xAA, dtype=np.uint8)
+        assert combine_rows(picks, tables, out) is out
+        assert np.array_equal(out, want)
+        assert np.array_equal(combine_rows(picks, tables), want)
+        assert combine_rows(picks, tables[:1]).tolist() == tables[0][octets[0]].tolist()
+        assert combine_rows(picks, tables[:0]).tolist() == [[0] * 5] * 40
+        assert combine_rows(picks[:0], tables).shape == (0, 5)
+
+    @pytest.mark.parametrize(
+        "n, count", [(0, 3), (1, 70_000), (3, 30_000), (65, 2_000), (70_001, 2)]
+    )
+    def test_random_bit_rows_is_one_table_draw(self, n, count):
+        # row blocks of 2**16 // n rows (an odd entry count at n = 3), and a row
+        # wider than 2**16 in chunks of whole words, draw the stream of one
+        # whole-table rng.integers(0, 2) call and leave the generator as it does
+        rng, whole = np.random.default_rng(5), np.random.default_rng(5)
+        got = random_bit_rows(n, count, rng)
+        assert np.array_equal(got, pack_bits(whole.integers(0, 2, size=(count, n))))
+        assert rng.bit_generator.state == whole.bit_generator.state
 
     @pytest.mark.parametrize("n", BOUNDARY_WIDTHS)
     def test_pack_ints_round_trip(self, n):

@@ -358,12 +358,19 @@ class TestReductionEdges:
 
 
 class TestCliffordOnPivotBits:
-    """The Z4 sum on the main rows' pivot bits against the sum on _reduce's packed rows."""
+    """The Z4 sum on the main rows' pivot bits against the sum on their packed d-bit rows."""
 
     @staticmethod
     def packed(program, s):
-        """(repr(value), g, d) of the Z4 sum over _reduce's d-bit rows, all d bits live."""
-        rows, angles, d, _ = evaluators._reduce(program, s)
+        """(repr(value), g, d) of the Z4 sum over d-bit rows, all d bits live.
+
+        Each main row's bits at echelon's d pivots are gathered bit by bit.
+        """
+        pairs = zip(program.chi.ints, program.angles)
+        main = [(r, a) for r, a in pairs if (r & s.bits).bit_count() & 1]
+        pivots = list(echelon(r for r, _ in main))
+        rows = [sum((r >> p & 1) << k for k, p in enumerate(pivots)) for r, _ in main]
+        angles, d = [a for _, a in main], len(pivots)
         exact = evaluators._z4_sum(rows, [a.multiple_of_pi8() for a in angles], (1 << d) - 1)
         if exact is None:
             return repr(0.0), None, d
@@ -644,8 +651,8 @@ class TestSamplerLookup:
     )
 
     def table(self):
-        rows, angles, d, basis = evaluators._reduce(self.PROGRAM)
-        return np.cumsum(evaluators._distribution(rows, angles, d).probs), d, basis
+        table = evaluators._sampling_table(self.PROGRAM)
+        return table.cumulative, table.d, list(echelon(self.PROGRAM.chi.ints).values())
 
     def crafted(self, case, cumulative):
         top = cumulative[-1]
